@@ -18,7 +18,6 @@ from .driver import (
     curvature_diagnostics,
     diminishing,
     run,
-    schedule_alpha,
     sqrt_horizon,
     take_step,
 )
@@ -31,7 +30,7 @@ from .errors import (
     UsageError,
 )
 from .experiment import ExperimentSpec, run_experiment
-from .linalg import Dataset, SparseExample, axpy, dot, norm, sparse_dot
+from .linalg import Dataset, axpy, dot, norm
 from .objectives import Objective, SubsetGradient, logistic_l2, quadratic, sigmoid_lsq
 from .sampling import (
     NodeLayout,
@@ -48,14 +47,14 @@ __all__ = [
     "__version__",
     "ConfigurationError", "DataError", "MblbfgsError", "NumericError",
     "UsageError",
-    "Dataset", "SparseExample", "axpy", "dot", "norm", "sparse_dot",
+    "Dataset", "axpy", "dot", "norm",
     "Objective", "SubsetGradient", "logistic_l2", "quadratic", "sigmoid_lsq",
     "NodeLayout", "SamplePlan", "SeededRng", "make_layout", "plan_fault",
     "plan_strategy1_epoch", "plan_strategy2", "reshard",
     "CurvaturePair", "LbfgsMemory", "cautious_accept",
     "CurvatureDiagnostic", "RunConfig", "RunTrace", "StepSchedule",
     "constant", "curvature_diagnostics", "diminishing", "run",
-    "schedule_alpha", "sqrt_horizon", "take_step",
+    "sqrt_horizon", "take_step",
     "ExperimentSpec", "run_experiment",
     "make_synthetic", "parse_libsvm", "serialize_libsvm",
 ]

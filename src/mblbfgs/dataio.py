@@ -1,10 +1,13 @@
 """Dataset ingestion: LIBSVM text files and seeded synthetic generation."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError
-from .linalg import Dataset, SparseExample
+from .linalg import Dataset
 from .sampling import SeededRng
 
 _LABEL_MAP = {"1": 1, "+1": 1, "-1": -1, "0": -1,
@@ -18,8 +21,7 @@ def parse_libsvm(path, dimension: int | None = None) -> Dataset:
     follow either the {0,1} or the {-1,+1} convention; both are mapped to
     {-1,+1}. The dimension defaults to the largest index seen.
     """
-    examples = []
-    max_index = -1
+    labels, indices, values, indptr = [], [], [], [0]
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -29,7 +31,7 @@ def parse_libsvm(path, dimension: int | None = None) -> Dataset:
             label = _LABEL_MAP.get(tokens[0])
             if label is None:
                 raise DataError(f"line {lineno}: unrecognized label {tokens[0]!r}")
-            indices, values = [], []
+            row_start = len(indices)
             for col, tok in enumerate(tokens[1:], start=2):
                 try:
                     raw_idx, raw_val = tok.split(":", 1)
@@ -40,36 +42,38 @@ def parse_libsvm(path, dimension: int | None = None) -> Dataset:
                         f"line {lineno}, token {col}: cannot parse {tok!r}") from None
                 if idx < 0:
                     raise DataError(f"line {lineno}, token {col}: index must be >= 1")
-                if indices and idx <= indices[-1]:
+                if len(indices) > row_start and idx <= indices[-1]:
                     raise DataError(
                         f"line {lineno}, token {col}: indices must be strictly increasing")
+                if not math.isfinite(val):
+                    raise DataError(
+                        f"line {lineno}, token {col}: non-finite value {tok!r}")
                 indices.append(idx)
                 values.append(val)
-            if indices:
-                max_index = max(max_index, indices[-1])
-            examples.append((np.array(indices, dtype=np.int64),
-                             np.array(values, dtype=np.float64), label))
-    if not examples:
+            labels.append(label)
+            indptr.append(len(indices))
+    if not labels:
         raise DataError(f"{path}: no examples found")
-    d = dimension if dimension is not None else max_index + 1
+    d = dimension if dimension is not None else max(indices, default=-1) + 1
     if d < 1:
         raise DataError(f"{path}: could not infer a positive dimension")
-    return Dataset(
-        examples=[SparseExample(indices=i, values=v, label=lab)
-                  for i, v, lab in examples],
-        dimension=d,
-    )
+    X = sparse.csr_matrix(
+        (np.array(values, dtype=np.float64), np.array(indices, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)), shape=(len(labels), d))
+    return Dataset(X, np.array(labels, dtype=np.float64))
 
 
 def serialize_libsvm(dataset: Dataset, path) -> None:
     """Write a dataset back to LIBSVM text (1-based indices, +-1 labels)."""
+    X = dataset.X
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in dataset.examples:
+        for i, y in enumerate(dataset.y):
+            lo, hi = X.indptr[i], X.indptr[i + 1]
             feats = " ".join(
                 f"{int(idx) + 1}:{val:.17g}"
-                for idx, val in zip(ex.indices, ex.values)
+                for idx, val in zip(X.indices[lo:hi], X.data[lo:hi])
             )
-            label = "+1" if ex.label == 1 else "-1"
+            label = "+1" if y == 1 else "-1"
             fh.write(f"{label} {feats}\n" if feats else f"{label}\n")
 
 
@@ -96,8 +100,10 @@ def make_synthetic(n: int, d: int, nnz_per_row: int, seed: int,
     scales = np.logspace(-feature_decades / 2.0, feature_decades / 2.0, d)
     plant_raw = normal(d) / scales  # keeps every scaled feature informative
     plant = plant_raw / np.sqrt(np.dot(plant_raw, plant_raw))
-    examples = []
-    for _ in range(n):
+    indices = np.empty((n, nnz_per_row), dtype=np.int64)
+    values = np.empty((n, nnz_per_row), dtype=np.float64)
+    labels = np.empty(n, dtype=np.float64)
+    for i in range(n):
         while True:
             idx = np.sort(rng.choice(d, nnz_per_row))
             vals = normal(nnz_per_row) * scales[idx]
@@ -115,5 +121,7 @@ def make_synthetic(n: int, d: int, nnz_per_row: int, seed: int,
             label = 1 if z > 0 else -1
         else:
             label = 1 if rng.uniform() < 0.5 else -1
-        examples.append(SparseExample(indices=idx, values=vals, label=label))
-    return Dataset(examples=examples, dimension=d)
+        indices[i], values[i], labels[i] = idx, vals, label
+    indptr = np.arange(0, n * nnz_per_row + 1, nnz_per_row, dtype=np.int64)
+    X = sparse.csr_matrix((values.ravel(), indices.ravel(), indptr), shape=(n, d))
+    return Dataset(X, labels)

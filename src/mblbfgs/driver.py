@@ -82,13 +82,6 @@ def sqrt_horizon(c: float, tau: int) -> StepSchedule:
     return StepSchedule("sqrt_horizon", c, tau)
 
 
-def schedule_alpha(schedule: StepSchedule, k: int) -> float:
-    """Step length at iteration k."""
-    if k < 0:
-        raise UsageError("iteration index must be >= 0")
-    return schedule.alpha_at(k)
-
-
 @dataclass
 class RunConfig:
     """Everything that pins down one optimization run."""
@@ -230,6 +223,12 @@ class _BatchEval:
         return grad, loss
 
 
+def _full_metrics(objective: Objective, w: Vector) -> tuple:
+    """Full-data gradient norm, loss and training accuracy (metrology)."""
+    full = objective.eval_full(w)
+    return norm(full.gradient), full.loss, objective.accuracy(w)
+
+
 def _eval_parts(objective: Objective, w: Vector, plan: SamplePlan,
                 ledger, tag) -> _BatchEval:
     be = _BatchEval()
@@ -274,13 +273,13 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
     t0 = time.perf_counter()
 
     plan = source.next_plan()
-    parts = _eval_parts(objective, w, plan, eval_ledger, 0)
+    try:
+        parts = _eval_parts(objective, w, plan, eval_ledger, 0)
+        grad_norm, full_loss, train_acc = _full_metrics(objective, w)
+    except NumericError as exc:
+        return RunTrace(records, f"numeric: {exc}", w, memory, config)
     epoch = plan.S.size / n
     g_S, loss_S = parts.combine(objective, w)
-
-    full = objective.eval_full(w)
-    grad_norm = norm(full.gradient)
-    full_loss, train_acc = full.loss, objective.accuracy(w)
     divergence_limit = config.divergence_factor * max(abs(full_loss), 1e-12)
 
     records.append(TraceRecord(
@@ -297,7 +296,7 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
     use_memory = config.method in ("robust_lbfgs", "inconsistent_lbfgs")
     while epoch < config.epochs and (config.max_iterations is None
                                      or k < config.max_iterations):
-        alpha = schedule_alpha(config.schedule, k)
+        alpha = config.schedule.alpha_at(k)
         try:
             w_next = take_step(w, memory, g_S, alpha,
                                identity_hessian=config.method == "multibatch_gd")
@@ -351,12 +350,10 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
         # divergence aborts promptly instead of at the next stride
         if k % stride == 0 or loss_S > divergence_limit:
             try:
-                full = objective.eval_full(w)
+                grad_norm, full_loss, train_acc = _full_metrics(objective, w)
             except NumericError as exc:
                 aborted = f"numeric: {exc}"
                 break
-            grad_norm = norm(full.gradient)
-            full_loss, train_acc = full.loss, objective.accuracy(w)
 
         records.append(TraceRecord(
             k=k, epoch=epoch, grad_norm=grad_norm, subset_loss=loss_S,
@@ -406,11 +403,12 @@ def _run_sgd(config: RunConfig, objective: Objective) -> RunTrace:
     t0 = time.perf_counter()
 
     idx = np.array([rng.integers(n)], dtype=np.int64)
-    sg = objective.eval_subset(w, idx)
+    try:
+        sg = objective.eval_subset(w, idx)
+        grad_norm, full_loss, train_acc = _full_metrics(objective, w)
+    except NumericError as exc:
+        return RunTrace(records, f"numeric: {exc}", w, None, config)
     epoch = 1.0 / n
-    full = objective.eval_full(w)
-    grad_norm = norm(full.gradient)
-    full_loss, train_acc = full.loss, objective.accuracy(w)
     divergence_limit = config.divergence_factor * max(abs(full_loss), 1e-12)
     records.append(TraceRecord(
         k=0, epoch=epoch, grad_norm=grad_norm, subset_loss=sg.loss,
@@ -420,7 +418,7 @@ def _run_sgd(config: RunConfig, objective: Objective) -> RunTrace:
     k = 0
     while epoch < config.epochs and (config.max_iterations is None
                                      or k < config.max_iterations):
-        alpha = schedule_alpha(config.schedule, k)
+        alpha = config.schedule.alpha_at(k)
         w = w - alpha * sg.gradient
         if not np.all(np.isfinite(w)):
             aborted = "nonfinite-iterate"
@@ -434,9 +432,11 @@ def _run_sgd(config: RunConfig, objective: Objective) -> RunTrace:
         epoch += 1.0 / n
         k += 1
         if k % stride == 0:
-            full = objective.eval_full(w)
-            grad_norm = norm(full.gradient)
-            full_loss, train_acc = full.loss, objective.accuracy(w)
+            try:
+                grad_norm, full_loss, train_acc = _full_metrics(objective, w)
+            except NumericError as exc:
+                aborted = f"numeric: {exc}"
+                break
         records.append(TraceRecord(
             k=k, epoch=epoch, grad_norm=grad_norm, subset_loss=sg.loss,
             full_loss=full_loss, train_acc=train_acc, pair_accepted=0,

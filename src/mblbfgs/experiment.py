@@ -2,6 +2,7 @@
 trace per cell plus a manifest, deterministically."""
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,26 +68,28 @@ class ExperimentSpec:
         return make_objective(self.objective, dataset, self.sigma)
 
     def cells(self):
-        """The full grid product, in a fixed order."""
+        """The grid product, in a fixed order.
+
+        Fault mode reads neither r nor o, so it takes only the first of each
+        instead of rerunning identical cells under other names; the other
+        modes ignore p.
+        """
         self.validate()
-        probs = self.fail_probs if self.mode == "fault" else [0.0]
-        for method in self.methods:
-            for r in self.batch_fracs:
-                for o in self.overlap_fracs:
-                    for sched in self.schedules:
-                        for p in probs:
-                            for seed in self.seeds:
-                                yield RunConfig(
-                                    method=method, mode=self.mode,
-                                    batch_frac=r, overlap_frac=o,
-                                    nodes=self.nodes, fail_prob=p,
-                                    schedule=sched, memory=self.memory,
-                                    cautious_eps=self.cautious_eps,
-                                    scaling=self.scaling, epochs=self.epochs,
-                                    seed=seed,
-                                    reshard_each_epoch=self.reshard_each_epoch,
-                                    trace_stride=self.trace_stride,
-                                )
+        if self.mode == "fault":
+            r_list, o_list, p_list = (self.batch_fracs[:1], self.overlap_fracs[:1],
+                                      self.fail_probs)
+        else:
+            r_list, o_list, p_list = self.batch_fracs, self.overlap_fracs, [0.0]
+        for method, r, o, sched, p, seed in itertools.product(
+                self.methods, r_list, o_list, self.schedules, p_list, self.seeds):
+            yield RunConfig(
+                method=method, mode=self.mode, batch_frac=r, overlap_frac=o,
+                nodes=self.nodes, fail_prob=p, schedule=sched,
+                memory=self.memory, cautious_eps=self.cautious_eps,
+                scaling=self.scaling, epochs=self.epochs, seed=seed,
+                reshard_each_epoch=self.reshard_each_epoch,
+                trace_stride=self.trace_stride,
+            )
 
 
 def cell_filename(config: RunConfig) -> str:

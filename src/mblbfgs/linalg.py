@@ -1,12 +1,10 @@
-"""Dense vector and sparse-row primitives shared by every other module.
+"""Dense vector primitives and the CSR dataset shared by every other module.
 
 Everything is 64-bit floating point. Reductions run in a single fixed
 accumulation order (numpy's, over contiguous arrays), so reruns with
 identical inputs are bit-identical on a given platform.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import math
 
@@ -45,97 +43,53 @@ def norm(x: Vector) -> float:
     return math.sqrt(dot(x, x))
 
 
-@dataclass
-class SparseExample:
-    """One training example stored as a sparse feature row.
+class Dataset:
+    """n labelled examples over d features, held as one CSR matrix.
 
-    indices are strictly increasing feature ids; label is -1 or +1.
+    ``X`` is a ``scipy.sparse`` CSR matrix of shape (n, d) whose rows hold
+    strictly increasing column indices and finite values; ``y`` is the
+    float64 vector of -1/+1 labels. The constructor is where outside data
+    enters the package, so it checks all of this and raises ``DataError``.
     """
 
-    indices: np.ndarray
-    values: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        self.indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.indices.shape != self.values.shape:
-            raise DataError("indices and values differ in length")
-        if self.indices.size and np.any(np.diff(self.indices) <= 0):
-            raise DataError("feature indices must be strictly increasing")
-        if self.indices.size and self.indices[0] < 0:
-            raise DataError("negative feature index")
-        if self.label not in (-1, 1):
-            raise DataError(f"label must be -1 or +1, got {self.label}")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def densify(self, dimension: int) -> Vector:
-        out = np.zeros(dimension, dtype=np.float64)
-        out[self.indices] = self.values
-        return out
-
-
-def sparse_dot(row: SparseExample, w: Vector) -> float:
-    """Inner product of a sparse row with a dense vector."""
-    if row.indices.size and int(row.indices[-1]) >= w.shape[0]:
-        raise DataError(
-            f"feature index {int(row.indices[-1])} out of range for d={w.shape[0]}"
-        )
-    return float(np.dot(row.values, w[row.indices]))
-
-
-@dataclass
-class Dataset:
-    """A collection of n sparse examples over a fixed dimension d."""
-
-    examples: list
-    dimension: int
-    _csr: object = field(default=None, init=False, repr=False, compare=False)
-    _labels: object = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __init__(self, X, y):
+        if not (sparse.issparse(X) and X.format == "csr"):
+            raise DataError("features must be a scipy.sparse CSR matrix")
+        n, d = X.shape
+        if d < 1:
             raise DataError("dimension must be >= 1")
-        if len(self.examples) < 1:
+        if n < 1:
             raise DataError("dataset must contain at least one example")
-        for i, ex in enumerate(self.examples):
-            if ex.nnz and int(ex.indices[-1]) >= self.dimension:
-                raise DataError(
-                    f"example {i}: index {int(ex.indices[-1])} >= d={self.dimension}"
-                )
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (n,):
+            raise DataError(f"got {y.size} labels for {n} examples")
+        bad = np.flatnonzero((y != 1.0) & (y != -1.0))
+        if bad.size:
+            raise DataError(f"example {bad[0]}: label must be -1 or +1, got {y[bad[0]]:g}")
+        indptr, indices = X.indptr, X.indices
+        if np.any(np.diff(indptr) < 0):
+            raise DataError("row pointers must be non-decreasing")
+        # entry positions that open a row; an index drop there is allowed
+        row_start = np.zeros(int(indptr[-1]) + 1, dtype=bool)
+        row_start[indptr] = True
+        for mask, message in (
+            (indices < 0, "negative feature index"),
+            (indices >= d, f"feature index >= d={d}"),
+            ((np.diff(indices) <= 0) & ~row_start[1:-1],
+             "feature indices must be strictly increasing"),
+            (~np.isfinite(X.data), "non-finite feature value"),
+        ):
+            where = np.flatnonzero(mask)
+            if where.size:
+                pos = where[0]
+                row = int(np.searchsorted(indptr, pos, side="right")) - 1
+                raise DataError(f"example {row}, column {indices[pos]}: {message}")
+        self.X, self.y = X, y
 
-    @property
-    def count(self) -> int:
-        return len(self.examples)
-
-    # alias used throughout
     @property
     def n(self) -> int:
-        return len(self.examples)
+        return self.X.shape[0]
 
     @property
     def d(self) -> int:
-        return self.dimension
-
-    def to_arrays(self):
-        """CSR feature matrix and the +-1 label vector (built once, cached)."""
-        if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for i, ex in enumerate(self.examples):
-                indptr[i + 1] = indptr[i] + ex.nnz
-            indices = np.concatenate(
-                [ex.indices for ex in self.examples]
-            ) if indptr[-1] else np.zeros(0, dtype=np.int64)
-            values = np.concatenate(
-                [ex.values for ex in self.examples]
-            ) if indptr[-1] else np.zeros(0, dtype=np.float64)
-            self._csr = sparse.csr_matrix(
-                (values, indices, indptr), shape=(self.n, self.dimension)
-            )
-            self._labels = np.array(
-                [ex.label for ex in self.examples], dtype=np.float64
-            )
-        return self._csr, self._labels
+        return self.X.shape[1]

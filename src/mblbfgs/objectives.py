@@ -53,7 +53,7 @@ class Objective:
         self.kind = kind
         self.dataset = dataset
         self.sigma = float(sigma)
-        self.X, self.labels = dataset.to_arrays()
+        self.X, self.labels = dataset.X, dataset.y
         if kind == "quadratic":
             if quad_weights is None:
                 quad_weights = np.ones(dataset.d)

@@ -253,14 +253,17 @@ class Strategy1Source:
             if self._full_batch and self._pending_overlap is not None:
                 # with S = whole dataset the previous overlap block is still
                 # inside the new batch, so the pair chain continues across
-                # the reshuffle; redraw O_next disjoint from it
+                # the reshuffle; redraw O_next disjoint from it, and reorder
+                # S so that O_prev is its head block and O_next its tail
                 plan = self._queue[0]
                 o_size = plan.O_next.size
                 o_prev = self._pending_overlap
                 outside = np.setdiff1d(plan.S, o_prev, assume_unique=True)
                 o_next = self.rng.choice(outside, o_size)
-                self._queue[0] = SamplePlan(S=plan.S, O_prev=o_prev,
-                                            O_next=o_next, mode="strategy1")
+                middle = plan.S[~np.isin(plan.S, np.concatenate([o_prev, o_next]))]
+                self._queue[0] = SamplePlan(S=np.concatenate([o_prev, middle, o_next]),
+                                            O_prev=o_prev, O_next=o_next,
+                                            mode="strategy1")
         plan = self._queue.pop(0)
         self._pending_overlap = plan.O_next if plan.O_next.size else None
         return plan

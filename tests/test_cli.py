@@ -46,6 +46,16 @@ def test_data_error_exit_two(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_non_finite_data_exit_two(tmp_path, capsys):
+    data = tmp_path / "nan.txt"
+    data.write_text("".join(f"{'+1' if i % 2 else '-1'} 1:{i} 2:1\n" for i in range(60))
+                    + "+1 1:nan 2:1\n")
+    out = tmp_path / "runs"
+    assert main(["--dataset", str(data), "--epochs", "1", "--out", str(out)]) == 2
+    assert "line 61, token 2: non-finite" in capsys.readouterr().err
+    assert not list(out.glob("*"))  # no manifest, no CSV
+
+
 def test_numeric_abort_exit_three(tmp_path):
     out = tmp_path / "runs"
     code = main([

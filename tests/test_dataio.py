@@ -19,16 +19,15 @@ class TestParseLibsvm:
         path.write_text("+1 1:0.5 3:2\n")
         ds = parse_libsvm(path)
         assert ds.d == 3 and ds.n == 1
-        ex = ds.examples[0]
-        assert ex.label == 1
-        assert np.array_equal(ex.indices, [0, 2])
-        assert np.array_equal(ex.values, [0.5, 2.0])
+        assert ds.y[0] == 1
+        assert np.array_equal(ds.X.indices, [0, 2])
+        assert np.array_equal(ds.X.data, [0.5, 2.0])
 
     def test_zero_one_labels_remapped(self, tmp_path):
         path = tmp_path / "b.txt"
         path.write_text("0 1:1\n1 2:1\n")
         ds = parse_libsvm(path)
-        assert [e.label for e in ds.examples] == [-1, 1]
+        assert list(ds.y) == [-1, 1]
 
     def test_unknown_label(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -48,6 +47,26 @@ class TestParseLibsvm:
         with pytest.raises(DataError, match="strictly increasing"):
             parse_libsvm(path)
 
+    def test_non_finite_value_reports_position(self, tmp_path):
+        for bad in ("nan", "inf", "-inf", "NaN", "infinity"):
+            path = tmp_path / f"{bad}.txt"
+            path.write_text(f"+1 1:0.5\n-1 1:1 3:{bad}\n")
+            with pytest.raises(DataError, match="line 2, token 3: non-finite"):
+                parse_libsvm(path)
+
+    def test_empty_rows_kept(self, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("+1\n-1 2:1\n+1\n")
+        ds = parse_libsvm(path)
+        assert ds.n == 3 and ds.d == 2
+        assert list(ds.X.indptr) == [0, 0, 1, 1]
+
+    def test_dimension_override_too_small(self, tmp_path):
+        path = tmp_path / "i.txt"
+        path.write_text("+1 1:1\n-1 4:1\n")
+        with pytest.raises(DataError, match="example 1"):
+            parse_libsvm(path, dimension=3)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("\n# only a comment\n")
@@ -65,22 +84,20 @@ class TestParseLibsvm:
         serialize_libsvm(ds, path)
         back = parse_libsvm(path, dimension=ds.d)
         assert back.n == ds.n and back.d == ds.d
-        for a, b in zip(ds.examples, back.examples):
-            assert a.label == b.label
-            assert np.array_equal(a.indices, b.indices)
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(ds.y, back.y)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ds.X, name), getattr(back.X, name))
 
 
 class TestMakeSynthetic:
     def test_shapes_and_nnz(self):
         ds = make_synthetic(20, 12, 7, seed=0)
         assert ds.n == 20 and ds.d == 12
-        assert all(e.nnz == 7 for e in ds.examples)
+        assert np.array_equal(np.diff(ds.X.indptr), np.full(20, 7))
 
     def test_dense_rows(self):
         ds = make_synthetic(5, 6, 6, seed=0)
-        for e in ds.examples:
-            assert np.array_equal(e.indices, np.arange(6))
+        assert np.array_equal(ds.X.indices, np.tile(np.arange(6), 5))
 
     def test_margin_enforced(self):
         ds = make_synthetic(200, 10, 5, seed=1, separable_margin=0.7)
@@ -96,17 +113,15 @@ class TestMakeSynthetic:
 
     def test_margin_zero_labels_random(self):
         ds = make_synthetic(500, 10, 5, seed=5, separable_margin=0.0)
-        labels = np.array([e.label for e in ds.examples])
-        frac = np.mean(labels == 1)
+        frac = np.mean(ds.y == 1)
         assert 0.4 <= frac <= 0.6
 
     def test_replay_determinism(self):
         a = make_synthetic(25, 9, 4, seed=13, separable_margin=0.5)
         b = make_synthetic(25, 9, 4, seed=13, separable_margin=0.5)
-        for ea, eb in zip(a.examples, b.examples):
-            assert ea.label == eb.label
-            assert np.array_equal(ea.indices, eb.indices)
-            assert np.array_equal(ea.values, eb.values)
+        assert np.array_equal(a.y, b.y)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a.X, name), getattr(b.X, name))
 
     def test_bad_nnz(self):
         with pytest.raises(DataError):
@@ -115,7 +130,7 @@ class TestMakeSynthetic:
     def test_feature_decades_spread(self):
         ds = make_synthetic(300, 10, 5, seed=3, feature_decades=2.0,
                             separable_margin=0.1)
-        X, _ = ds.to_arrays()
+        X = ds.X
         col_scale = np.sqrt(np.asarray(X.multiply(X).mean(axis=0)).ravel())
         assert col_scale.max() / col_scale.min() > 10
 

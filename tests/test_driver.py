@@ -10,9 +10,9 @@ from mblbfgs import (
     constant,
     curvature_diagnostics,
     diminishing,
+    make_synthetic,
     quadratic,
     run,
-    schedule_alpha,
     sqrt_horizon,
     take_step,
 )
@@ -24,17 +24,17 @@ from test_objectives import dataset_from_rows
 class TestSchedules:
     def test_diminishing(self):
         sched = diminishing(1.0)
-        assert schedule_alpha(sched, 0) == 1.0
-        assert schedule_alpha(sched, 9) == pytest.approx(0.1)
+        assert sched.alpha_at(0) == 1.0
+        assert sched.alpha_at(9) == pytest.approx(0.1)
 
     def test_sqrt_horizon(self):
         sched = sqrt_horizon(2.0, 100)
         for k in (0, 5, 1000):
-            assert schedule_alpha(sched, k) == pytest.approx(0.2)
+            assert sched.alpha_at(k) == pytest.approx(0.2)
 
     def test_constant(self):
         sched = constant(0.1)
-        assert all(schedule_alpha(sched, k) == 0.1 for k in range(5))
+        assert all(sched.alpha_at(k) == 0.1 for k in range(5))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -178,6 +178,17 @@ class TestRunLoop:
         assert trace.aborted == "divergence"
         assert len(trace.records) >= 2
         assert trace.records[-1].full_loss > 1e6 * trace.records[0].full_loss
+
+    @pytest.mark.parametrize("method", ["robust_lbfgs", "serial_sgd"])
+    def test_numeric_failure_at_first_evaluation_aborts(self, method):
+        obj = quadratic(make_synthetic(50, 4, 2, seed=0))
+        cfg = RunConfig(method=method, mode="strategy2", batch_frac=0.5,
+                        w0=np.full(4, 1e300), seed=0)
+        with np.errstate(over="ignore"):
+            trace = run(cfg, obj)
+        assert trace.aborted.startswith("numeric: non-finite evaluation")
+        assert trace.records == []
+        assert np.array_equal(trace.final_w, cfg.w0)
 
     def test_serial_sgd_descends(self, small_logistic):
         cfg = RunConfig(method="serial_sgd", schedule=constant(0.5),

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 
-from mblbfgs import StepSchedule, constant
+from mblbfgs import StepSchedule, constant, experiment, run
 from mblbfgs.experiment import (
     CSV_HEADER,
     ExperimentSpec,
@@ -95,6 +97,29 @@ class TestCsvContract:
         for p in result.csv_paths:
             assert p.exists() and p.stat().st_size > 0
 
+    def test_first_evaluation_failure_aborts_only_its_cell(self, tmp_path, monkeypatch):
+        # seed 1 starts where ||w||^2 overflows, so its k=0 batch fails
+        def run_with_bad_start(config, objective):
+            if config.seed == 1:
+                config = replace(config, w0=np.full(objective.d, 1e300))
+            with np.errstate(over="ignore"):
+                return run(config, objective)
+
+        monkeypatch.setattr(experiment, "run", run_with_bad_start)
+        result = run_experiment(small_spec(tmp_path / "out", objective="quadratic",
+                                           seeds=[0, 1, 2]))
+        statuses = dict(result.statuses)
+        assert statuses["robust_lbfgs_r0.1_o0.2_a0.2_p0_s1.csv"].startswith(
+            "aborted:numeric: non-finite evaluation")
+        assert result.aborted_cells == 1
+        manifest = result.manifest_path.read_text().splitlines()
+        assert [row.rsplit(",", 1)[1][:15] for row in manifest[2:]] == [
+            "ok", "aborted:numeric", "ok"]
+        for name in ("s0", "s2"):
+            lines = (result.out_dir / f"robust_lbfgs_r0.1_o0.2_a0.2_p0_{name}.csv"
+                     ).read_text().splitlines()
+            assert lines[0] == CSV_HEADER and len(lines) > 2
+
     def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
         override = tmp_path / "env_out"
         monkeypatch.setenv("MBLBFGS_OUT", str(override))
@@ -129,3 +154,23 @@ class TestNaming:
             "robust_lbfgs_r0.1_o0.2_a0.2_p0.1_s0.csv",
             "robust_lbfgs_r0.1_o0.2_a0.2_p0.4_s0.csv",
         ]
+
+    def test_fault_grid_ignores_r_and_o(self, tmp_path):
+        # fault mode reads neither r nor o: one cell per (method, step, p, seed)
+        spec = small_spec(tmp_path / "out", mode="fault",
+                          methods=["robust_lbfgs", "multibatch_gd"],
+                          batch_fracs=[0.1, 0.3], overlap_fracs=[0.2, 0.4],
+                          fail_probs=[0.1, 0.4], seeds=[0, 1])
+        cells = list(spec.cells())
+        assert len(cells) == 2 * 2 * 2
+        assert {(c.batch_frac, c.overlap_frac) for c in cells} == {(0.1, 0.2)}
+        keys = [(c.method, c.fail_prob, c.seed) for c in cells]
+        assert len(set(keys)) == len(keys)
+
+    def test_non_fault_grid_sweeps_r_and_o(self, tmp_path):
+        spec = small_spec(tmp_path / "out", batch_fracs=[0.1, 0.3],
+                          overlap_fracs=[0.2, 0.4], fail_probs=[0.1, 0.4],
+                          seeds=[0])
+        cells = list(spec.cells())
+        assert len(cells) == 4
+        assert {c.fail_prob for c in cells} == {0.0}

@@ -1,0 +1,59 @@
+"""Golden digests of generated data, its LIBSVM text and four run traces.
+
+The digests pin the byte-identical rerun guarantee across refactors of the
+data path and the driver: any change to the synthetic generator's stream,
+the CSR layout, the text format or the order of floating-point reductions
+in a run shows up here. They were recorded once and must not be re-recorded
+to make a change pass.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from mblbfgs import RunConfig, constant, logistic_l2, make_synthetic, run, serialize_libsvm
+from mblbfgs.experiment import trace_csv_lines
+
+DATA_SHA256 = "388d376e38140f1f47cbd99163a4395136256b86907fd6284284cb95290b38ab"
+LIBSVM_SHA256 = "015dbe5e3eda24068bf86e9eb9a7dc5338d7aeba1f8295d052ef94492114fb37"
+TRACE_SHA256 = {
+    "strategy1": "38af1d8367e35fa6ffba175d242ea689babb033e7de17d4c0a8750b7c2071164",
+    "strategy2": "20cce47c8e35bb445c905bde385e7d39329d2c9efe72d5c336fd8bcae0b72b96",
+    "fault": "a3a8082c425dab8e8fa3329fbffffaadfefe8a4400e0b2ab37a4e453f9b80b43",
+    "serial_sgd": "b44471733089ecf267d92a42ca2991f5279767090811099b18082d5c86aad453",
+}
+CONFIGS = {
+    "strategy1": RunConfig(mode="strategy1", batch_frac=0.1, epochs=3, seed=0),
+    "strategy2": RunConfig(mode="strategy2", batch_frac=0.1, epochs=3, seed=0),
+    "fault": RunConfig(mode="fault", fail_prob=0.3, epochs=3, seed=0),
+    "serial_sgd": RunConfig(method="serial_sgd", schedule=constant(0.05),
+                            epochs=1, trace_stride=30, seed=0),
+}
+
+
+def golden_data():
+    return make_synthetic(300, 12, 6, seed=11, separable_margin=0.5)
+
+
+def test_synthetic_data_digest():
+    ds = golden_data()
+    h = hashlib.sha256()
+    for arr in (ds.X.indptr.astype(np.int64), ds.X.indices.astype(np.int64),
+                ds.X.data.astype(np.float64), ds.y.astype(np.float64)):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == DATA_SHA256
+    # 32-bit index arrays keep the matrix at its measured size
+    assert ds.X.indptr.dtype == np.int32 and ds.X.indices.dtype == np.int32
+
+
+def test_libsvm_text_digest(tmp_path):
+    path = tmp_path / "golden.txt"
+    serialize_libsvm(golden_data(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LIBSVM_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_trace_digest(name):
+    trace = run(CONFIGS[name], logistic_l2(golden_data()))
+    text = "".join(line + "\n" for line in trace_csv_lines(trace))
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_SHA256[name]

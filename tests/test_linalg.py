@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from mblbfgs import DataError, Dataset, SparseExample, UsageError, axpy, dot, sparse_dot
+from mblbfgs import DataError, Dataset, UsageError, axpy, dot
 from mblbfgs.linalg import as_vector, norm
 
 
@@ -74,66 +75,105 @@ class TestAxpy:
         assert np.allclose(lhs, rhs, rtol=0, atol=1e-12 * (1 + np.abs(rhs).max()))
 
 
+def csr(rows, d):
+    """CSR matrix from (indices, values) rows, stored exactly as given."""
+    indptr = np.cumsum([0] + [len(idx) for idx, _ in rows])
+    indices = np.concatenate([np.asarray(idx, dtype=np.int64) for idx, _ in rows])
+    values = np.concatenate([np.asarray(val, dtype=np.float64) for _, val in rows])
+    return sparse.csr_matrix((values, indices, indptr), shape=(len(rows), d))
+
+
 class TestSparse:
+    """Sparse rows of a Dataset: stored as given, checked on construction."""
+
     def test_empty_row(self):
-        row = SparseExample(indices=np.array([], dtype=np.int64),
-                            values=np.array([]), label=1)
-        assert sparse_dot(row, vec(1, 2, 3)) == 0.0
+        ds = Dataset(csr([([], []), ([1], [2.0])], 3), [1, -1])
+        assert ds.X.dot(vec(1, 2, 3))[0] == 0.0
 
     def test_single_entry(self):
-        row = SparseExample(indices=np.array([0]), values=np.array([2.0]), label=1)
-        assert sparse_dot(row, vec(3, 9, 9)) == 6.0
+        ds = Dataset(csr([([0], [2.0])], 3), [1])
+        assert ds.X.dot(vec(3, 9, 9))[0] == 6.0
 
     def test_against_densified(self):
         rng = np.random.default_rng(5)
+        d = 40
+        rows, dense = [], []
         for _ in range(20):
-            d = 40
             nnz = int(rng.integers(1, 15))
             idx = np.sort(rng.choice(d, size=nnz, replace=False))
-            row = SparseExample(indices=idx, values=rng.normal(size=nnz), label=-1)
-            w = rng.normal(size=d)
-            assert sparse_dot(row, w) == pytest.approx(dot(row.densify(d), w), rel=1e-14)
+            val = rng.normal(size=nnz)
+            rows.append((idx, val))
+            dense.append(np.zeros(d))
+            dense[-1][idx] = val
+        ds = Dataset(csr(rows, d), -np.ones(20))
+        w = rng.normal(size=d)
+        z = ds.X.dot(w)
+        for i, row in enumerate(dense):
+            assert z[i] == pytest.approx(dot(row, w), rel=1e-14)
 
     def test_out_of_range_index(self):
-        row = SparseExample(indices=np.array([5]), values=np.array([1.0]), label=1)
-        with pytest.raises(DataError):
-            sparse_dot(row, vec(1, 2, 3))
+        with pytest.raises(DataError, match="example 1"):
+            Dataset(csr([([0], [1.0]), ([5], [1.0])], 3), [1, 1])
+        with pytest.raises(DataError, match="negative"):
+            Dataset(csr([([-1], [1.0])], 3), [1])
 
     def test_indices_must_increase(self):
-        with pytest.raises(DataError):
-            SparseExample(indices=np.array([3, 1]), values=np.array([1.0, 2.0]), label=1)
-        with pytest.raises(DataError):
-            SparseExample(indices=np.array([2, 2]), values=np.array([1.0, 2.0]), label=1)
+        with pytest.raises(DataError, match="strictly increasing"):
+            Dataset(csr([([3, 1], [1.0, 2.0])], 5), [1])
+        with pytest.raises(DataError, match="example 1.*strictly increasing"):
+            Dataset(csr([([0, 4], [1.0, 1.0]), ([2, 2], [1.0, 2.0])], 5), [1, 1])
+        # a drop across a row boundary is the start of the next row
+        Dataset(csr([([3, 4], [1.0, 1.0]), ([0, 1], [1.0, 1.0])], 5), [1, 1])
 
     def test_label_convention(self):
-        with pytest.raises(DataError):
-            SparseExample(indices=np.array([0]), values=np.array([1.0]), label=0)
+        with pytest.raises(DataError, match="label"):
+            Dataset(csr([([0], [1.0])], 3), [0])
+
+    def test_non_finite_values(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError, match="example 1.*non-finite"):
+                Dataset(csr([([0], [1.0]), ([0, 2], [1.0, bad])], 3), [1, -1])
 
 
 class TestDataset:
     def test_validation(self):
-        good = SparseExample(indices=np.array([1]), values=np.array([1.0]), label=1)
+        good = csr([([1], [1.0])], 2)
+        with pytest.raises(DataError, match="at least one example"):
+            Dataset(sparse.csr_matrix((0, 3)), [])
+        with pytest.raises(DataError, match="dimension"):
+            Dataset(sparse.csr_matrix((1, 0)), [1])
         with pytest.raises(DataError):
-            Dataset(examples=[], dimension=3)
-        with pytest.raises(DataError):
-            Dataset(examples=[good], dimension=1)  # index 1 >= d
-        ds = Dataset(examples=[good], dimension=2)
+            Dataset(csr([([1], [1.0])], 1), [1])  # index 1 >= d
+        with pytest.raises(DataError, match="2 labels for 1 examples"):
+            Dataset(good, [1, -1])
+        with pytest.raises(DataError, match="CSR"):
+            Dataset(good.tocoo(), [1])
+        ds = Dataset(good, [1])
         assert ds.n == 1 and ds.d == 2
 
-    def test_to_arrays_round_trip(self):
+    def test_shape_is_read_only(self):
+        ds = Dataset(csr([([1], [1.0])], 2), [1])
+        with pytest.raises(AttributeError):
+            ds.n = 5
+        with pytest.raises(AttributeError):
+            ds.d = 5
+
+    def test_arrays_round_trip(self):
         rng = np.random.default_rng(9)
-        examples = []
+        rows, labels = [], []
         for _ in range(8):
             nnz = int(rng.integers(0, 5))
             idx = np.sort(rng.choice(10, size=nnz, replace=False))
-            examples.append(SparseExample(indices=idx, values=rng.normal(size=nnz),
-                                          label=int(rng.choice([-1, 1]))))
-        ds = Dataset(examples=examples, dimension=10)
-        X, labels = ds.to_arrays()
-        assert X.shape == (8, 10)
-        for i, ex in enumerate(examples):
-            assert np.array_equal(np.asarray(X[i].todense()).ravel(), ex.densify(10))
-            assert labels[i] == ex.label
+            rows.append((idx, rng.normal(size=nnz)))
+            labels.append(int(rng.choice([-1, 1])))
+        ds = Dataset(csr(rows, 10), labels)
+        assert ds.X.shape == (8, 10)
+        assert ds.y.dtype == np.float64
+        for i, (idx, val) in enumerate(rows):
+            lo, hi = ds.X.indptr[i], ds.X.indptr[i + 1]
+            assert np.array_equal(ds.X.indices[lo:hi], idx)
+            assert np.array_equal(ds.X.data[lo:hi], val)
+            assert ds.y[i] == labels[i]
 
 
 def test_as_vector_rejects_matrices():

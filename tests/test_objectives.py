@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mblbfgs import (
     Dataset,
     NumericError,
-    SparseExample,
     UsageError,
     logistic_l2,
     quadratic,
@@ -15,15 +15,10 @@ from mblbfgs import (
 from mblbfgs.objectives import Objective, make_objective
 
 
-def sparse_row(dense, label):
-    dense = np.asarray(dense, dtype=np.float64)
-    idx = np.nonzero(dense)[0]
-    return SparseExample(indices=idx, values=dense[idx], label=label)
-
-
 def dataset_from_rows(rows, labels, d):
-    return Dataset(examples=[sparse_row(r, l) for r, l in zip(rows, labels)],
-                   dimension=d)
+    """Dataset from dense rows; zero entries are not stored."""
+    X = sparse.csr_matrix(np.asarray(rows, dtype=np.float64), shape=(len(rows), d))
+    return Dataset(X, labels)
 
 
 def central_difference(obj, w, h=1e-6):

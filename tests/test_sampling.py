@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mblbfgs import ConfigurationError, SeededRng, make_layout, plan_fault, reshard
+from mblbfgs.driver import _plan_parts
 from mblbfgs.sampling import (
     FaultSource,
     Strategy1Source,
     Strategy2Source,
+    make_plan_source,
     plan_strategy1_epoch,
     plan_strategy2,
     strategy_batch_sizes,
@@ -86,6 +90,16 @@ class TestStrategy1:
         assert np.array_equal(second.O_prev, first.O_next)
         assert second.O_next.size == 2
         assert np.intersect1d(second.O_prev, second.O_next).size == 0
+
+    def test_source_full_batch_blocks_at_batch_ends(self):
+        # the per-part evaluation reads O_prev as the head of S and O_next
+        # as its tail, also after a full-batch reshuffle
+        src = Strategy1Source(10, 1.0, 0.2, SeededRng(5))
+        for _ in range(4):
+            plan = src.next_plan()
+            assert np.array_equal(plan.S[:plan.O_prev.size], plan.O_prev)
+            assert np.array_equal(plan.S[plan.S.size - plan.O_next.size:], plan.O_next)
+            assert np.array_equal(np.sort(plan.S), np.arange(10))
 
 
 class TestStrategy2:
@@ -221,3 +235,55 @@ class TestDeterminism:
         rng.permutation(5)
         rng.uniform()
         assert rng.draws == before + 2
+
+
+def _plan_stream(mode, n, r, o, nodes, p, seed, count=40):
+    """The source's layout (fault mode) and its first ``count`` plans, or
+    None when the sizes are not a valid configuration."""
+    rng = SeededRng(seed)
+    try:
+        src = make_plan_source(mode, n, rng, r=r, o=o, nodes=nodes, fail_prob=p)
+        plans = [src.next_plan() for _ in range(count)]
+    except ConfigurationError:
+        return None
+    return getattr(src, "layout", None), plans
+
+
+_plan_params = dict(
+    n=st.integers(2, 300), r=st.floats(0.01, 1.0), o=st.floats(0.01, 0.99),
+    nodes=st.integers(1, 12), p=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestPlanInvariants:
+    @given(mode=st.sampled_from(["strategy1", "strategy2", "fault"]), **_plan_params)
+    @settings(max_examples=60, deadline=None)
+    def test_parts_partition_the_batch(self, mode, n, r, o, nodes, p, seed):
+        stream = _plan_stream(mode, n, r, o, min(nodes, n), p, seed)
+        assume(stream is not None)
+        for plan in stream[1]:
+            parts = np.concatenate([idx for _, idx in _plan_parts(plan)])
+            assert parts.size == plan.S.size  # pairwise disjoint ...
+            assert np.array_equal(np.sort(parts), np.sort(plan.S))  # ... covering S
+
+    @given(mode=st.sampled_from(["strategy1", "strategy2"]), **_plan_params)
+    @settings(max_examples=60, deadline=None)
+    def test_overlap_chains_between_plans(self, mode, n, r, o, nodes, p, seed):
+        stream = _plan_stream(mode, n, r, o, nodes, p, seed)
+        assume(stream is not None)
+        plans = stream[1]
+        assert plans[0].O_prev.size == 0
+        for prev, plan in zip(plans, plans[1:]):
+            assert set(plan.O_prev.tolist()) == set(prev.O_next.tolist())
+
+    @given(**_plan_params)
+    @settings(max_examples=60, deadline=None)
+    def test_fault_overlap_is_shards_of_repeat_responders(self, n, r, o, nodes, p, seed):
+        layout, plans = _plan_stream("fault", n, r, o, min(nodes, n), p, seed)
+        assert plans[0].O_prev.size == 0
+        for prev, plan in zip(plans, plans[1:]):
+            both = set(prev.responders) & set(plan.responders)
+            expected = set()
+            for j in both:
+                expected.update(layout.shards[j].tolist())
+            assert set(plan.O_prev.tolist()) == expected

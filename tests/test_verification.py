@@ -137,13 +137,14 @@ class TestConstantStepCheck:
 
 class TestNonconvexCheck:
     def test_zero_gradient_start_average_stays_zero(self):
-        from mblbfgs import Dataset, RunConfig, SparseExample, constant, quadratic
+        from scipy import sparse
+
+        from mblbfgs import Dataset, RunConfig, constant, quadratic
         from mblbfgs.verification import check_nonconvex_bounded
 
         center = np.array([1.0, -2.0, 0.5])
-        rows = [SparseExample(indices=np.arange(3), values=center.copy(),
-                              label=1) for _ in range(40)]
-        obj = quadratic(Dataset(examples=rows, dimension=3))
+        rows = sparse.csr_matrix(np.tile(center, (40, 1)))
+        obj = quadratic(Dataset(rows, np.ones(40)))
         base = RunConfig(method="robust_lbfgs", mode="strategy2",
                          batch_frac=0.25, overlap_frac=0.2,
                          schedule=constant(0.1), epochs=2.0,
