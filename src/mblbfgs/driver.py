@@ -12,7 +12,15 @@ Methods:
                             samples.
 * ``multibatch_gd``      -- identity inverse Hessian (plain batch gradient
                             steps).
-* ``serial_sgd``         -- one uniformly drawn sample per iteration.
+* ``serial_sgd``         -- one uniformly drawn sample per iteration and an
+                            identity inverse Hessian.
+
+All four run through the one loop in ``run``: each iteration draws a
+``SamplePlan`` from a plan source, evaluates the batch in disjoint parts and
+takes a step. Serial SGD is the source of one-example plans with empty
+overlaps (``sampling.SerialSource``), so it gets the same stopping rules,
+divergence check and abort strings as the batch methods. The methods
+without memory (``multibatch_gd``, ``serial_sgd``) step along -g.
 
 Epoch accounting charges |S_k|/n per batch-gradient evaluation, plus
 |O_k|/n in strategy 2 where the overlap gradient at the new iterate is an
@@ -32,7 +40,7 @@ from .engine import LbfgsMemory
 from .errors import ConfigurationError, NumericError, UsageError
 from .linalg import Vector, dot, norm
 from .objectives import Objective
-from .sampling import SamplePlan, SeededRng, make_plan_source
+from .sampling import SamplePlan, SeededRng, SerialSource, make_plan_source
 
 METHODS = ("robust_lbfgs", "inconsistent_lbfgs", "multibatch_gd", "serial_sgd")
 MODES = ("strategy1", "strategy2", "fault")
@@ -194,6 +202,8 @@ def _plan_parts(plan: SamplePlan):
     elif plan.mode == "strategy2":
         yield "O_next", plan.O_next
         yield "rest", np.setdiff1d(plan.S, plan.O_next, assume_unique=True)
+    elif plan.mode == "serial":
+        yield "S", plan.S
     else:  # fault: S is the concatenation of the responding nodes' shards
         pos = 0
         for j, size in zip(plan.responders, plan.part_sizes):
@@ -210,14 +220,14 @@ class _BatchEval:
     def combine(self, objective: Objective, w: Vector, keys=None) -> tuple:
         """Average gradient and loss over the listed parts (all by default),
         with the regularization term added once."""
-        keys = list(self.parts) if keys is None else [k for k in keys if k in self.parts]
-        count = sum(self.parts[k][2] for k in keys)
-        grad = np.zeros_like(w)
-        loss = 0.0
-        for k in keys:
-            gs, ls, _ = self.parts[k]
-            grad += gs
+        parts = self.parts
+        selected = (list(parts.values()) if keys is None
+                    else [parts[k] for k in keys if k in parts])
+        grad, loss, count = selected[0]
+        for gs, ls, c in selected[1:]:
+            grad = grad + gs
             loss += ls
+            count += c
         grad = grad / count + objective.sigma * w
         loss = loss / count + 0.5 * objective.sigma * float(np.dot(w, w))
         return grad, loss
@@ -254,16 +264,16 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
     (k, y's, s's, y'y, accepted) for every candidate curvature pair.
     """
     config.validate()
-    if config.method == "serial_sgd":
-        return _run_sgd(config, objective)
-
     n, d = objective.n, objective.d
     rng = SeededRng(config.seed)
-    source = make_plan_source(
-        config.mode, n, rng, r=config.batch_frac, o=config.overlap_frac,
-        nodes=config.nodes, fail_prob=config.fail_prob,
-        reshard_each_epoch=config.reshard_each_epoch,
-    )
+    if config.method == "serial_sgd":
+        source = SerialSource(n, rng)
+    else:
+        source = make_plan_source(
+            config.mode, n, rng, r=config.batch_frac, o=config.overlap_frac,
+            nodes=config.nodes, fail_prob=config.fail_prob,
+            reshard_each_epoch=config.reshard_each_epoch,
+        )
     memory = LbfgsMemory(config.memory, config.scaling, config.cautious_eps)
     stride = config.effective_stride(n)
     w = np.zeros(d) if config.w0 is None else np.asarray(config.w0, dtype=np.float64).copy()
@@ -299,7 +309,7 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
         alpha = config.schedule.alpha_at(k)
         try:
             w_next = take_step(w, memory, g_S, alpha,
-                               identity_hessian=config.method == "multibatch_gd")
+                               identity_hessian=not use_memory)
         except NumericError as exc:
             aborted = f"numeric: {exc}"
             break
@@ -390,62 +400,6 @@ def _overlap_gradients(objective, w, w_next, plan, plan_next, parts,
             ledger.append((k + 1, "O_extra", overlap))
         g_next = gs / overlap.size + objective.sigma * w_next
     return g_prev, g_next
-
-
-def _run_sgd(config: RunConfig, objective: Objective) -> RunTrace:
-    """Serial SGD baseline: one sample per iteration, no memory."""
-    n, d = objective.n, objective.d
-    rng = SeededRng(config.seed)
-    stride = config.effective_stride(n)
-    w = np.zeros(d) if config.w0 is None else np.asarray(config.w0, dtype=np.float64).copy()
-    records: list[TraceRecord] = []
-    aborted = None
-    t0 = time.perf_counter()
-
-    idx = np.array([rng.integers(n)], dtype=np.int64)
-    try:
-        sg = objective.eval_subset(w, idx)
-        grad_norm, full_loss, train_acc = _full_metrics(objective, w)
-    except NumericError as exc:
-        return RunTrace(records, f"numeric: {exc}", w, None, config)
-    epoch = 1.0 / n
-    divergence_limit = config.divergence_factor * max(abs(full_loss), 1e-12)
-    records.append(TraceRecord(
-        k=0, epoch=epoch, grad_norm=grad_norm, subset_loss=sg.loss,
-        full_loss=full_loss, train_acc=train_acc, pair_accepted=0,
-        sample_size=1, overlap_size=0, redraws=0, wallclock=0.0))
-
-    k = 0
-    while epoch < config.epochs and (config.max_iterations is None
-                                     or k < config.max_iterations):
-        alpha = config.schedule.alpha_at(k)
-        w = w - alpha * sg.gradient
-        if not np.all(np.isfinite(w)):
-            aborted = "nonfinite-iterate"
-            break
-        idx = np.array([rng.integers(n)], dtype=np.int64)
-        try:
-            sg = objective.eval_subset(w, idx)
-        except NumericError as exc:
-            aborted = f"numeric: {exc}"
-            break
-        epoch += 1.0 / n
-        k += 1
-        if k % stride == 0:
-            try:
-                grad_norm, full_loss, train_acc = _full_metrics(objective, w)
-            except NumericError as exc:
-                aborted = f"numeric: {exc}"
-                break
-        records.append(TraceRecord(
-            k=k, epoch=epoch, grad_norm=grad_norm, subset_loss=sg.loss,
-            full_loss=full_loss, train_acc=train_acc, pair_accepted=0,
-            sample_size=1, overlap_size=0, redraws=0,
-            wallclock=time.perf_counter() - t0))
-        if full_loss > divergence_limit:
-            aborted = "divergence"
-            break
-    return RunTrace(records, aborted, w, None, config)
 
 
 # ----------------------------------------------------------------------

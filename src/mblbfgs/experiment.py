@@ -72,7 +72,8 @@ class ExperimentSpec:
 
         Fault mode reads neither r nor o, so it takes only the first of each
         instead of rerunning identical cells under other names; the other
-        modes ignore p.
+        modes ignore p. Serial SGD reads none of r, o and p, so it runs once
+        per (step, seed) with the first of each.
         """
         self.validate()
         if self.mode == "fault":
@@ -80,16 +81,20 @@ class ExperimentSpec:
                                       self.fail_probs)
         else:
             r_list, o_list, p_list = self.batch_fracs, self.overlap_fracs, [0.0]
-        for method, r, o, sched, p, seed in itertools.product(
-                self.methods, r_list, o_list, self.schedules, p_list, self.seeds):
-            yield RunConfig(
-                method=method, mode=self.mode, batch_frac=r, overlap_frac=o,
-                nodes=self.nodes, fail_prob=p, schedule=sched,
-                memory=self.memory, cautious_eps=self.cautious_eps,
-                scaling=self.scaling, epochs=self.epochs, seed=seed,
-                reshard_each_epoch=self.reshard_each_epoch,
-                trace_stride=self.trace_stride,
-            )
+        for method in self.methods:
+            if method == "serial_sgd":
+                sweep = (r_list[:1], o_list[:1], self.schedules, p_list[:1], self.seeds)
+            else:
+                sweep = (r_list, o_list, self.schedules, p_list, self.seeds)
+            for r, o, sched, p, seed in itertools.product(*sweep):
+                yield RunConfig(
+                    method=method, mode=self.mode, batch_frac=r, overlap_frac=o,
+                    nodes=self.nodes, fail_prob=p, schedule=sched,
+                    memory=self.memory, cautious_eps=self.cautious_eps,
+                    scaling=self.scaling, epochs=self.epochs, seed=seed,
+                    reshard_each_epoch=self.reshard_each_epoch,
+                    trace_stride=self.trace_stride,
+                )
 
 
 def cell_filename(config: RunConfig) -> str:
@@ -134,9 +139,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every grid cell, writing its CSV; cell aborts are recorded in the
     manifest and the remaining cells still run."""
     spec.validate()
+    objective = spec.load_objective()  # a data error leaves no directory behind
     out_dir = Path(os.environ.get("MBLBFGS_OUT", spec.out_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
-    objective = spec.load_objective()
 
     csv_paths, statuses, aborted = [], [], 0
     for config in spec.cells():

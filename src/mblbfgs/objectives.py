@@ -84,32 +84,41 @@ class Objective:
         idx = np.asarray(subset, dtype=np.int64)
         if idx.size == 0:
             raise UsageError("empty subset")
+        return self._sums(w, idx, self.X[idx])
+
+    def _sums(self, w: Vector, rows, Xs) -> tuple:
+        """``eval_sums`` over the rows ``Xs = X[rows]``; ``rows`` is an index
+        array or ``slice(None)``, which reads the whole of X in place."""
         if w.shape[0] != self.d:
             raise UsageError(f"w has length {w.shape[0]}, expected {self.d}")
-        Xs = self.X[idx]
-        if self.kind == "quadratic":
-            a = self.quad_weights
-            colsum = np.asarray(Xs.sum(axis=0)).ravel()
-            grad_sum = a * (idx.size * w - colsum)
-            loss_sum = 0.5 * (
-                idx.size * float(np.dot(a, w * w))
-                - 2.0 * float(np.dot(w, a * colsum))
-                + float(np.sum(self._quad_csq[idx]))
-            )
-        else:
-            z = Xs.dot(w)
-            y = self.labels[idx]
-            if self.kind == "logistic_l2":
-                t = y * z
-                loss_sum = float(np.sum(_softplus(-t)))
-                coeff = -y * expit(-t)
-            else:  # sigmoid_lsq, labels remapped from +-1 to {0,1}
-                target = 0.5 * (y + 1.0)
-                p = expit(z)
-                loss_sum = float(np.sum((p - target) ** 2))
-                coeff = 2.0 * (p - target) * p * (1.0 - p)
-            grad_sum = Xs.T.dot(coeff)
+        m = Xs.shape[0]
+        # an overflow is reported by the finiteness check below, not as a
+        # numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "quadratic":
+                a = self.quad_weights
+                colsum = np.asarray(Xs.sum(axis=0)).ravel()
+                grad_sum = a * (m * w - colsum)
+                loss_sum = 0.5 * (
+                    m * float(np.dot(a, w * w))
+                    - 2.0 * float(np.dot(w, a * colsum))
+                    + float(np.sum(self._quad_csq[rows]))
+                )
+            else:
+                z = Xs.dot(w)
+                y = self.labels[rows]
+                if self.kind == "logistic_l2":
+                    t = y * z
+                    loss_sum = float(np.sum(_softplus(-t)))
+                    coeff = -y * expit(-t)
+                else:  # sigmoid_lsq, labels remapped from +-1 to {0,1}
+                    target = 0.5 * (y + 1.0)
+                    p = expit(z)
+                    loss_sum = float(np.sum((p - target) ** 2))
+                    coeff = 2.0 * (p - target) * p * (1.0 - p)
+                grad_sum = Xs.T.dot(coeff)
         if not (np.isfinite(loss_sum) and np.all(np.isfinite(grad_sum))):
+            idx = np.arange(self.n, dtype=np.int64)[rows]
             raise NumericError(
                 f"non-finite evaluation at example {self._first_bad(w, idx)}"
             )
@@ -130,14 +139,17 @@ class Objective:
         idx = np.asarray(subset, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise UsageError("subset index out of range")
-        grad_sum, loss_sum = self.eval_sums(w, idx)
-        m = idx.size
+        return self._average(w, self.eval_sums(w, idx), idx.size)
+
+    def eval_full(self, w: Vector) -> SubsetGradient:
+        """``eval_subset`` over all rows, reading X without a row copy."""
+        return self._average(w, self._sums(w, slice(None), self.X), self.n)
+
+    def _average(self, w: Vector, sums: tuple, m: int) -> SubsetGradient:
+        grad_sum, loss_sum = sums
         loss = loss_sum / m + 0.5 * self.sigma * float(np.dot(w, w))
         grad = grad_sum / m + self.sigma * w
         return SubsetGradient(grad, loss, int(m))
-
-    def eval_full(self, w: Vector) -> SubsetGradient:
-        return self.eval_subset(w, np.arange(self.n, dtype=np.int64))
 
     def accuracy(self, w: Vector) -> float:
         """Fraction of correct sign predictions; 0 for the quadratic kind."""

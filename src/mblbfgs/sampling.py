@@ -11,6 +11,9 @@ Two multi-batch strategies are provided plus a simulated distributed mode:
   probability 1-p, the batch is the union of responding shards, and the
   overlap is the union of shards responding in two consecutive iterations.
 
+Serial SGD is driven by the same loop through a batch-of-one source whose
+plans have empty overlaps.
+
 All draws come from a single named counter-based generator so a fixed seed
 replays the exact plan stream.
 """
@@ -313,6 +316,21 @@ class FaultSource:
             self.layout = reshard(self.layout, self.rng)
             # shard identities changed; the next overlap is undefined
             self._prev_responders = None
+
+
+class SerialSource:
+    """Streams one uniformly drawn example per plan, for serial SGD; the
+    plans have no overlaps, so no curvature pair is ever formed."""
+
+    def __init__(self, n: int, rng: SeededRng):
+        self.n, self.rng = n, rng
+
+    def next_plan(self) -> SamplePlan:
+        S = np.array([self.rng.integers(self.n)], dtype=np.int64)
+        return SamplePlan(S=S, O_prev=_EMPTY, O_next=_EMPTY, mode="serial")
+
+    def epoch_boundary(self):
+        pass
 
 
 def make_plan_source(mode: str, n: int, rng: SeededRng, *, r: float = 0.0,

@@ -53,7 +53,7 @@ def test_non_finite_data_exit_two(tmp_path, capsys):
     out = tmp_path / "runs"
     assert main(["--dataset", str(data), "--epochs", "1", "--out", str(out)]) == 2
     assert "line 61, token 2: non-finite" in capsys.readouterr().err
-    assert not list(out.glob("*"))  # no manifest, no CSV
+    assert not out.exists()  # no manifest, no CSV, not even the directory
 
 
 def test_numeric_abort_exit_three(tmp_path):

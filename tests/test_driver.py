@@ -198,6 +198,42 @@ class TestRunLoop:
         assert trace.records[-1].epoch == pytest.approx(30.0, abs=1e-9)
         assert trace.records[-1].grad_norm < trace.records[0].grad_norm
 
+    def test_serial_sgd_grad_tol_stops_at_first_record(self, small_logistic):
+        cfg = RunConfig(method="serial_sgd", schedule=constant(0.5),
+                        epochs=1.0, grad_tol=1e9, seed=0)
+        trace = run(cfg, small_logistic)
+        assert [r.k for r in trace.records] == [0]
+        assert trace.aborted is None
+        assert isinstance(trace.final_memory, LbfgsMemory)
+        assert len(trace.final_memory) == 0
+
+    def test_serial_sgd_non_finite_step_aborts(self):
+        # the first step overflows: w = 0 - 1e308 * (0 - 10)
+        obj = quadratic(dataset_from_rows(np.full((20, 3), 10.0), [1] * 20, 3))
+        cfg = RunConfig(method="serial_sgd", schedule=constant(1e308),
+                        epochs=1.0, seed=0)
+        with np.errstate(over="ignore"):
+            trace = run(cfg, obj)
+        assert trace.aborted == "numeric: step produced a non-finite iterate"
+        assert [r.k for r in trace.records] == [0]
+        assert np.array_equal(trace.final_w, np.zeros(3))
+
+    def test_serial_sgd_blown_up_batch_loss_forces_full_evaluation(self):
+        # the iterate grows ninefold per step; a full evaluation is due only
+        # every 1000 steps, so only the confirming one can catch the blow-up
+        rng = np.random.default_rng(1)
+        rows = rng.normal(size=(30, 4)) + 5.0
+        obj = quadratic(dataset_from_rows(rows, [1] * 30, 4))
+        cfg = RunConfig(method="serial_sgd", schedule=constant(10.0),
+                        epochs=100.0, max_iterations=50, trace_stride=1000,
+                        seed=0)
+        trace = run(cfg, obj)
+        assert trace.aborted == "divergence"
+        last = trace.records[-1]
+        assert last.k < 50
+        assert last.full_loss > 1e6 * trace.records[0].full_loss
+        assert last.grad_norm > trace.records[0].grad_norm
+
     def test_grad_tol_stops_early(self, sep_logistic):
         cfg = RunConfig(method="robust_lbfgs", mode="strategy2",
                         batch_frac=1.0, overlap_frac=0.2,

@@ -167,6 +167,31 @@ class TestNaming:
         keys = [(c.method, c.fail_prob, c.seed) for c in cells]
         assert len(set(keys)) == len(keys)
 
+    def test_serial_sgd_runs_once_per_step_and_seed(self, tmp_path):
+        # serial SGD reads none of r, o and p: one cell per (step, seed)
+        spec = small_spec(tmp_path / "out",
+                          methods=["robust_lbfgs", "serial_sgd"],
+                          batch_fracs=[0.01, 0.05], overlap_fracs=[0.2, 0.4],
+                          schedules=[constant(0.2), constant(0.1)], seeds=[0, 1])
+        cells = list(spec.cells())
+        serial = [c for c in cells if c.method == "serial_sgd"]
+        assert len(cells) - len(serial) == 2 * 2 * 2 * 2
+        assert len(serial) == 2 * 2
+        assert {(c.batch_frac, c.overlap_frac, c.fail_prob) for c in serial} == {
+            (0.01, 0.2, 0.0)}
+        names = [cell_filename(c) for c in serial]
+        assert names == [
+            "serial_sgd_r0.01_o0.2_a0.2_p0_s0.csv",
+            "serial_sgd_r0.01_o0.2_a0.2_p0_s1.csv",
+            "serial_sgd_r0.01_o0.2_a0.1_p0_s0.csv",
+            "serial_sgd_r0.01_o0.2_a0.1_p0_s1.csv",
+        ]
+
+    def test_fault_grid_runs_serial_sgd_once_per_step_and_seed(self, tmp_path):
+        spec = small_spec(tmp_path / "out", mode="fault", methods=["serial_sgd"],
+                          fail_probs=[0.1, 0.4], seeds=[0, 1])
+        assert [(c.fail_prob, c.seed) for c in spec.cells()] == [(0.1, 0), (0.1, 1)]
+
     def test_non_fault_grid_sweeps_r_and_o(self, tmp_path):
         spec = small_spec(tmp_path / "out", batch_fracs=[0.1, 0.3],
                           overlap_fracs=[0.2, 0.4], fail_probs=[0.1, 0.4],

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mblbfgs import (
     NumericError,
     UsageError,
     logistic_l2,
+    make_synthetic,
     quadratic,
     sigmoid_lsq,
 )
@@ -124,6 +126,15 @@ class TestSubsetSemantics:
         assert a.loss == b.loss
         assert np.array_equal(a.gradient, b.gradient)
 
+    @pytest.mark.parametrize("kind", ["sigmoid_lsq", "quadratic"])
+    def test_full_equals_subset_bitwise_other_kinds(self, small_dataset, kind):
+        obj = make_objective(kind, small_dataset, sigma=0.01)
+        w = np.linspace(-1, 1, obj.d)
+        a = obj.eval_full(w)
+        b = obj.eval_subset(w, np.arange(obj.n))
+        assert a.loss == b.loss and a.subset_size == b.subset_size == obj.n
+        assert np.array_equal(a.gradient, b.gradient)
+
     def test_singleton_average_matches_full(self, small_dataset):
         obj = logistic_l2(small_dataset, sigma=0.0)
         w = np.linspace(-0.5, 0.5, obj.d)
@@ -154,6 +165,16 @@ class TestNumericGuards:
         w = np.array([1e3, 0.0])  # margin -> -inf on example 0
         with pytest.raises(NumericError, match="example 0"):
             obj.eval_full(w)
+
+    def test_quadratic_overflow_raises_without_a_warning(self):
+        obj = quadratic(make_synthetic(50, 4, 2, seed=0))
+        w = np.full(4, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite evaluation"):
+                obj.eval_sums(w, np.arange(obj.n))
+            with pytest.raises(NumericError, match="non-finite evaluation"):
+                obj.eval_full(w)
 
     def test_unknown_kind(self, small_dataset):
         with pytest.raises(UsageError):

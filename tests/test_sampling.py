@@ -7,6 +7,7 @@ from mblbfgs import ConfigurationError, SeededRng, make_layout, plan_fault, resh
 from mblbfgs.driver import _plan_parts
 from mblbfgs.sampling import (
     FaultSource,
+    SerialSource,
     Strategy1Source,
     Strategy2Source,
     make_plan_source,
@@ -287,3 +288,15 @@ class TestPlanInvariants:
             for j in both:
                 expected.update(layout.shards[j].tolist())
             assert set(plan.O_prev.tolist()) == expected
+
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_serial_plans_hold_one_index_and_no_overlap(self, n, seed):
+        src = SerialSource(n, SeededRng(seed))
+        for _ in range(40):
+            plan = src.next_plan()
+            src.epoch_boundary()
+            assert plan.S.shape == (1,) and 0 <= plan.S[0] < n
+            assert plan.O_prev.size == 0 and plan.O_next.size == 0
+            parts = [idx for _, idx in _plan_parts(plan)]
+            assert np.array_equal(np.concatenate(parts), plan.S)
