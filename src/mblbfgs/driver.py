@@ -16,8 +16,10 @@ Methods:
                             identity inverse Hessian.
 
 All four run through the one loop in ``run``: each iteration draws a
-``SamplePlan`` from a plan source, evaluates the batch in disjoint parts and
-takes a step. Serial SGD is the source of one-example plans with empty
+``SamplePlan`` from a plan source, evaluates the batch and takes a step. The
+batch is split into disjoint parts, and one ``Objective.eval_sums`` call per
+batch gathers its rows once and returns the gradient and loss sums of every
+part. Serial SGD is the source of one-example plans with empty
 overlaps (``sampling.SerialSource``), so it gets the same stopping rules,
 divergence check and abort strings as the batch methods. The methods
 without memory (``multibatch_gd``, ``serial_sgd``) step along -g.
@@ -30,6 +32,7 @@ free. Full-gradient trace evaluation is metrology and is never charged.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -214,8 +217,10 @@ def _plan_parts(plan: SamplePlan):
 class _BatchEval:
     """Gradient/loss sums per part of one batch at one iterate."""
 
-    def __init__(self):
-        self.parts = {}  # key -> (grad_sum, loss_sum, count)
+    def __init__(self, parts, G, L):
+        # key -> (grad_sum, loss_sum, count)
+        self.parts = {key: (g, loss, idx.size)
+                      for (key, idx), g, loss in zip(parts, G, L.tolist())}
 
     def combine(self, objective: Objective, w: Vector, keys=None) -> tuple:
         """Average gradient and loss over the listed parts (all by default),
@@ -228,9 +233,7 @@ class _BatchEval:
             grad = grad + gs
             loss += ls
             count += c
-        grad = grad / count + objective.sigma * w
-        loss = loss / count + 0.5 * objective.sigma * float(np.dot(w, w))
-        return grad, loss
+        return objective.average(w, grad, loss, count)
 
 
 def _full_metrics(objective: Objective, w: Vector) -> tuple:
@@ -241,15 +244,17 @@ def _full_metrics(objective: Objective, w: Vector) -> tuple:
 
 def _eval_parts(objective: Objective, w: Vector, plan: SamplePlan,
                 ledger, tag) -> _BatchEval:
-    be = _BatchEval()
-    for key, idx in _plan_parts(plan):
-        if idx.size == 0:
-            continue
-        gs, ls = objective.eval_sums(w, idx)
-        be.parts[key] = (gs, ls, int(idx.size))
-        if ledger is not None:
-            ledger.append((tag, key, idx))
-    return be
+    """Sums of the batch's non-empty parts from one ``eval_sums`` call."""
+    parts = [(key, idx) for key, idx in _plan_parts(plan) if idx.size]
+    # strategy-2 parts are O_next and the sorted rest; in the other modes
+    # the parts are consecutive blocks of S
+    rows = (np.concatenate([idx for _, idx in parts])
+            if plan.mode == "strategy2" else plan.S)
+    ends = itertools.accumulate(idx.size for _, idx in parts)
+    G, L = objective.eval_sums(w, rows, ends)
+    if ledger is not None:
+        ledger.extend((tag, key, idx) for key, idx in parts)
+    return _BatchEval(parts, G, L)
 
 
 # ----------------------------------------------------------------------
@@ -285,11 +290,11 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
     plan = source.next_plan()
     try:
         parts = _eval_parts(objective, w, plan, eval_ledger, 0)
+        g_S, loss_S = parts.combine(objective, w)
         grad_norm, full_loss, train_acc = _full_metrics(objective, w)
     except NumericError as exc:
         return RunTrace(records, f"numeric: {exc}", w, memory, config)
     epoch = plan.S.size / n
-    g_S, loss_S = parts.combine(objective, w)
     divergence_limit = config.divergence_factor * max(abs(full_loss), 1e-12)
 
     records.append(TraceRecord(
@@ -320,11 +325,11 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
         plan_next = source.next_plan()
         try:
             parts_next = _eval_parts(objective, w_next, plan_next, eval_ledger, k + 1)
+            g_S_next, loss_S_next = parts_next.combine(objective, w_next)
         except NumericError as exc:
             aborted = f"numeric: {exc}"
             break
         epoch += plan_next.S.size / n
-        g_S_next, loss_S_next = parts_next.combine(objective, w_next)
 
         pair_accepted = 0
         overlap = plan_next.O_prev
@@ -395,10 +400,10 @@ def _overlap_gradients(objective, w, w_next, plan, plan_next, parts,
     else:  # strategy 2: O_k is a part of S_k but needs a fresh evaluation
         overlap = plan_next.O_prev
         g_prev, _ = parts.combine(objective, w, keys=["O_next"])
-        gs, _ = objective.eval_sums(w_next, overlap)
+        G, L = objective.eval_sums(w_next, overlap)
         if ledger is not None:
             ledger.append((k + 1, "O_extra", overlap))
-        g_next = gs / overlap.size + objective.sigma * w_next
+        g_next, _ = objective.average(w_next, G[0], L[0], overlap.size)
     return g_prev, g_next
 
 

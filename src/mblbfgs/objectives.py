@@ -13,9 +13,16 @@ Three kinds are supported:
 A subset evaluation returns the average of the per-example losses over the
 subset plus sigma/2 * ||w||^2 added once per call, so subset gradients are
 unbiased estimators of the full gradient.
+
+``eval_sums`` is the batch kernel: one call gathers a batch's rows once and
+returns the unaveraged gradient and loss sums of each of its consecutive
+parts, which the driver recombines into batch and overlap gradients.
+``average`` adds the averaging and the regularization term and raises
+``NumericError`` when either is not finite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,57 +86,88 @@ class Objective:
     # per-example sums (no averaging, no regularization): the building
     # block the driver combines when a batch is evaluated in parts
     # ------------------------------------------------------------------
-    def eval_sums(self, w: Vector, subset) -> tuple:
-        """Sum of per-example gradients and losses over ``subset``."""
+    def eval_sums(self, w: Vector, subset, ends=None) -> tuple:
+        """Sums of per-example gradients and losses over consecutive parts
+        of ``subset``, gathering its rows once.
+
+        ``ends`` are the cumulative ends of the parts within ``subset`` (one
+        part by default). Returns ``(G, L)``: ``G[p]`` is the gradient sum
+        and ``L[p]`` the loss sum of part ``p``. Each part's sums are
+        bit-identical to a one-part call on its slice of ``subset``.
+        """
         idx = np.asarray(subset, dtype=np.int64)
         if idx.size == 0:
             raise UsageError("empty subset")
-        return self._sums(w, idx, self.X[idx])
-
-    def _sums(self, w: Vector, rows, Xs) -> tuple:
-        """``eval_sums`` over the rows ``Xs = X[rows]``; ``rows`` is an index
-        array or ``slice(None)``, which reads the whole of X in place."""
-        if w.shape[0] != self.d:
-            raise UsageError(f"w has length {w.shape[0]}, expected {self.d}")
-        m = Xs.shape[0]
-        # an overflow is reported by the finiteness check below, not as a
-        # numpy warning
+        # one reduction checks both ends: a negative index viewed as
+        # unsigned is at least 2**63
+        if idx.view(np.uint64).max() >= self.n:
+            raise UsageError("subset index out of range")
+        ends = [idx.size] if ends is None else [int(e) for e in ends]
+        if (not ends or ends[-1] != idx.size
+                or any(b < a for a, b in zip([0] + ends, ends))):
+            raise UsageError("part ends must be non-decreasing and end at the subset size")
+        self._check_length(w)
+        Xs = self.X[idx]
+        G = np.empty((len(ends), self.d))
+        L = np.empty(len(ends))
         with np.errstate(over="ignore", invalid="ignore"):
             if self.kind == "quadratic":
-                a = self.quad_weights
-                colsum = np.asarray(Xs.sum(axis=0)).ravel()
-                grad_sum = a * (m * w - colsum)
-                loss_sum = 0.5 * (
-                    m * float(np.dot(a, w * w))
-                    - 2.0 * float(np.dot(w, a * colsum))
-                    + float(np.sum(self._quad_csq[rows]))
-                )
+                terms, weights = self._quad_csq[idx], Xs.data
             else:
-                z = Xs.dot(w)
-                y = self.labels[rows]
-                if self.kind == "logistic_l2":
-                    t = y * z
-                    loss_sum = float(np.sum(_softplus(-t)))
-                    coeff = -y * expit(-t)
-                else:  # sigmoid_lsq, labels remapped from +-1 to {0,1}
-                    target = 0.5 * (y + 1.0)
-                    p = expit(z)
-                    loss_sum = float(np.sum((p - target) ** 2))
-                    coeff = 2.0 * (p - target) * p * (1.0 - p)
-                grad_sum = Xs.T.dot(coeff)
-        if not (np.isfinite(loss_sum) and np.all(np.isfinite(grad_sum))):
-            idx = np.arange(self.n, dtype=np.int64)[rows]
-            raise NumericError(
-                f"non-finite evaluation at example {self._first_bad(w, idx)}"
-            )
-        return np.ascontiguousarray(grad_sum), loss_sum
+                terms, coeff = self._row_terms(Xs.dot(w), self.labels[idx])
+                # each stored entry times its row's coefficient, summed per
+                # column in row order: the arithmetic of Xs.T.dot(coeff)
+                weights = Xs.data * np.repeat(coeff, np.diff(Xs.indptr))
+            r0 = p0 = 0
+            for k, (r1, p1) in enumerate(zip(ends, Xs.indptr[ends].tolist())):
+                G[k] = np.bincount(Xs.indices[p0:p1], weights=weights[p0:p1],
+                                   minlength=self.d)
+                L[k] = np.sum(terms[r0:r1])
+                if self.kind == "quadratic":
+                    G[k], L[k] = self._quad_sums(w, r1 - r0, G[k], L[k])
+                r0, p0 = r1, p1
+        self._check_finite(w, idx, ends, G, L)
+        return G, L
 
-    def _first_bad(self, w, idx):
-        z = self.X[idx].dot(w)
-        bad = ~np.isfinite(_softplus(np.abs(z)))
-        bad |= ~np.isfinite(z)
-        where = np.nonzero(bad)[0]
-        return int(idx[where[0]]) if where.size else int(idx[0])
+    def _check_length(self, w: Vector):
+        if w.shape[0] != self.d:
+            raise UsageError(f"w has length {w.shape[0]}, expected {self.d}")
+
+    def _row_terms(self, z, y) -> tuple:
+        """Per-row loss terms and gradient coefficients at margins ``z``."""
+        if self.kind == "logistic_l2":
+            t = y * z
+            return _softplus(-t), -y * expit(-t)
+        # sigmoid_lsq, labels remapped from +-1 to {0,1}
+        target = 0.5 * (y + 1.0)
+        p = expit(z)
+        return (p - target) ** 2, 2.0 * (p - target) * p * (1.0 - p)
+
+    def _quad_sums(self, w: Vector, m: int, colsum, csq_sum) -> tuple:
+        """Quadratic gradient and loss sums of ``m`` rows with column sums
+        ``colsum`` and summed per-row constants ``csq_sum``."""
+        a = self.quad_weights
+        grad_sum = a * (m * w - colsum)
+        loss_sum = 0.5 * (
+            m * float(np.dot(a, w * w))
+            - 2.0 * float(np.dot(w, a * colsum))
+            + float(csq_sum)
+        )
+        return grad_sum, loss_sum
+
+    def _check_finite(self, w: Vector, idx, ends, G, L):
+        """Raise ``NumericError`` naming the first non-finite row of the first
+        part whose sums are not finite; ``idx`` None stands for all rows."""
+        if np.isfinite(L).all() and np.isfinite(G).all():
+            return
+        k = int(np.argmin(np.isfinite(L) & np.isfinite(G).all(axis=1)))
+        if idx is None:
+            idx = np.arange(self.n)
+        rows = idx[(ends[k - 1] if k else 0):ends[k]]
+        z = self.X[rows].dot(w)
+        bad = np.nonzero(~np.isfinite(_softplus(np.abs(z))) | ~np.isfinite(z))[0]
+        first = rows[bad[0]] if bad.size else rows[0]
+        raise NumericError(f"non-finite evaluation at example {int(first)}")
 
     # ------------------------------------------------------------------
     # subset and full evaluations
@@ -137,19 +175,34 @@ class Objective:
     def eval_subset(self, w: Vector, subset) -> SubsetGradient:
         """Average loss/gradient over ``subset`` plus the sigma/2 ||w||^2 term."""
         idx = np.asarray(subset, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise UsageError("subset index out of range")
-        return self._average(w, self.eval_sums(w, idx), idx.size)
+        G, L = self.eval_sums(w, idx)
+        return SubsetGradient(*self.average(w, G[0], L[0], idx.size), idx.size)
 
     def eval_full(self, w: Vector) -> SubsetGradient:
-        """``eval_subset`` over all rows, reading X without a row copy."""
-        return self._average(w, self._sums(w, slice(None), self.X), self.n)
+        """``eval_subset`` over all rows, reading X in place."""
+        self._check_length(w)
+        X = self.X
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "quadratic":
+                colsum = np.asarray(X.sum(axis=0)).ravel()
+                grad_sum, loss_sum = self._quad_sums(
+                    w, self.n, colsum, np.sum(self._quad_csq))
+            else:
+                terms, coeff = self._row_terms(X.dot(w), self.labels)
+                grad_sum, loss_sum = X.T.dot(coeff), np.sum(terms)
+        self._check_finite(w, None, [self.n], grad_sum[None, :],
+                           np.array([loss_sum]))
+        return SubsetGradient(*self.average(w, grad_sum, loss_sum, self.n), self.n)
 
-    def _average(self, w: Vector, sums: tuple, m: int) -> SubsetGradient:
-        grad_sum, loss_sum = sums
-        loss = loss_sum / m + 0.5 * self.sigma * float(np.dot(w, w))
-        grad = grad_sum / m + self.sigma * w
-        return SubsetGradient(grad, loss, int(m))
+    def average(self, w: Vector, grad_sum, loss_sum, m: int) -> tuple:
+        """Gradient and loss averaged over ``m`` examples plus the
+        sigma/2 ||w||^2 term; ``NumericError`` if either is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = grad_sum / m + self.sigma * w
+            loss = float(loss_sum / m + 0.5 * self.sigma * float(np.dot(w, w)))
+        if not (math.isfinite(loss) and np.isfinite(grad).all()):
+            raise NumericError("non-finite average or regularization term")
+        return grad, loss
 
     def accuracy(self, w: Vector) -> float:
         """Fraction of correct sign predictions; 0 for the quadratic kind."""

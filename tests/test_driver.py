@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mblbfgs import (
     constant,
     curvature_diagnostics,
     diminishing,
+    logistic_l2,
     make_synthetic,
     quadratic,
     run,
@@ -17,6 +20,7 @@ from mblbfgs import (
     take_step,
 )
 from mblbfgs.driver import form_pair
+from mblbfgs.objectives import Objective
 
 from test_objectives import dataset_from_rows
 
@@ -190,6 +194,17 @@ class TestRunLoop:
         assert trace.records == []
         assert np.array_equal(trace.final_w, cfg.w0)
 
+    def test_regularization_overflow_aborts_the_run(self):
+        # the per-example sums are finite at w0, but ||w0||^2 overflows
+        obj = logistic_l2(make_synthetic(50, 4, 2, seed=0))
+        cfg = RunConfig(w0=np.full(4, 1e300), batch_frac=0.5, epochs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(cfg, obj)
+        assert trace.aborted.startswith("numeric: ")
+        assert "regularization" in trace.aborted
+        assert trace.records == []
+
     def test_serial_sgd_descends(self, small_logistic):
         cfg = RunConfig(method="serial_sgd", schedule=constant(0.5),
                         epochs=30.0, seed=0)
@@ -258,6 +273,34 @@ class TestEvaluationAccounting:
         for tag, parts in by_iterate.items():
             joined = np.concatenate(parts)
             assert np.unique(joined).size == joined.size, f"iterate {tag}"
+
+    @pytest.mark.parametrize("mode,extra", [("strategy1", 0), ("strategy2", 1),
+                                            ("fault", 0)])
+    def test_one_eval_sums_call_per_batch(self, small_logistic, monkeypatch,
+                                          mode, extra):
+        calls = []
+        eval_sums = Objective.eval_sums
+
+        def counting(self, w, subset, ends=None):
+            calls.append(len(subset))
+            return eval_sums(self, w, subset, ends)
+
+        monkeypatch.setattr(Objective, "eval_sums", counting)
+        ledger = []
+        cfg = RunConfig(method="robust_lbfgs", mode=mode, batch_frac=0.1,
+                        overlap_frac=0.2, nodes=4, fail_prob=0.25,
+                        schedule=constant(0.2), epochs=2.0, seed=1)
+        trace = run(cfg, small_logistic, eval_ledger=ledger)
+        # strategy 2 makes one more call per pair, on the overlap
+        pairs = sum(1 for tag, key, _ in ledger if key == "O_extra")
+        assert len(calls) == len(trace.records) + extra * pairs
+        # each batch call covers every row of the batch's ledger parts
+        rows = {}
+        for tag, key, idx in ledger:
+            if key != "O_extra":
+                rows[tag] = rows.get(tag, 0) + idx.size
+        assert sorted(calls) == sorted(list(rows.values()) + [
+            idx.size for _, key, idx in ledger if key == "O_extra"])
 
     def test_strategy2_charges_overlap_extra(self, small_logistic):
         n = small_logistic.n

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from mblbfgs import (
@@ -14,7 +16,7 @@ from mblbfgs import (
     quadratic,
     sigmoid_lsq,
 )
-from mblbfgs.objectives import Objective, make_objective
+from mblbfgs.objectives import KINDS, Objective, make_objective
 
 
 def dataset_from_rows(rows, labels, d):
@@ -150,12 +152,46 @@ class TestSubsetSemantics:
             small_logistic.eval_subset(np.zeros(small_logistic.d),
                                        [small_logistic.n])
 
+    @pytest.mark.parametrize("subset", [[-1], [300], [0, 5, -300], [2, 301]])
+    def test_eval_sums_rejects_out_of_range_indices(self, small_logistic, subset):
+        # -1 used to evaluate row n-1 and n raised scipy's IndexError
+        assert small_logistic.n == 300
+        with pytest.raises(UsageError, match="out of range"):
+            small_logistic.eval_sums(np.zeros(small_logistic.d), subset)
+
+    @pytest.mark.parametrize("ends", [[], [3], [2, 5], [3, 1, 4], [-1, 4]])
+    def test_eval_sums_rejects_bad_part_ends(self, small_logistic, ends):
+        with pytest.raises(UsageError, match="part ends"):
+            small_logistic.eval_sums(np.zeros(small_logistic.d), [0, 1, 2, 3], ends)
+
     def test_accuracy_perfect_on_plant(self, sep_logistic):
         # a separable dataset admits a perfect classifier; after training,
         # accuracy should be 1 (checked indirectly in driver tests); here
         # just check the metric is within [0, 1]
         acc = sep_logistic.accuracy(np.zeros(sep_logistic.d))
         assert 0.0 <= acc <= 1.0
+
+
+class TestFusedParts:
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    @settings(max_examples=90, deadline=None)
+    def test_each_part_equals_a_one_part_call_bitwise(self, small_dataset, kind, data):
+        obj = make_objective(kind, small_dataset, sigma=0.01)
+        rows = data.draw(st.lists(st.integers(0, obj.n - 1), min_size=1, max_size=150))
+        cuts = data.draw(st.lists(st.integers(0, len(rows)), max_size=16))
+        ends = sorted(cuts) + [len(rows)]
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        w = np.random.default_rng(seed).normal(size=obj.d)
+        G, L = obj.eval_sums(w, rows, ends)
+        assert G.shape == (len(ends), obj.d) and L.shape == (len(ends),)
+        start = 0
+        for k, end in enumerate(ends):
+            if end > start:
+                g, loss = obj.eval_sums(w, rows[start:end])
+                assert np.array_equal(G[k], g[0]) and L[k] == loss[0]
+            else:  # an empty part sums to zero
+                assert not G[k].any() and L[k] == 0.0
+            start = end
 
 
 class TestNumericGuards:
@@ -175,6 +211,23 @@ class TestNumericGuards:
                 obj.eval_sums(w, np.arange(obj.n))
             with pytest.raises(NumericError, match="non-finite evaluation"):
                 obj.eval_full(w)
+
+    def test_regularization_overflow_raises_without_a_warning(self):
+        obj = logistic_l2(make_synthetic(50, 4, 2, seed=0))
+        w = np.full(4, 1e300)  # finite per-example sums, ||w||^2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="regularization"):
+                obj.eval_full(w)
+            with pytest.raises(NumericError, match="regularization"):
+                obj.eval_subset(w, [0, 1])
+
+    def test_first_failing_part_names_its_first_bad_row(self):
+        rows = [[1.0, 1.0], [1e308, 0.0], [1.0, 0.0], [1e308, 1.0]]
+        obj = logistic_l2(dataset_from_rows(rows, [1, -1, 1, -1], 2), sigma=0.0)
+        w = np.array([1e3, 0.0])
+        with pytest.raises(NumericError, match="example 3"):
+            obj.eval_sums(w, [0, 2, 3, 1], [2, 4])
 
     def test_unknown_kind(self, small_dataset):
         with pytest.raises(UsageError):

@@ -266,6 +266,9 @@ class TestPlanInvariants:
             parts = np.concatenate([idx for _, idx in _plan_parts(plan)])
             assert parts.size == plan.S.size  # pairwise disjoint ...
             assert np.array_equal(np.sort(parts), np.sort(plan.S))  # ... covering S
+            if mode != "strategy2":
+                # consecutive blocks of S, which the driver evaluates as is
+                assert np.array_equal(parts, plan.S)
 
     @given(mode=st.sampled_from(["strategy1", "strategy2"]), **_plan_params)
     @settings(max_examples=60, deadline=None)
