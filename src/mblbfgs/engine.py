@@ -1,28 +1,37 @@
 """Limited-memory BFGS machinery: curvature-pair storage with cautious
 admission, initial scaling, the two-loop recursion, and dense oracles used
 by eigenvalue audits and tests.
+
+The hot path (``admit``, ``gamma``, ``direction``) calls ``np.dot`` and
+forms each update as one numpy expression, with no shape-checking wrappers;
+``direction`` checks finiteness once, on its result.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .linalg import Vector, axpy, dot
+from .linalg import Vector
 
-# admission additionally requires y's >= RHO_GUARD * |s||y| so rho stays finite
+# admission additionally requires y's > RHO_GUARD * |s||y|, hence y's > 0, so
+# rho stays finite
 RHO_GUARD = 1e-12
 
 DENSE_DIM_LIMIT = 200
 
 
-def cautious_accept(s: Vector, y: Vector, eps: float) -> bool:
-    """Curvature test y's >= eps * ||s||^2 (the cautious-update condition)."""
-    ss = dot(s, s)
+def _cautious(ys: float, ss: float, eps: float) -> bool:
     if ss == 0.0:
         raise UsageError("cautious_accept: zero step should never reach admission")
-    return dot(y, s) >= eps * ss
+    return ys >= eps * ss
+
+
+def cautious_accept(s: Vector, y: Vector, eps: float) -> bool:
+    """Curvature test y's >= eps * ||s||^2 (the cautious-update condition)."""
+    return _cautious(float(np.dot(y, s)), float(np.dot(s, s)), eps)
 
 
 @dataclass
@@ -59,12 +68,16 @@ class LbfgsMemory:
         return len(self.pairs)
 
     def admit(self, s: Vector, y: Vector) -> bool:
-        """Store (s, y) if it passes the cautious test; evict the oldest
-        pair when full. Returns whether the pair was accepted."""
-        if not cautious_accept(s, y, self.cautious_eps):
+        """Store (s, y) if it passes the cautious test and the rho guard;
+        evict the oldest pair when full. Returns whether the pair was
+        accepted. Overflowing inner products reject the pair."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = float(np.dot(y, s))
+            ss = float(np.dot(s, s))
+            yy = float(np.dot(y, y))
+        if not _cautious(ys, ss, self.cautious_eps):
             return False
-        ys = dot(y, s)
-        if ys < RHO_GUARD * np.sqrt(dot(s, s) * dot(y, y)):
+        if not ys > RHO_GUARD * math.sqrt(ss * yy):
             return False
         pair = CurvaturePair(s=s.copy(), y=y.copy(), rho=1.0 / ys)
         self.pairs.append(pair)
@@ -79,31 +92,32 @@ class LbfgsMemory:
         if not self.pairs:
             return 1.0
         newest = self.pairs[-1]
-        return dot(newest.s, newest.y) / dot(newest.y, newest.y)
+        return float(np.dot(newest.s, newest.y)) / float(np.dot(newest.y, newest.y))
 
     def direction(self, g: Vector) -> Vector:
         """Search direction -H g via the two-loop recursion.
 
         The stored pairs are applied newest-to-oldest in the first loop and
         oldest-to-newest in the second, equivalent to building H from
-        gamma*I with the pairs in storage order.
+        gamma*I with the pairs in storage order. The recursion never
+        divides, so a value that overflows stays non-finite to the end:
+        one check on the result catches it.
         """
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError("two-loop input gradient is not finite")
-        q = g.copy()
-        alphas = np.zeros(len(self.pairs))
-        for i in range(len(self.pairs) - 1, -1, -1):
-            pair = self.pairs[i]
-            alphas[i] = pair.rho * dot(pair.s, q)
-            q = axpy(-alphas[i], pair.y, q)
-            if not np.all(np.isfinite(q)):
-                raise NumericError(f"two-loop: non-finite value at pair {i}")
-        r = self.gamma() * q
-        for i, pair in enumerate(self.pairs):
-            beta = pair.rho * dot(pair.y, r)
-            r = axpy(alphas[i] - beta, pair.s, r)
-            if not np.all(np.isfinite(r)):
-                raise NumericError(f"two-loop: non-finite value at pair {i}")
+        q = g
+        alphas = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for pair in reversed(self.pairs):
+                a = pair.rho * float(np.dot(pair.s, q))
+                alphas.append(a)
+                q = -a * pair.y + q
+            r = self.gamma() * q
+            for pair, a in zip(self.pairs, reversed(alphas)):
+                beta = pair.rho * float(np.dot(pair.y, r))
+                r = (a - beta) * pair.s + r
+        if not np.isfinite(r).all():
+            raise NumericError("two-loop: non-finite value")
         return -r
 
     # ------------------------------------------------------------------
@@ -134,14 +148,14 @@ class LbfgsMemory:
         d = self._check_dense_dim(dim)
         if self.pairs:
             newest = self.pairs[-1]
-            b0 = dot(newest.y, newest.y) / dot(newest.s, newest.y)
+            b0 = float(np.dot(newest.y, newest.y)) / float(np.dot(newest.s, newest.y))
         else:
             b0 = 1.0 / self.gamma()
         B = b0 * np.eye(d)
         for pair in self.pairs:
             Bs = B @ pair.s
-            B = (B - np.outer(Bs, Bs) / dot(pair.s, Bs)
-                 + np.outer(pair.y, pair.y) / dot(pair.y, pair.s))
+            B = (B - np.outer(Bs, Bs) / float(np.dot(pair.s, Bs))
+                 + np.outer(pair.y, pair.y) / float(np.dot(pair.y, pair.s)))
         return B
 
     def eigen_bounds(self, dim: int | None = None) -> tuple:

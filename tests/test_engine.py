@@ -1,14 +1,39 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mblbfgs import LbfgsMemory, NumericError, UsageError, cautious_accept
+from mblbfgs import LbfgsMemory, NumericError, UsageError, axpy, cautious_accept, dot
 from conftest import random_admitted_memory
 
 
 def vec(*xs):
     return np.array(xs, dtype=np.float64)
+
+
+def reference_direction(mem, g):
+    """The two-loop recursion written with ``linalg.dot``/``axpy``, one
+    wrapped operation per step (the arithmetic ``direction`` must keep)."""
+    if mem.scaling != "bb":
+        gamma = mem.scaling
+    elif mem.pairs:
+        newest = mem.pairs[-1]
+        gamma = dot(newest.s, newest.y) / dot(newest.y, newest.y)
+    else:
+        gamma = 1.0
+    q = g.copy()
+    alphas = np.zeros(len(mem.pairs))
+    for i in range(len(mem.pairs) - 1, -1, -1):
+        pair = mem.pairs[i]
+        alphas[i] = pair.rho * dot(pair.s, q)
+        q = axpy(-alphas[i], pair.y, q)
+    r = gamma * q
+    for i, pair in enumerate(mem.pairs):
+        beta = pair.rho * dot(pair.y, r)
+        r = axpy(alphas[i] - beta, pair.s, r)
+    return -r
 
 
 class TestCautiousAccept:
@@ -59,6 +84,19 @@ class TestAdmission:
             assert np.array_equal(p.s, s)
             assert np.array_equal(p.y, y)
             assert p.rho == rho
+
+    def test_zero_curvature_vector_rejected(self):
+        # with eps = 0 the cautious test passes y = 0; the rho guard must not
+        mem = LbfgsMemory(5, cautious_eps=0.0)
+        assert not mem.admit(np.ones(3), np.zeros(3))
+        assert len(mem) == 0
+
+    def test_overflowing_products_rejected_without_a_warning(self):
+        mem = LbfgsMemory(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not mem.admit(np.full(3, 1e200), np.full(3, 1e200))
+        assert len(mem) == 0
 
     def test_thousand_random_admissions_respect_bound(self):
         rng = np.random.default_rng(123)
@@ -144,6 +182,38 @@ class TestTwoLoop:
         mem = LbfgsMemory(5)
         with pytest.raises(NumericError):
             mem.direction(vec(np.nan, 0.0))
+
+    def test_overflow_raises_numeric_error_without_a_warning(self):
+        rng = np.random.default_rng(4)
+        mem = random_admitted_memory(rng, d=4, m=3, n_pairs=3)
+        assert len(mem) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="two-loop: non-finite value"):
+                mem.direction(np.full(4, 1e308))
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 60),
+           m=st.integers(1, 10), n_admit=st.integers(0, 20),
+           scaling=st.sampled_from(["bb", 0.5, 3.0]),
+           # exponents 300-308 often overflow, where both sides must fail
+           g_exp=st.integers(-300, 300) | st.integers(300, 308))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_reference(self, seed, d, m, n_admit, scaling, g_exp):
+        rng = np.random.default_rng(seed)
+        mem = LbfgsMemory(m, scaling=scaling)
+        for _ in range(n_admit):
+            s = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+            noise = 0.1 * np.abs(s).max() * rng.standard_normal(d)
+            y = rng.uniform(0.5, 3.0, size=d) * s + noise
+            mem.admit(s, y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = rng.standard_normal(d) * 10.0 ** g_exp
+            expected = reference_direction(mem, g)
+        if np.isfinite(expected).all():
+            assert mem.direction(g).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(NumericError):
+                mem.direction(g)
 
     def test_order_matters(self):
         rng = np.random.default_rng(8)
