@@ -30,7 +30,7 @@ from .errors import (
     UsageError,
 )
 from .experiment import ExperimentSpec, run_experiment
-from .linalg import Dataset, axpy, dot, norm
+from .linalg import Dataset
 from .objectives import Objective, SubsetGradient, logistic_l2, quadratic, sigmoid_lsq
 from .sampling import (
     NodeLayout,
@@ -47,7 +47,7 @@ __all__ = [
     "__version__",
     "ConfigurationError", "DataError", "MblbfgsError", "NumericError",
     "UsageError",
-    "Dataset", "axpy", "dot", "norm",
+    "Dataset",
     "Objective", "SubsetGradient", "logistic_l2", "quadratic", "sigmoid_lsq",
     "NodeLayout", "SamplePlan", "SeededRng", "make_layout", "plan_fault",
     "plan_strategy1_epoch", "plan_strategy2", "reshard",

@@ -16,23 +16,27 @@ Methods:
                             identity inverse Hessian.
 
 All four run through the one loop in ``run``: each iteration draws a
-``SamplePlan`` from a plan source, evaluates the batch and takes a step. The
-batch is split into disjoint parts, and one ``Objective.eval_sums`` call per
-batch gathers its rows once and returns the gradient and loss sums of every
-part. Serial SGD is the source of one-example plans with empty
-overlaps (``sampling.SerialSource``), so it gets the same stopping rules,
-divergence check and abort strings as the batch methods. The methods
-without memory (``multibatch_gd``, ``serial_sgd``) step along -g.
+``SamplePlan`` from a plan source, evaluates the batch and takes a step.
+The loop does not know the sampling mode; the plan carries the layout. One
+``Objective.eval_sums(w, plan.S, plan.ends)`` call per batch gathers its
+rows once and returns the gradient and loss sums of every part (one row of
+``G``/``L`` each). The batch gradient adds all rows, and an overlap
+gradient adds the rows that ``plan.link`` names, so both gradients of a
+curvature pair are sums over the same index set O_k. Serial SGD is the
+source of one-example plans with empty overlaps (``sampling.SerialSource``),
+so it gets the same stopping rules, divergence check and abort strings as
+the batch methods. The methods without memory (``multibatch_gd``,
+``serial_sgd``) step along -g.
 
 Epoch accounting charges |S_k|/n per batch-gradient evaluation, plus
-|O_k|/n in strategy 2 where the overlap gradient at the new iterate is an
-extra evaluation. In strategy 1 and fault mode the overlap gradients are
-recombinations of per-part sums that were already evaluated, so they are
-free. Full-gradient trace evaluation is metrology and is never charged.
+|O_k|/n when O_k is not made of parts of the new batch (strategy 2), where
+the overlap gradient at the new iterate is an extra evaluation. Otherwise
+the overlap gradients are recombinations of per-part sums that were already
+evaluated, so they are free. Full-gradient trace evaluation is metrology
+and is never charged.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -41,7 +45,7 @@ import numpy as np
 
 from .engine import LbfgsMemory
 from .errors import ConfigurationError, NumericError, UsageError
-from .linalg import Vector, dot, norm
+from .linalg import Vector
 from .objectives import Objective
 from .sampling import SamplePlan, SeededRng, SerialSource, make_plan_source
 
@@ -195,66 +199,32 @@ def form_pair(objective: Objective, w_prev: Vector, w_next: Vector,
 # ----------------------------------------------------------------------
 # per-part batch evaluation
 # ----------------------------------------------------------------------
-def _plan_parts(plan: SamplePlan):
-    """Disjoint (key, indices) parts whose union is the batch."""
-    if plan.mode == "strategy1":
-        np_part = plan.S[plan.O_prev.size: plan.S.size - plan.O_next.size]
-        yield "O_prev", plan.O_prev
-        yield "N", np_part
-        yield "O_next", plan.O_next
-    elif plan.mode == "strategy2":
-        yield "O_next", plan.O_next
-        yield "rest", np.setdiff1d(plan.S, plan.O_next, assume_unique=True)
-    elif plan.mode == "serial":
-        yield "S", plan.S
-    else:  # fault: S is the concatenation of the responding nodes' shards
-        pos = 0
-        for j, size in zip(plan.responders, plan.part_sizes):
-            yield ("node", j), plan.S[pos:pos + size]
-            pos += size
+def _eval_parts(objective: Objective, w: Vector, plan: SamplePlan,
+                ledger, tag) -> tuple:
+    """(G, L): gradient and loss sums of each part of the batch."""
+    G, L = objective.eval_sums(w, plan.S, plan.ends)
+    if ledger is not None:
+        starts = (0,) + plan.ends[:-1]
+        ledger.extend((tag, i, plan.S[a:b])
+                      for i, (a, b) in enumerate(zip(starts, plan.ends)))
+    return G, L
 
 
-class _BatchEval:
-    """Gradient/loss sums per part of one batch at one iterate."""
-
-    def __init__(self, parts, G, L):
-        # key -> (grad_sum, loss_sum, count)
-        self.parts = {key: (g, loss, idx.size)
-                      for (key, idx), g, loss in zip(parts, G, L.tolist())}
-
-    def combine(self, objective: Objective, w: Vector, keys=None) -> tuple:
-        """Average gradient and loss over the listed parts (all by default),
-        with the regularization term added once."""
-        parts = self.parts
-        selected = (list(parts.values()) if keys is None
-                    else [parts[k] for k in keys if k in parts])
-        grad, loss, count = selected[0]
-        for gs, ls, c in selected[1:]:
-            grad = grad + gs
-            loss += ls
-            count += c
-        return objective.average(w, grad, loss, count)
+def _average(objective: Objective, w: Vector, G, L, count: int) -> tuple:
+    """Average gradient and loss of the summed parts (rows of ``G``/``L``)
+    over ``count`` examples, with the regularization term added once."""
+    # accumulate adds the parts strictly left to right, the order the golden
+    # traces were recorded in; np.sum switches to pairwise summation from 8
+    # terms up (for G, when d = 1), which changes the last bits
+    return objective.average(w, np.add.accumulate(G)[-1],
+                             np.add.accumulate(L)[-1], count)
 
 
 def _full_metrics(objective: Objective, w: Vector) -> tuple:
     """Full-data gradient norm, loss and training accuracy (metrology)."""
     full = objective.eval_full(w)
-    return norm(full.gradient), full.loss, objective.accuracy(w)
-
-
-def _eval_parts(objective: Objective, w: Vector, plan: SamplePlan,
-                ledger, tag) -> _BatchEval:
-    """Sums of the batch's non-empty parts from one ``eval_sums`` call."""
-    parts = [(key, idx) for key, idx in _plan_parts(plan) if idx.size]
-    # strategy-2 parts are O_next and the sorted rest; in the other modes
-    # the parts are consecutive blocks of S
-    rows = (np.concatenate([idx for _, idx in parts])
-            if plan.mode == "strategy2" else plan.S)
-    ends = itertools.accumulate(idx.size for _, idx in parts)
-    G, L = objective.eval_sums(w, rows, ends)
-    if ledger is not None:
-        ledger.extend((tag, key, idx) for key, idx in parts)
-    return _BatchEval(parts, G, L)
+    return (math.sqrt(float(np.dot(full.gradient, full.gradient))), full.loss,
+            objective.accuracy(w))
 
 
 # ----------------------------------------------------------------------
@@ -265,11 +235,13 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
     """Execute one optimization run and return its trace.
 
     ``eval_ledger``, when a list, collects (iterate, part, indices) for every
-    algorithmic gradient evaluation. ``pair_log`` collects
+    algorithmic gradient evaluation; ``part`` is the part's position in its
+    plan, or "O_extra" for the extra overlap evaluation of strategy 2. ``pair_log`` collects
     (k, y's, s's, y'y, accepted) for every candidate curvature pair.
     """
     config.validate()
     n, d = objective.n, objective.d
+    stride = config.effective_stride(n)
     rng = SeededRng(config.seed)
     if config.method == "serial_sgd":
         source = SerialSource(n, rng)
@@ -280,7 +252,6 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
             reshard_each_epoch=config.reshard_each_epoch,
         )
     memory = LbfgsMemory(config.memory, config.scaling, config.cautious_eps)
-    stride = config.effective_stride(n)
     w = np.zeros(d) if config.w0 is None else np.asarray(config.w0, dtype=np.float64).copy()
 
     records: list[TraceRecord] = []
@@ -289,8 +260,8 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
 
     plan = source.next_plan()
     try:
-        parts = _eval_parts(objective, w, plan, eval_ledger, 0)
-        g_S, loss_S = parts.combine(objective, w)
+        G, L = _eval_parts(objective, w, plan, eval_ledger, 0)
+        g_S, loss_S = _average(objective, w, G, L, plan.S.size)
         grad_norm, full_loss, train_acc = _full_metrics(objective, w)
     except NumericError as exc:
         return RunTrace(records, f"numeric: {exc}", w, memory, config)
@@ -324,8 +295,9 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
             source.epoch_boundary()
         plan_next = source.next_plan()
         try:
-            parts_next = _eval_parts(objective, w_next, plan_next, eval_ledger, k + 1)
-            g_S_next, loss_S_next = parts_next.combine(objective, w_next)
+            G_next, L_next = _eval_parts(objective, w_next, plan_next, eval_ledger, k + 1)
+            g_S_next, loss_S_next = _average(objective, w_next, G_next, L_next,
+                                             plan_next.S.size)
         except NumericError as exc:
             aborted = f"numeric: {exc}"
             break
@@ -341,25 +313,36 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
             elif config.method == "inconsistent_lbfgs":
                 # gradient difference across different samples
                 y = g_S_next - g_S
-            elif overlap.size:
+            elif plan_next.link is not None:
+                # overlap gradients at both iterates on the same index set O_k
+                prev_parts, next_parts = plan_next.link
                 try:
-                    g_over_prev, g_over_next = _overlap_gradients(
-                        objective, w, w_next, plan, plan_next, parts,
-                        parts_next, config.mode, eval_ledger, k)
+                    g_over_prev, _ = _average(objective, w, G[prev_parts],
+                                              L[prev_parts], overlap.size)
+                    if next_parts is None:
+                        # O_k is not made of parts of the new batch: one
+                        # extra evaluation, charged to the epoch count
+                        G_over, L_over = objective.eval_sums(w_next, overlap)
+                        if eval_ledger is not None:
+                            eval_ledger.append((k + 1, "O_extra", overlap))
+                        epoch += overlap.size / n
+                    else:
+                        G_over, L_over = G_next[next_parts], L_next[next_parts]
+                    g_over_next, _ = _average(objective, w_next, G_over, L_over,
+                                              overlap.size)
                 except NumericError as exc:
                     aborted = f"numeric: {exc}"
                     break
-                if config.mode == "strategy2":
-                    epoch += overlap.size / n  # the extra evaluation
                 y = g_over_next - g_over_prev
             if y is not None:
                 pair_accepted = int(memory.admit(s, y))
                 if pair_log is not None:
-                    pair_log.append((k, dot(y, s), dot(s, s), dot(y, y),
-                                     bool(pair_accepted)))
+                    pair_log.append((k, float(np.dot(y, s)), float(np.dot(s, s)),
+                                     float(np.dot(y, y)), bool(pair_accepted)))
 
         k += 1
-        w, g_S, loss_S, plan, parts = w_next, g_S_next, loss_S_next, plan_next, parts_next
+        w, g_S, loss_S, plan = w_next, g_S_next, loss_S_next, plan_next
+        G, L = G_next, L_next
 
         # a blown-up batch loss forces a confirming full evaluation so
         # divergence aborts promptly instead of at the next stride
@@ -384,27 +367,6 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
             break
 
     return RunTrace(records, aborted, w, memory, config)
-
-
-def _overlap_gradients(objective, w, w_next, plan, plan_next, parts,
-                       parts_next, mode, ledger, k):
-    """Overlap gradients at both iterates on the same index set O_k."""
-    if mode == "strategy1":
-        g_prev, _ = parts.combine(objective, w, keys=["O_next"])
-        g_next, _ = parts_next.combine(objective, w_next, keys=["O_prev"])
-    elif mode == "fault":
-        shared = set(plan.responders) & set(plan_next.responders)
-        keys = [("node", j) for j in sorted(shared)]
-        g_prev, _ = parts.combine(objective, w, keys=keys)
-        g_next, _ = parts_next.combine(objective, w_next, keys=keys)
-    else:  # strategy 2: O_k is a part of S_k but needs a fresh evaluation
-        overlap = plan_next.O_prev
-        g_prev, _ = parts.combine(objective, w, keys=["O_next"])
-        G, L = objective.eval_sums(w_next, overlap)
-        if ledger is not None:
-            ledger.append((k + 1, "O_extra", overlap))
-        g_next, _ = objective.average(w_next, G[0], L[0], overlap.size)
-    return g_prev, g_next
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +401,7 @@ def curvature_diagnostics(objective: Objective, w: Vector, batch_sizes,
         raise UsageError("probe step too small: iterates coincide")
     full1 = objective.eval_full(w2)
     y_d = full1.gradient - full0.gradient
-    nd = norm(y_d)
+    nd = math.sqrt(float(np.dot(y_d, y_d)))
     if nd == 0.0:
         raise UsageError("true curvature vector is zero at this point")
     mask = y_d != 0
@@ -454,11 +416,11 @@ def curvature_diagnostics(objective: Objective, w: Vector, batch_sizes,
             g0 = objective.eval_subset(w, idx).gradient
             g1 = objective.eval_subset(w2, idx).gradient
             y_s = g1 - g0
-            ns = norm(y_s)
+            ns = math.sqrt(float(np.dot(y_s, y_s)))
             if ns == 0.0:
                 discarded[b] = discarded.get(b, 0) + 1
                 continue
-            cosine = dot(y_s, y_d) / (ns * nd)
+            cosine = float(np.dot(y_s, y_d)) / (ns * nd)
             ratios = y_s[mask] / y_d[mask]
             lo, med, hi = np.percentile(ratios, [25.0, 50.0, 75.0])
             out.append(CurvatureDiagnostic(b, cosine, float(med), float(lo),

@@ -68,8 +68,8 @@ class LbfgsMemory:
         return len(self.pairs)
 
     def admit(self, s: Vector, y: Vector) -> bool:
-        """Store (s, y) if it passes the cautious test and the rho guard;
-        evict the oldest pair when full. Returns whether the pair was
+        """Store (s, y) if it passes the cautious test, the rho guard and
+        y'y > 0; evict the oldest pair when full. Returns whether the pair was
         accepted. Overflowing inner products reject the pair."""
         with np.errstate(over="ignore", invalid="ignore"):
             ys = float(np.dot(y, s))
@@ -77,7 +77,8 @@ class LbfgsMemory:
             yy = float(np.dot(y, y))
         if not _cautious(ys, ss, self.cautious_eps):
             return False
-        if not ys > RHO_GUARD * math.sqrt(ss * yy):
+        # y'y > 0 keeps the scaling gamma = s'y / y'y finite
+        if not (yy > 0.0 and ys > RHO_GUARD * math.sqrt(ss * yy)):
             return False
         pair = CurvaturePair(s=s.copy(), y=y.copy(), rho=1.0 / ys)
         self.pairs.append(pair)

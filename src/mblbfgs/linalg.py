@@ -1,46 +1,18 @@
-"""Dense vector primitives and the CSR dataset shared by every other module.
+"""The vector type and the CSR dataset shared by every other module.
 
-Everything is 64-bit floating point. Reductions run in a single fixed
-accumulation order (numpy's, over contiguous arrays), so reruns with
-identical inputs are bit-identical on a given platform.
+Everything is 64-bit floating point. Inner products are plain ``np.dot``
+calls over contiguous arrays, which have one fixed accumulation order, so
+reruns with identical inputs are bit-identical on a given platform.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy import sparse
 
-from .errors import DataError, UsageError
+from .errors import DataError
 
 # A parameter vector is a 1-d contiguous float64 array of length d.
 Vector = np.ndarray
-
-
-def as_vector(values) -> Vector:
-    """Coerce to a contiguous float64 1-d array."""
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise UsageError(f"expected a 1-d vector, got shape {arr.shape}")
-    return arr
-
-
-def dot(a: Vector, b: Vector) -> float:
-    """Inner product with a fixed accumulation order."""
-    if a.shape != b.shape:
-        raise UsageError(f"dot: dimension mismatch {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
-
-
-def axpy(alpha: float, x: Vector, y: Vector) -> Vector:
-    """Return alpha*x + y elementwise."""
-    if x.shape != y.shape:
-        raise UsageError(f"axpy: dimension mismatch {x.shape} vs {y.shape}")
-    return alpha * x + y
-
-
-def norm(x: Vector) -> float:
-    return math.sqrt(dot(x, x))
 
 
 class Dataset:

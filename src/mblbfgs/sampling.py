@@ -14,11 +14,19 @@ Two multi-batch strategies are provided plus a simulated distributed mode:
 Serial SGD is driven by the same loop through a batch-of-one source whose
 plans have empty overlaps.
 
+Every plan also carries its evaluation layout, so the driver needs no
+knowledge of the mode: the batch is cut into parts that are consecutive
+blocks of S (strategy 1: O_prev, the middle and O_next; strategy 2: O_next
+and the rest; fault mode: one shard per responding node), and ``link``
+names the parts whose rows are O_prev in the previous plan and in this one.
+So both gradients of a curvature pair are sums over the same index set.
+
 All draws come from a single named counter-based generator so a fixed seed
 replays the exact plan stream.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,20 +72,41 @@ class SeededRng:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Index sets for one iteration.
+    """Index sets for one iteration and the layout they are evaluated in.
 
     S is the batch; O_prev is the part shared with the previous batch (the
     set both curvature-pair gradients are evaluated on); O_next is the part
     reserved for the pair with the next batch, when known at draw time.
+
+    ``ends`` are the cumulative ends of the batch's non-empty parts, which
+    are consecutive blocks of S. ``link`` is None when O_prev is empty, and
+    otherwise a pair of position lists: the parts of the previous plan and
+    the parts of this plan whose rows are O_prev. The second entry is None
+    when O_prev is not made of this plan's parts (strategy 2), so its
+    gradient at the new iterate needs a fresh evaluation.
     """
 
     S: np.ndarray
     O_prev: np.ndarray
     O_next: np.ndarray
-    mode: str
+    ends: tuple
+    link: tuple | None = None
     responders: tuple = ()
-    part_sizes: tuple = ()  # fault mode: shard slice lengths within S
     redraws: int = 0
+
+
+def _ends(*sizes) -> tuple:
+    """Cumulative ends of the non-empty parts with the given sizes."""
+    return tuple(itertools.accumulate(size for size in sizes if size))
+
+
+def _strategy1_plan(S, o_prev, o_next, prev) -> SamplePlan:
+    """Plan whose parts are the blocks O_prev, the middle and O_next of S;
+    a non-empty O_prev is the last part (O_next) of the plan ``prev``."""
+    link = ([len(prev.ends) - 1], [0]) if o_prev.size else None
+    return SamplePlan(S=S, O_prev=o_prev, O_next=o_next, link=link,
+                      ends=_ends(o_prev.size, S.size - o_prev.size - o_next.size,
+                                 o_next.size))
 
 
 def strategy_batch_sizes(n: int, r: float, o: float) -> tuple:
@@ -114,8 +143,7 @@ def plan_strategy1_epoch(n: int, r: float, o: float, rng: SeededRng) -> list:
         # full-batch special case: every batch is the whole (re)shuffled
         # dataset, so any designated overlap block is shared with the next
         # batch; one full batch per epoch
-        return [SamplePlan(S=perm, O_prev=_EMPTY, O_next=perm[-o_size:],
-                           mode="strategy1")]
+        return [_strategy1_plan(perm, _EMPTY, perm[-o_size:], None)]
 
     stride = s_size - o_size
     starts = []
@@ -130,23 +158,30 @@ def plan_strategy1_epoch(n: int, r: float, o: float, rng: SeededRng) -> list:
         o_prev = S[:o_size] if i > 0 else _EMPTY
         last = (i == len(starts) - 1) and coverage == n
         o_next = _EMPTY if last else S[-o_size:]
-        plans.append(SamplePlan(S=S, O_prev=o_prev, O_next=o_next,
-                                mode="strategy1"))
+        plans.append(_strategy1_plan(S, o_prev, o_next, plans[-1] if plans else None))
     if coverage < n:
         # truncated final batch: reuses the pending overlap block and runs
         # to the end of the permutation so every index is used this epoch
         S = perm[coverage - o_size:n]
-        plans.append(SamplePlan(S=S, O_prev=S[:o_size], O_next=_EMPTY,
-                                mode="strategy1"))
+        plans.append(_strategy1_plan(S, S[:o_size], _EMPTY, plans[-1]))
     return plans
 
 
-def plan_strategy2(n: int, r: float, o: float, rng: SeededRng) -> SamplePlan:
-    """Independent uniform batch with a subsampled overlap block."""
+def plan_strategy2(n: int, r: float, o: float, rng: SeededRng,
+                   O_prev: np.ndarray = _EMPTY) -> SamplePlan:
+    """Independent uniform batch with a subsampled overlap block.
+
+    S is stored as O_next followed by the rest of the batch, its two parts.
+    ``O_prev``, the previous plan's O_next, is that plan's first part; it is
+    drawn independently of this batch, so it has no part here.
+    """
     s_size, o_size = strategy_batch_sizes(n, r, o)
     S = rng.choice(n, s_size)
     O_next = rng.choice(S, o_size)
-    return SamplePlan(S=S, O_prev=_EMPTY, O_next=O_next, mode="strategy2")
+    rest = np.setdiff1d(S, O_next, assume_unique=True)
+    return SamplePlan(S=np.concatenate([O_next, rest]), O_prev=O_prev,
+                      O_next=O_next, ends=_ends(o_size, rest.size),
+                      link=([0], None) if O_prev.size else None)
 
 
 @dataclass(frozen=True)
@@ -216,7 +251,9 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
 
     Each node independently responds with probability 1 - p. An all-failed
     draw is redrawn (and counted). The overlap with the previous iteration
-    is the union of shards whose nodes responded both times.
+    is the union of shards whose nodes responded both times. Each responding
+    node's shard is one part of the batch, so the positions of the repeat
+    responders in both draws link O_prev to the parts of both plans.
     """
     p = layout.fail_prob
     redraws = 0
@@ -226,14 +263,14 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
             break
         redraws += 1
     J = tuple(int(j) for j in np.nonzero(responded)[0])
-    if prev_responders is None:
-        o_prev = _EMPTY
-    else:
-        o_prev = union_of_shards(layout, set(prev_responders) & set(J))
-    plan = SamplePlan(S=union_of_shards(layout, J), O_prev=o_prev,
-                      O_next=_EMPTY, mode="fault", responders=J,
-                      part_sizes=tuple(layout.shards[j].size for j in J),
-                      redraws=redraws)
+    prev_pos = {j: i for i, j in enumerate(prev_responders or ())}
+    shared = [(prev_pos[j], i) for i, j in enumerate(J) if j in prev_pos]
+    plan = SamplePlan(S=union_of_shards(layout, J),
+                      O_prev=union_of_shards(layout, [J[i] for _, i in shared]),
+                      O_next=_EMPTY,
+                      ends=tuple(itertools.accumulate(layout.shards[j].size for j in J)),
+                      link=tuple(map(list, zip(*shared))) if shared else None,
+                      responders=J, redraws=redraws)
     return J, plan
 
 
@@ -248,28 +285,26 @@ class Strategy1Source:
         self.n, self.r, self.o, self.rng = n, r, o, rng
         self._queue = []
         self._full_batch = math.ceil(r * n) == n
-        self._pending_overlap = None
+        self._last = None
 
     def next_plan(self) -> SamplePlan:
+        last = self._last
         if not self._queue:
             self._queue = plan_strategy1_epoch(self.n, self.r, self.o, self.rng)
-            if self._full_batch and self._pending_overlap is not None:
+            if self._full_batch and last is not None:
                 # with S = whole dataset the previous overlap block is still
                 # inside the new batch, so the pair chain continues across
                 # the reshuffle; redraw O_next disjoint from it, and reorder
                 # S so that O_prev is its head block and O_next its tail
                 plan = self._queue[0]
-                o_size = plan.O_next.size
-                o_prev = self._pending_overlap
+                o_prev = last.O_next
                 outside = np.setdiff1d(plan.S, o_prev, assume_unique=True)
-                o_next = self.rng.choice(outside, o_size)
+                o_next = self.rng.choice(outside, plan.O_next.size)
                 middle = plan.S[~np.isin(plan.S, np.concatenate([o_prev, o_next]))]
-                self._queue[0] = SamplePlan(S=np.concatenate([o_prev, middle, o_next]),
-                                            O_prev=o_prev, O_next=o_next,
-                                            mode="strategy1")
-        plan = self._queue.pop(0)
-        self._pending_overlap = plan.O_next if plan.O_next.size else None
-        return plan
+                self._queue[0] = _strategy1_plan(np.concatenate([o_prev, middle, o_next]),
+                                                 o_prev, o_next, last)
+        self._last = self._queue.pop(0)
+        return self._last
 
     def epoch_boundary(self):
         pass
@@ -282,13 +317,10 @@ class Strategy2Source:
     def __init__(self, n: int, r: float, o: float, rng: SeededRng):
         strategy_batch_sizes(n, r, o)
         self.n, self.r, self.o, self.rng = n, r, o, rng
-        self._prev_overlap = None
+        self._prev_overlap = _EMPTY
 
     def next_plan(self) -> SamplePlan:
-        plan = plan_strategy2(self.n, self.r, self.o, self.rng)
-        if self._prev_overlap is not None:
-            plan = SamplePlan(S=plan.S, O_prev=self._prev_overlap,
-                              O_next=plan.O_next, mode="strategy2")
+        plan = plan_strategy2(self.n, self.r, self.o, self.rng, self._prev_overlap)
         self._prev_overlap = plan.O_next
         return plan
 
@@ -327,7 +359,7 @@ class SerialSource:
 
     def next_plan(self) -> SamplePlan:
         S = np.array([self.rng.integers(self.n)], dtype=np.int64)
-        return SamplePlan(S=S, O_prev=_EMPTY, O_next=_EMPTY, mode="serial")
+        return SamplePlan(S=S, O_prev=_EMPTY, O_next=_EMPTY, ends=(1,))
 
     def epoch_boundary(self):
         pass

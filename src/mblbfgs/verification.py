@@ -8,6 +8,7 @@ asserts a specific level.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,6 @@ import numpy as np
 from .driver import RunConfig, RunTrace, constant, diminishing, run
 from .engine import LbfgsMemory
 from .errors import UsageError
-from .linalg import norm
 from .objectives import Objective
 
 
@@ -117,7 +117,9 @@ def check_secant(memory: LbfgsMemory, tol: float = 1e-10) -> OracleReport:
         raise UsageError("secant check needs a nonempty memory")
     H = memory.dense_inverse()
     newest = memory.pairs[-1]
-    resid = norm(H @ newest.y - newest.s) / max(norm(newest.s), 1e-300)
+    r = H @ newest.y - newest.s
+    resid = (math.sqrt(float(np.dot(r, r)))
+             / max(math.sqrt(float(np.dot(newest.s, newest.s))), 1e-300))
     return OracleReport(
         property_id="secant", trials=1, max_violation=resid,
         passed=resid <= tol, details={"residual": resid})

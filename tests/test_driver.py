@@ -19,7 +19,7 @@ from mblbfgs import (
     sqrt_horizon,
     take_step,
 )
-from mblbfgs.driver import form_pair
+from mblbfgs.driver import _average, form_pair
 from mblbfgs.objectives import Objective
 
 from test_objectives import dataset_from_rows
@@ -261,6 +261,23 @@ class TestRunLoop:
 
 
 class TestEvaluationAccounting:
+    def test_part_sums_add_left_to_right(self):
+        # np.sum pairs the terms from 8 parts up, also the gradient rows when
+        # d = 1; reruns and the golden traces need the parts added in order
+        objective = logistic_l2(make_synthetic(20, 1, 1, seed=0))
+        rng = np.random.default_rng(0)
+        w = np.array([0.3])
+        for _ in range(50):
+            k = int(rng.integers(1, 17))
+            G = rng.normal(size=(k, 1)) * 10.0 ** rng.integers(-8, 8, size=(k, 1))
+            L = np.abs(G[:, 0]) * rng.uniform(1, 2, size=k)
+            g_seq, l_seq = G[0], float(L[0])
+            for g, loss in zip(G[1:], L[1:].tolist()):
+                g_seq, l_seq = g_seq + g, l_seq + loss
+            grad, loss = _average(objective, w, G, L, 20 * k)
+            ref_grad, ref_loss = objective.average(w, g_seq, l_seq, 20 * k)
+            assert np.array_equal(grad, ref_grad) and loss == ref_loss
+
     def test_strategy1_never_evaluates_twice_per_iterate(self, small_logistic):
         ledger = []
         cfg = RunConfig(method="robust_lbfgs", mode="strategy1",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mblbfgs import LbfgsMemory, NumericError, UsageError, axpy, cautious_accept, dot
+from mblbfgs import LbfgsMemory, NumericError, UsageError, cautious_accept
 from conftest import random_admitted_memory
 
 
@@ -14,25 +14,25 @@ def vec(*xs):
 
 
 def reference_direction(mem, g):
-    """The two-loop recursion written with ``linalg.dot``/``axpy``, one
-    wrapped operation per step (the arithmetic ``direction`` must keep)."""
+    """The two-loop recursion with one numpy operation per step, in the
+    operand order ``direction`` must keep."""
     if mem.scaling != "bb":
         gamma = mem.scaling
     elif mem.pairs:
         newest = mem.pairs[-1]
-        gamma = dot(newest.s, newest.y) / dot(newest.y, newest.y)
+        gamma = float(np.dot(newest.s, newest.y)) / float(np.dot(newest.y, newest.y))
     else:
         gamma = 1.0
     q = g.copy()
     alphas = np.zeros(len(mem.pairs))
     for i in range(len(mem.pairs) - 1, -1, -1):
         pair = mem.pairs[i]
-        alphas[i] = pair.rho * dot(pair.s, q)
-        q = axpy(-alphas[i], pair.y, q)
+        alphas[i] = pair.rho * float(np.dot(pair.s, q))
+        q = -alphas[i] * pair.y + q
     r = gamma * q
     for i, pair in enumerate(mem.pairs):
-        beta = pair.rho * dot(pair.y, r)
-        r = axpy(alphas[i] - beta, pair.s, r)
+        beta = pair.rho * float(np.dot(pair.y, r))
+        r = (alphas[i] - beta) * pair.s + r
     return -r
 
 
@@ -90,6 +90,17 @@ class TestAdmission:
         mem = LbfgsMemory(5, cautious_eps=0.0)
         assert not mem.admit(np.ones(3), np.zeros(3))
         assert len(mem) == 0
+
+    def test_underflowing_curvature_norm_rejected(self):
+        # y's = 1e-13 > 0 passes the cautious test at eps = 0, and the rho
+        # guard reads 0 once y'y underflows; storing the pair would divide
+        # by y'y = 0 in the next scaling
+        mem = LbfgsMemory(5, cautious_eps=0.0)
+        s, y = np.array([1e150]), np.array([1e-163])
+        assert float(np.dot(y, y)) == 0.0 and float(np.dot(y, s)) > 0.0
+        assert not mem.admit(s, y)
+        assert len(mem) == 0
+        assert np.array_equal(mem.direction(np.array([2.0])), np.array([-2.0]))
 
     def test_overflowing_products_rejected_without_a_warning(self):
         mem = LbfgsMemory(5)

@@ -1,78 +1,12 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import sparse
 
-from mblbfgs import DataError, Dataset, UsageError, axpy, dot
-from mblbfgs.linalg import as_vector, norm
+from mblbfgs import DataError, Dataset
 
 
 def vec(*xs):
     return np.array(xs, dtype=np.float64)
-
-
-class TestDot:
-    def test_hand_arithmetic(self):
-        assert dot(vec(1, 2, 3), vec(4, 5, 6)) == 32.0
-
-    def test_zero(self):
-        x = np.random.default_rng(0).normal(size=17)
-        assert dot(x, np.zeros(17)) == 0.0
-
-    def test_against_compensated_summation(self):
-        rng = np.random.default_rng(42)
-        for _ in range(5):
-            a = rng.normal(size=1000) * rng.choice([1e-6, 1.0, 1e6], size=1000)
-            b = rng.normal(size=1000)
-            exact = math.fsum(float(x) * float(y) for x, y in zip(a, b))
-            assert abs(dot(a, b) - exact) <= 1e-12 * max(abs(exact), 1e-30)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(UsageError):
-            dot(vec(1, 2), vec(1, 2, 3))
-
-    def test_rerun_bit_identical(self):
-        rng = np.random.default_rng(3)
-        a, b = rng.normal(size=257), rng.normal(size=257)
-        assert dot(a, b) == dot(a.copy(), b.copy())
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_symmetric_and_psd(self, seed):
-        rng = np.random.default_rng(seed)
-        x, y = rng.normal(size=9), rng.normal(size=9)
-        assert dot(x, y) == dot(y, x)
-        assert dot(x, x) >= 0
-        assert dot(np.zeros(9), np.zeros(9)) == 0.0
-
-
-class TestAxpy:
-    def test_identity(self):
-        x, y = vec(1, 2, 3), vec(4, 5, 6)
-        assert np.array_equal(axpy(0.0, x, y), y)
-
-    def test_cancellation(self):
-        x = vec(3, -7, 0.5)
-        assert np.array_equal(axpy(1.0, x, -x), np.zeros(3))
-
-    def test_hand_arithmetic(self):
-        assert np.array_equal(axpy(2.0, vec(1, 1), vec(3, 4)), vec(5, 6))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(UsageError):
-            axpy(1.0, vec(1), vec(1, 2))
-
-    @given(st.integers(0, 2**31 - 1), st.floats(-10, 10), st.floats(-10, 10))
-    @settings(max_examples=25, deadline=None)
-    def test_linearity(self, seed, a, b):
-        rng = np.random.default_rng(seed)
-        x, y = rng.normal(size=6), rng.normal(size=6)
-        lhs = axpy(a, x, axpy(b, x, y))
-        rhs = axpy(a + b, x, y)
-        assert np.allclose(lhs, rhs, rtol=0, atol=1e-12 * (1 + np.abs(rhs).max()))
 
 
 def csr(rows, d):
@@ -109,7 +43,7 @@ class TestSparse:
         w = rng.normal(size=d)
         z = ds.X.dot(w)
         for i, row in enumerate(dense):
-            assert z[i] == pytest.approx(dot(row, w), rel=1e-14)
+            assert z[i] == pytest.approx(float(np.dot(row, w)), rel=1e-14)
 
     def test_out_of_range_index(self):
         with pytest.raises(DataError, match="example 1"):
@@ -174,12 +108,3 @@ class TestDataset:
             assert np.array_equal(ds.X.indices[lo:hi], idx)
             assert np.array_equal(ds.X.data[lo:hi], val)
             assert ds.y[i] == labels[i]
-
-
-def test_as_vector_rejects_matrices():
-    with pytest.raises(UsageError):
-        as_vector(np.zeros((2, 2)))
-
-
-def test_norm():
-    assert norm(vec(3, 4)) == 5.0

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mblbfgs import ConfigurationError, SeededRng, make_layout, plan_fault, reshard
-from mblbfgs.driver import _plan_parts
 from mblbfgs.sampling import (
     FaultSource,
     SerialSource,
@@ -243,13 +242,21 @@ def _plan_stream(mode, n, r, o, nodes, p, seed, count=40):
     None when the sizes are not a valid configuration."""
     rng = SeededRng(seed)
     try:
-        src = make_plan_source(mode, n, rng, r=r, o=o, nodes=nodes, fail_prob=p)
+        src = (SerialSource(n, rng) if mode == "serial" else
+               make_plan_source(mode, n, rng, r=r, o=o, nodes=nodes, fail_prob=p))
         plans = [src.next_plan() for _ in range(count)]
     except ConfigurationError:
         return None
     return getattr(src, "layout", None), plans
 
 
+def _part_rows(plan, parts):
+    """The set of rows of ``plan`` in the listed parts (blocks of S)."""
+    starts = (0,) + plan.ends[:-1]
+    return {int(i) for j in parts for i in plan.S[starts[j]:plan.ends[j]]}
+
+
+_ALL_SOURCES = ["strategy1", "strategy2", "fault", "serial"]
 _plan_params = dict(
     n=st.integers(2, 300), r=st.floats(0.01, 1.0), o=st.floats(0.01, 0.99),
     nodes=st.integers(1, 12), p=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1),
@@ -257,18 +264,41 @@ _plan_params = dict(
 
 
 class TestPlanInvariants:
-    @given(mode=st.sampled_from(["strategy1", "strategy2", "fault"]), **_plan_params)
+    @given(mode=st.sampled_from(_ALL_SOURCES), **_plan_params)
     @settings(max_examples=60, deadline=None)
     def test_parts_partition_the_batch(self, mode, n, r, o, nodes, p, seed):
         stream = _plan_stream(mode, n, r, o, min(nodes, n), p, seed)
         assume(stream is not None)
         for plan in stream[1]:
-            parts = np.concatenate([idx for _, idx in _plan_parts(plan)])
-            assert parts.size == plan.S.size  # pairwise disjoint ...
-            assert np.array_equal(np.sort(parts), np.sort(plan.S))  # ... covering S
-            if mode != "strategy2":
-                # consecutive blocks of S, which the driver evaluates as is
-                assert np.array_equal(parts, plan.S)
+            # the parts are the blocks of S between consecutive ends: non-empty
+            # when the ends strictly increase, covering S when the last is
+            # S.size, and disjoint when S holds no index twice
+            assert np.all(np.diff(plan.ends, prepend=0) > 0)
+            assert plan.ends[-1] == plan.S.size
+            assert np.unique(plan.S).size == plan.S.size
+            if mode == "strategy2":
+                assert np.array_equal(plan.S[:plan.O_next.size], plan.O_next)
+
+    @given(mode=st.sampled_from(_ALL_SOURCES), **_plan_params)
+    @settings(max_examples=80, deadline=None)
+    def test_link_names_the_overlap_in_both_plans(self, mode, n, r, o, nodes, p, seed):
+        # both gradients of a curvature pair are sums over the parts that
+        # link names, so those rows must be O_prev at both iterates
+        stream = _plan_stream(mode, n, r, o, min(nodes, n), p, seed)
+        assume(stream is not None)
+        plans = stream[1]
+        assert plans[0].link is None
+        for prev, plan in zip(plans, plans[1:]):
+            if plan.O_prev.size == 0:
+                assert plan.link is None
+                continue
+            prev_parts, parts = plan.link
+            overlap = set(plan.O_prev.tolist())
+            assert _part_rows(prev, prev_parts) == overlap
+            # only strategy 2 draws O_prev apart from the new batch
+            assert (parts is None) == (mode == "strategy2")
+            if parts is not None:
+                assert _part_rows(plan, parts) == overlap
 
     @given(mode=st.sampled_from(["strategy1", "strategy2"]), **_plan_params)
     @settings(max_examples=60, deadline=None)
@@ -301,5 +331,4 @@ class TestPlanInvariants:
             src.epoch_boundary()
             assert plan.S.shape == (1,) and 0 <= plan.S[0] < n
             assert plan.O_prev.size == 0 and plan.O_next.size == 0
-            parts = [idx for _, idx in _plan_parts(plan)]
-            assert np.array_equal(np.concatenate(parts), plan.S)
+            assert plan.ends == (1,) and plan.link is None
