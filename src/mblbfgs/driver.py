@@ -224,7 +224,7 @@ def _full_metrics(objective: Objective, w: Vector) -> tuple:
     """Full-data gradient norm, loss and training accuracy (metrology)."""
     full = objective.eval_full(w)
     return (math.sqrt(float(np.dot(full.gradient, full.gradient))), full.loss,
-            objective.accuracy(w))
+            full.accuracy)
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,9 @@ from .errors import ConfigurationError, UsageError
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
+# consecutive all-failed fault draws after which plan_fault gives up
+MAX_REDRAWS = 10_000
+
 
 class SeededRng:
     """Deterministic random stream (Philox 4x64 counter-based generator).
@@ -250,10 +253,12 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
     """Draw the responding node set and the resulting batch.
 
     Each node independently responds with probability 1 - p. An all-failed
-    draw is redrawn (and counted). The overlap with the previous iteration
-    is the union of shards whose nodes responded both times. Each responding
-    node's shard is one part of the batch, so the positions of the repeat
-    responders in both draws link O_prev to the parts of both plans.
+    draw is redrawn (and counted); ``MAX_REDRAWS`` of them in a row raise
+    ``ConfigurationError``, since p is then too close to 1 for the node
+    count. The overlap with the previous iteration is the union of shards
+    whose nodes responded both times. Each responding node's shard is one
+    part of the batch, so the positions of the repeat responders in both
+    draws link O_prev to the parts of both plans.
     """
     p = layout.fail_prob
     redraws = 0
@@ -262,6 +267,10 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
         if responded.any():
             break
         redraws += 1
+        if redraws == MAX_REDRAWS:
+            raise ConfigurationError(
+                f"{MAX_REDRAWS} consecutive draws had no responding node at "
+                f"failure probability {p} with {layout.node_count} nodes")
     J = tuple(int(j) for j in np.nonzero(responded)[0])
     prev_pos = {j: i for i, j in enumerate(prev_responders or ())}
     shared = [(prev_pos[j], i) for i, j in enumerate(J) if j in prev_pos]

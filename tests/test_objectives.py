@@ -16,6 +16,7 @@ from mblbfgs import (
     quadratic,
     sigmoid_lsq,
 )
+from mblbfgs import objectives
 from mblbfgs.objectives import KINDS, Objective, make_objective
 
 
@@ -144,7 +145,7 @@ class TestSubsetSemantics:
         assert total / obj.n == pytest.approx(obj.eval_full(w).loss, abs=1e-10)
 
     def test_empty_subset_rejected(self, small_logistic):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="empty subset"):
             small_logistic.eval_subset(np.zeros(small_logistic.d), [])
 
     def test_out_of_range_subset(self, small_logistic):
@@ -159,10 +160,33 @@ class TestSubsetSemantics:
         with pytest.raises(UsageError, match="out of range"):
             small_logistic.eval_sums(np.zeros(small_logistic.d), subset)
 
+    @pytest.mark.parametrize("subset", [
+        [True, False],                  # a mask was read as rows 1 and 0
+        np.array([False, True, True]),
+        [0.5, 1.7],                     # floats were truncated to rows 0 and 1
+        np.array([2.0]),
+        [[0, 1], [2, 3]],               # raised scipy's IndexError
+        np.zeros((1, 1), dtype=np.int64),
+    ])
+    @pytest.mark.parametrize("method", ["eval_sums", "eval_subset"])
+    def test_subsets_that_are_not_integer_vectors_rejected(self, small_logistic, subset, method):
+        with pytest.raises(UsageError, match="1-D sequence of integer"):
+            getattr(small_logistic, method)(np.zeros(small_logistic.d), subset)
+
     @pytest.mark.parametrize("ends", [[], [3], [2, 5], [3, 1, 4], [-1, 4]])
     def test_eval_sums_rejects_bad_part_ends(self, small_logistic, ends):
         with pytest.raises(UsageError, match="part ends"):
             small_logistic.eval_sums(np.zeros(small_logistic.d), [0, 1, 2, 3], ends)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_full_evaluation_carries_the_accuracy(self, small_dataset, kind):
+        obj = make_objective(kind, small_dataset, sigma=0.01)
+        for w in (np.zeros(obj.d), np.linspace(-1, 1, obj.d)):
+            # the sign rule: a margin >= 0 predicts +1
+            pred = np.where(obj.X.dot(w) >= 0, 1.0, -1.0)
+            expected = 0.0 if kind == "quadratic" else float(np.mean(pred == obj.labels))
+            assert obj.eval_full(w).accuracy == obj.accuracy(w) == expected
+        assert obj.eval_subset(np.zeros(obj.d), [0]).accuracy is None
 
     def test_accuracy_perfect_on_plant(self, sep_logistic):
         # a separable dataset admits a perfect classifier; after training,
@@ -192,6 +216,51 @@ class TestFusedParts:
             else:  # an empty part sums to zero
                 assert not G[k].any() and L[k] == 0.0
             start = end
+
+
+def _random_values(rng, size):
+    """Values with random signs and mantissas, most of magnitude near 1
+    (where the order of a sum shows in its last bits), the rest anywhere in
+    1e-100 .. 1e100."""
+    decades = np.where(rng.random(size) < 0.8, rng.integers(-1, 2, size),
+                       rng.integers(-100, 101, size))
+    return rng.uniform(-1, 1, size) * 10.0 ** decades
+
+
+def _sums_or_error(obj, w, rows, ends):
+    try:
+        G, L = obj.eval_sums(w, rows, ends)
+    except NumericError as exc:
+        return str(exc)
+    return G.tobytes(), L.tobytes()
+
+
+class TestGatherBranches:
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_numpy_and_scipy_gathers_give_the_same_bytes(self, kind, data):
+        n = data.draw(st.integers(1, 25), label="n")
+        d = data.draw(st.integers(1, 12), label="d")
+        density = data.draw(st.floats(0, 1), label="density")
+        empty_rows = data.draw(st.floats(0, 1), label="empty_rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        stored = (rng.random((n, d)) < density) & (rng.random((n, 1)) >= empty_rows)
+        values = np.zeros((n, d))
+        values[stored] = _random_values(rng, int(stored.sum()))
+        X = sparse.csr_matrix(values)
+        labels = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+        obj = make_objective(kind, Dataset(X, labels), sigma=0.01)
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40),
+                         label="rows")
+        cuts = data.draw(st.lists(st.integers(0, len(rows)), max_size=6), label="cuts")
+        ends = sorted(cuts) + [len(rows)]
+        w = _random_values(rng, d)
+        results = []
+        for threshold in (-1, 10**12):  # force the scipy, then the numpy gather
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(objectives, "_SMALL_BATCH_ENTRIES", threshold)
+                results.append(_sums_or_error(obj, w, rows, ends))
+        assert results[0] == results[1]
 
 
 class TestNumericGuards:

@@ -170,6 +170,13 @@ class TestFaultMode:
             seen_redraw = seen_redraw or plan.redraws > 0
         assert seen_redraw
 
+    def test_redraws_are_bounded(self):
+        # one node failing with p = 1 - 1e-9 would redraw practically forever
+        layout = make_layout(10, 1, 1.0 - 1e-9)
+        with pytest.raises(ConfigurationError,
+                           match=r"failure probability 0\.999999999 with 1 nodes"):
+            plan_fault(layout, SeededRng(0))
+
     def test_mean_responders(self):
         layout = make_layout(160, 16, 0.3)
         rng = SeededRng(7)
