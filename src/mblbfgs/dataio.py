@@ -21,37 +21,11 @@ def parse_libsvm(path, dimension: int | None = None) -> Dataset:
     follow either the {0,1} or the {-1,+1} convention; both are mapped to
     {-1,+1}. The dimension defaults to the largest index seen.
     """
-    labels, indices, values, indptr = [], [], [], [0]
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            label = _LABEL_MAP.get(tokens[0])
-            if label is None:
-                raise DataError(f"line {lineno}: unrecognized label {tokens[0]!r}")
-            row_start = len(indices)
-            for col, tok in enumerate(tokens[1:], start=2):
-                try:
-                    raw_idx, raw_val = tok.split(":", 1)
-                    idx = int(raw_idx) - 1
-                    val = float(raw_val)
-                except ValueError:
-                    raise DataError(
-                        f"line {lineno}, token {col}: cannot parse {tok!r}") from None
-                if idx < 0:
-                    raise DataError(f"line {lineno}, token {col}: index must be >= 1")
-                if len(indices) > row_start and idx <= indices[-1]:
-                    raise DataError(
-                        f"line {lineno}, token {col}: indices must be strictly increasing")
-                if not math.isfinite(val):
-                    raise DataError(
-                        f"line {lineno}, token {col}: non-finite value {tok!r}")
-                indices.append(idx)
-                values.append(val)
-            labels.append(label)
-            indptr.append(len(indices))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            labels, indices, values, indptr = _parse_lines(fh)
+    except UnicodeDecodeError:
+        raise DataError(_undecodable_line(path)) from None
     if not labels:
         raise DataError(f"{path}: no examples found")
     d = dimension if dimension is not None else max(indices, default=-1) + 1
@@ -61,6 +35,55 @@ def parse_libsvm(path, dimension: int | None = None) -> Dataset:
         (np.array(values, dtype=np.float64), np.array(indices, dtype=np.int64),
          np.array(indptr, dtype=np.int64)), shape=(len(labels), d))
     return Dataset(X, np.array(labels, dtype=np.float64))
+
+
+def _parse_lines(lines) -> tuple:
+    """``(labels, indices, values, indptr)`` of the LIBSVM text ``lines``."""
+    labels, indices, values, indptr = [], [], [], [0]
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        label = _LABEL_MAP.get(tokens[0])
+        if label is None:
+            raise DataError(f"line {lineno}: unrecognized label {tokens[0]!r}")
+        row_start = len(indices)
+        for col, tok in enumerate(tokens[1:], start=2):
+            try:
+                raw_idx, raw_val = tok.split(":", 1)
+                idx = int(raw_idx) - 1
+                val = float(raw_val)
+            except ValueError:
+                raise DataError(
+                    f"line {lineno}, token {col}: cannot parse {tok!r}") from None
+            if idx < 0:
+                raise DataError(f"line {lineno}, token {col}: index must be >= 1")
+            if len(indices) > row_start and idx <= indices[-1]:
+                raise DataError(
+                    f"line {lineno}, token {col}: indices must be strictly increasing")
+            if not math.isfinite(val):
+                raise DataError(
+                    f"line {lineno}, token {col}: non-finite value {tok!r}")
+            indices.append(idx)
+            values.append(val)
+        labels.append(label)
+        indptr.append(len(indices))
+    return labels, indices, values, indptr
+
+
+def _undecodable_line(path) -> str:
+    """Message naming the first line of ``path`` that is not valid UTF-8,
+    counted as text-mode reading counts lines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        lineno = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        return f"line {lineno}: not valid UTF-8 (byte 0x{data[exc.start]:02x})"
+    return f"{path}: not valid UTF-8"
 
 
 def serialize_libsvm(dataset: Dataset, path) -> None:

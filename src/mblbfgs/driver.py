@@ -18,15 +18,16 @@ Methods:
 All four run through the one loop in ``run``: each iteration draws a
 ``SamplePlan`` from a plan source, evaluates the batch and takes a step.
 The loop does not know the sampling mode; the plan carries the layout. One
-``Objective.eval_sums(w, plan.S, plan.ends)`` call per batch gathers its
-rows once and returns the gradient and loss sums of every part (one row of
-``G``/``L`` each). The batch gradient adds all rows, and an overlap
-gradient adds the rows that ``plan.link`` names, so both gradients of a
-curvature pair are sums over the same index set O_k. Serial SGD is the
-source of one-example plans with empty overlaps (``sampling.SerialSource``),
-so it gets the same stopping rules, divergence check and abort strings as
-the batch methods. The methods without memory (``multibatch_gd``,
-``serial_sgd``) step along -g.
+``Objective.eval_sums(w, plan.rows, plan.spans)`` call per batch returns the
+gradient and loss sums of every part (one row of ``G``/``L`` each), from
+one gather of the parts' rows or, for the fixed row order of fault mode,
+from the objective's cached block of that order. The batch gradient adds
+all rows, and an overlap gradient adds the rows that ``plan.link`` names,
+so both gradients of a curvature pair are sums over the same index set
+O_k. Serial SGD is the source of one-example plans with empty overlaps
+(``sampling.SerialSource``), so it gets the same stopping rules,
+divergence check and abort strings as the batch methods. The methods
+without memory (``multibatch_gd``, ``serial_sgd``) step along -g.
 
 Epoch accounting charges |S_k|/n per batch-gradient evaluation, plus
 |O_k|/n when O_k is not made of parts of the new batch (strategy 2), where
@@ -202,11 +203,10 @@ def form_pair(objective: Objective, w_prev: Vector, w_next: Vector,
 def _eval_parts(objective: Objective, w: Vector, plan: SamplePlan,
                 ledger, tag) -> tuple:
     """(G, L): gradient and loss sums of each part of the batch."""
-    G, L = objective.eval_sums(w, plan.S, plan.ends)
+    G, L = objective.eval_sums(w, plan.rows, plan.spans)
     if ledger is not None:
-        starts = (0,) + plan.ends[:-1]
-        ledger.extend((tag, i, plan.S[a:b])
-                      for i, (a, b) in enumerate(zip(starts, plan.ends)))
+        ledger.extend((tag, i, plan.rows[a:b])
+                      for i, (a, b) in enumerate(plan.spans))
     return G, L
 
 
@@ -261,17 +261,17 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
     plan = source.next_plan()
     try:
         G, L = _eval_parts(objective, w, plan, eval_ledger, 0)
-        g_S, loss_S = _average(objective, w, G, L, plan.S.size)
+        g_S, loss_S = _average(objective, w, G, L, plan.sample_size)
         grad_norm, full_loss, train_acc = _full_metrics(objective, w)
     except NumericError as exc:
         return RunTrace(records, f"numeric: {exc}", w, memory, config)
-    epoch = plan.S.size / n
+    epoch = plan.sample_size / n
     divergence_limit = config.divergence_factor * max(abs(full_loss), 1e-12)
 
     records.append(TraceRecord(
         k=0, epoch=epoch, grad_norm=grad_norm, subset_loss=loss_S,
         full_loss=full_loss, train_acc=train_acc, pair_accepted=0,
-        sample_size=int(plan.S.size), overlap_size=int(plan.O_prev.size),
+        sample_size=int(plan.sample_size), overlap_size=int(plan.O_prev.size),
         redraws=plan.redraws, wallclock=0.0))
 
     if config.grad_tol is not None and grad_norm <= config.grad_tol:
@@ -297,11 +297,11 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
         try:
             G_next, L_next = _eval_parts(objective, w_next, plan_next, eval_ledger, k + 1)
             g_S_next, loss_S_next = _average(objective, w_next, G_next, L_next,
-                                             plan_next.S.size)
+                                             plan_next.sample_size)
         except NumericError as exc:
             aborted = f"numeric: {exc}"
             break
-        epoch += plan_next.S.size / n
+        epoch += plan_next.sample_size / n
 
         pair_accepted = 0
         overlap = plan_next.O_prev
@@ -356,7 +356,7 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
         records.append(TraceRecord(
             k=k, epoch=epoch, grad_norm=grad_norm, subset_loss=loss_S,
             full_loss=full_loss, train_acc=train_acc,
-            pair_accepted=pair_accepted, sample_size=int(plan.S.size),
+            pair_accepted=pair_accepted, sample_size=int(plan.sample_size),
             overlap_size=int(overlap.size), redraws=plan.redraws,
             wallclock=time.perf_counter() - t0))
 

@@ -14,11 +14,24 @@ A subset evaluation returns the average of the per-example losses over the
 subset plus sigma/2 * ||w||^2 added once per call, so subset gradients are
 unbiased estimators of the full gradient.
 
-``eval_sums`` is the batch kernel: one call gathers a batch's rows once and
-returns the unaveraged gradient and loss sums of each of its consecutive
-parts, which the driver recombines into batch and overlap gradients.
-``average`` adds the averaging and the regularization term and raises
-``NumericError`` when either is not finite.
+``eval_sums`` is the batch kernel: one call takes a row order ``rows`` and
+the spans of it that are the batch's parts, and returns the unaveraged
+gradient and loss sums of each part, which the driver recombines into batch
+and overlap gradients. ``average`` adds the averaging and the
+regularization term and raises ``NumericError`` when either is not finite.
+
+A read-only ``rows`` (fault mode's fixed order of all shards) has its rows
+gathered into a block once it has served a second call, or a fourth when
+the one before it was replaced sooner (a reshard every epoch), and the
+block is kept until another read-only ``rows`` comes along. A call whose
+parts cover at least
+``_MIN_BLOCK_COVERAGE`` of the block reads no rows: its margins are one
+``Xb.dot(w)`` over the block, its row terms and per-entry weights are
+computed once, and each part is a contiguous slice of them. Parts with
+gaps between them (failed nodes) waste the work on the gap rows, so a call
+covering less of the block gathers its parts' rows instead. Each row's
+margin, row terms and entries are the same values summed in the same order
+on either branch, so the bytes are the same.
 
 The gather has two branches with the same result bytes. A batch whose
 expected stored entries, rows times the mean row count ``nnz / n``, are at
@@ -35,6 +48,7 @@ computes anyway, so metrology reads ``X`` once per point.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +67,32 @@ KINDS = ("logistic_l2", "sigmoid_lsq", "quadratic")
 # 60,000 624 vs 935 us. Counting a batch's exact entries would take passes
 # over its indptr that cost more than they save on large batches.
 _SMALL_BATCH_ENTRIES = 8192
+
+# Smallest fraction of a cached block's rows that a call's parts must cover
+# for eval_sums to evaluate the whole block instead of gathering the parts.
+# Measured with eval_sums on one pinned core, 5000 x 200 rows of 15 entries
+# in 16 shards, median per-call time of block over gather for logistic_l2:
+# 1.28 at 2 shards (coverage 0.125), 1.09 at 3, 0.95 at 4 (0.25), 0.86 at
+# 5, 0.70 at 8, 0.32 at 14 and 0.30 at 16; sigmoid_lsq 1.17, 1.03, 0.95,
+# 0.82, 0.68, 0.32, 0.31. The quadratic kind needs no margins and its block
+# wins at every coverage (0.25-0.47), but one rule serves all kinds.
+_MIN_BLOCK_COVERAGE = 0.25
+
+# eval_sums gathers a read-only rows array's block on the second call that
+# covers at least _MIN_BLOCK_COVERAGE of it, counting its first, or on the
+# _BLOCK_AFTER_SHORT_LIVED-th when the rows array before it was replaced
+# before that many such calls: a rows array is expected to serve about as
+# many calls as the last one. The gather costs 0.46 (coverage 0.9) to 0.70
+# (coverage 0.5) of a gather evaluation of the parts, so it pays back only
+# after one to three block calls. Fault runs that reshard every epoch keep
+# a layout for one to three calls at p <= 0.5. Replaying the eval_sums
+# calls of such runs (4 seeds, same data) against the previous kernel, a
+# block on the second call of every layout cost 1.01x, 1.31x and 1.29x per
+# call at p=0.1, 0.5 and 0.7, on the third 0.98x, 1.18x and 1.19x, and on
+# the fourth 1.00x, 1.02x and 1.04x; runs that keep their layout get
+# 0.54x, 0.77x and 0.91x.
+_BLOCK_AFTER_CALLS = 2
+_BLOCK_AFTER_SHORT_LIVED = 4
 
 
 @dataclass
@@ -92,7 +132,15 @@ class Objective:
         self.dataset = dataset
         self.sigma = float(sigma)
         self.X, self.labels = dataset.X, dataset.y
+        # the csc view X.T costs a scipy constructor per call; eval_full
+        # reuses this one
+        self._XT = self.X.T
         self._nnz = int(self.X.indptr[-1])
+        # one-entry cache of eval_sums: the last read-only rows array seen,
+        # its calls that covered enough of it, the count of such calls on
+        # which its block is gathered, and the block
+        self._block_rows = self._block = None
+        self._block_calls = self._block_after = 0
         if kind == "quadratic":
             if quad_weights is None:
                 quad_weights = np.ones(dataset.d)
@@ -118,57 +166,121 @@ class Objective:
     # per-example sums (no averaging, no regularization): the building
     # block the driver combines when a batch is evaluated in parts
     # ------------------------------------------------------------------
-    def eval_sums(self, w: Vector, subset, ends=None) -> tuple:
-        """Sums of per-example gradients and losses over consecutive parts
-        of ``subset``, gathering its rows once.
+    def eval_sums(self, w: Vector, rows, spans=None) -> tuple:
+        """Sums of per-example gradients and losses over parts of ``rows``.
 
-        ``subset`` is a 1-D sequence of integer row indices, repeats
-        allowed. ``ends`` are the cumulative ends of the parts within
-        ``subset`` (one part by default). Returns ``(G, L)``: ``G[p]`` is
-        the gradient sum and ``L[p]`` the loss sum of part ``p``. Each
-        part's sums are bit-identical to a one-part call on its slice of
-        ``subset``.
+        ``rows`` is a 1-D sequence of integer row indices, repeats allowed;
+        every entry must be a row of ``X``, evaluated or not. ``spans`` are
+        ``(start, stop)`` pairs, ascending and disjoint within ``rows``,
+        one per part (one part covering ``rows`` by default). Returns
+        ``(G, L)``: ``G[p]`` is the gradient sum and ``L[p]`` the loss sum
+        of the rows ``rows[start:stop]`` of part ``p``. Each part's sums are
+        bit-identical to a one-part call on its slice of ``rows``.
 
-        A batch of at most ``_SMALL_BATCH_ENTRIES`` expected stored entries
-        is gathered with numpy from the CSR arrays, a larger one with
-        ``X[subset]``; both give the same bytes (see the module docstring).
+        A read-only ``rows`` array is a promise that it will not change: the
+        objective keeps the gathered rows of the last one it saw and, from
+        its second call on (see ``_BLOCK_AFTER_CALLS``), evaluates parts
+        covering at least ``_MIN_BLOCK_COVERAGE`` of it as slices of that
+        block. Other calls
+        gather the rows of their parts, with numpy from the CSR arrays up to
+        ``_SMALL_BATCH_ENTRIES`` expected stored entries and with
+        ``X[rows]`` above; every branch gives the same bytes (see the
+        module docstring).
         """
-        idx = np.asarray(subset)
-        if idx.size == 0:
+        idx = np.asarray(rows)
+        if spans is None:
+            spans = ((0, idx.size),)
+        # the spans are ascending, disjoint and inside rows when the sequence
+        # a0, b0, a1, b1, ... never decreases and stays within 0..len(rows)
+        flat = list(map(int, itertools.chain.from_iterable(spans)))
+        if (not flat or len(flat) != 2 * len(spans) or flat[0] < 0
+                or flat[-1] > idx.size or flat != sorted(flat)):
+            raise UsageError("part spans must be ascending, disjoint and inside rows")
+        covered = sum(flat[1::2]) - sum(flat[::2])
+        if covered == 0:
             raise UsageError("empty subset")
         if idx.ndim != 1 or idx.dtype.kind not in "iu":
-            raise UsageError("subset must be a 1-D sequence of integer row indices")
+            raise UsageError("rows must be a 1-D sequence of integer row indices")
         idx = idx.astype(np.int64, copy=False)
-        # one reduction checks both ends: a negative index viewed as
-        # unsigned is at least 2**63
-        if idx.view(np.uint64).max() >= self.n:
-            raise UsageError("subset index out of range")
-        ends = [idx.size] if ends is None else [int(e) for e in ends]
-        if (not ends or ends[-1] != idx.size
-                or any(b < a for a, b in zip([0] + ends, ends))):
-            raise UsageError("part ends must be non-decreasing and end at the subset size")
         self._check_length(w)
-        G = np.empty((len(ends), self.d))
-        L = np.empty(len(ends))
+        read_only = not idx.flags.writeable
+        if idx is not self._block_rows or not read_only:
+            # one reduction checks both ends: a negative index viewed as
+            # unsigned is at least 2**63
+            if idx.view(np.uint64).max() >= self.n:
+                raise UsageError("subset index out of range")
+        block = self._block_for(idx, covered) if read_only else None
+        G = np.empty((len(spans), self.d))
+        L = np.empty(len(spans))
         with np.errstate(over="ignore", invalid="ignore"):
-            indptr, row_nnz, cols, vals, z = self._gather(w, idx)
-            if self.kind == "quadratic":
-                terms, weights = self._quad_csq.take(idx), vals
+            if block is not None:
+                Xb, cols, row_nnz, row_data = block
+                indptr, vals = Xb.indptr, Xb.data
+                z = None if self.kind == "quadratic" else Xb.dot(w)
+                parts = flat
             else:
-                terms, coeff = self._row_terms(z, self.labels.take(idx))
+                # parts covering all of rows are its consecutive blocks
+                sub, parts = idx, flat
+                if covered < idx.size:
+                    # gather the parts' rows, which makes them consecutive
+                    sub = np.concatenate([idx[a:b] for a, b in zip(flat[::2], flat[1::2])])
+                    ends = list(itertools.accumulate(
+                        (b - a for a, b in zip(flat[::2], flat[1::2])), initial=0))
+                    parts = [i for pair in zip(ends, ends[1:]) for i in pair]
+                indptr, row_nnz, cols, vals, z = self._gather(w, sub)
+                row_data = (self._quad_csq if self.kind == "quadratic"
+                            else self.labels).take(sub)
+            if self.kind == "quadratic":
+                terms, weights = row_data, vals
+            else:
+                terms, coeff = self._row_terms(z, row_data)
                 # each stored entry times its row's coefficient, summed per
                 # column in row order: the arithmetic of Xs.T.dot(coeff)
                 weights = vals * np.repeat(coeff, row_nnz)
-            r0 = p0 = 0
-            for k, (r1, p1) in enumerate(zip(ends, indptr[ends].tolist())):
+            # each part's first and last row and entry, taken pairwise
+            rows_at, entries_at = iter(parts), iter(indptr[parts].tolist())
+            for k, (r0, r1, p0, p1) in enumerate(zip(rows_at, rows_at,
+                                                     entries_at, entries_at)):
                 G[k] = np.bincount(cols[p0:p1], weights=weights[p0:p1],
                                    minlength=self.d)
-                L[k] = terms[r0:r1].sum()
+                # the reduction ndarray.sum runs, without its Python wrapper
+                L[k] = np.add.reduce(terms[r0:r1])
                 if self.kind == "quadratic":
                     G[k], L[k] = self._quad_sums(w, r1 - r0, G[k], L[k])
-                r0, p0 = r1, p1
-        self._check_finite(w, idx, ends, G, L)
+        self._check_finite(w, idx, flat, G, L)
         return G, L
+
+    def _block_for(self, rows, covered: int):
+        """``(Xb, cols, row_nnz, row_data)`` of the cached block of the
+        read-only ``rows`` when this call evaluates on it, else None.
+
+        ``Xb`` is ``X[rows]``, ``cols`` its column indices, ``row_nnz`` its
+        entries per row and ``row_data`` the rows' labels (per-row constants
+        for the quadratic kind). A read-only ``rows`` is remembered on first
+        sight and its block gathered on its second call that covers enough
+        of it, or on its ``_BLOCK_AFTER_SHORT_LIVED``-th when the rows array
+        before it served fewer such calls, so short-lived rows arrays cost
+        no more than gathers of their parts.
+        """
+        if rows is not self._block_rows:
+            short_lived = (self._block_rows is not None
+                           and self._block_calls < _BLOCK_AFTER_SHORT_LIVED)
+            self._block_after = (_BLOCK_AFTER_SHORT_LIVED if short_lived
+                                 else _BLOCK_AFTER_CALLS)
+            self._block_rows, self._block, self._block_calls = rows, None, 0
+        if covered < _MIN_BLOCK_COVERAGE * rows.size:
+            return None
+        self._block_calls += 1
+        if self._block is None:
+            if self._block_calls < self._block_after:
+                return None
+            Xb = self.X[rows]
+            row_data = self._quad_csq if self.kind == "quadratic" else self.labels
+            # bincount and repeat take intp columns and counts; converting
+            # once here saves a conversion per part and call
+            self._block = (Xb, Xb.indices.astype(np.intp),
+                           np.diff(Xb.indptr).astype(np.intp), row_data.take(rows))
+        return self._block
 
     def _gather(self, w: Vector, idx) -> tuple:
         """``(indptr, row_nnz, cols, vals, z)`` of the rows ``idx``: their
@@ -220,15 +332,16 @@ class Objective:
         )
         return grad_sum, loss_sum
 
-    def _check_finite(self, w: Vector, idx, ends, G, L):
+    def _check_finite(self, w: Vector, idx, flat, G, L):
         """Raise ``NumericError`` naming the first non-finite row of the first
-        part whose sums are not finite; ``idx`` None stands for all rows."""
+        part whose sums are not finite; part ``k`` is ``idx[flat[2k]:flat[2k+1]]``
+        and ``idx`` None stands for all rows."""
         if np.isfinite(L).all() and np.isfinite(G).all():
             return
         k = int(np.argmin(np.isfinite(L) & np.isfinite(G).all(axis=1)))
         if idx is None:
             idx = np.arange(self.n)
-        rows = idx[(ends[k - 1] if k else 0):ends[k]]
+        rows = idx[flat[2 * k]:flat[2 * k + 1]]
         z = self.X[rows].dot(w)
         bad = np.nonzero(~np.isfinite(_softplus(np.abs(z))) | ~np.isfinite(z))[0]
         first = rows[bad[0]] if bad.size else rows[0]
@@ -257,9 +370,9 @@ class Objective:
             else:
                 z = X.dot(w)
                 terms, coeff = self._row_terms(z, self.labels)
-                grad_sum, loss_sum = X.T.dot(coeff), np.sum(terms)
+                grad_sum, loss_sum = self._XT.dot(coeff), np.sum(terms)
                 acc = _sign_accuracy(z, self.labels)
-        self._check_finite(w, None, [self.n], grad_sum[None, :],
+        self._check_finite(w, None, [0, self.n], grad_sum[None, :],
                            np.array([loss_sum]))
         return SubsetGradient(*self.average(w, grad_sum, loss_sum, self.n),
                               self.n, acc)

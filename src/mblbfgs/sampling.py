@@ -15,11 +15,16 @@ Serial SGD is driven by the same loop through a batch-of-one source whose
 plans have empty overlaps.
 
 Every plan also carries its evaluation layout, so the driver needs no
-knowledge of the mode: the batch is cut into parts that are consecutive
-blocks of S (strategy 1: O_prev, the middle and O_next; strategy 2: O_next
-and the rest; fault mode: one shard per responding node), and ``link``
-names the parts whose rows are O_prev in the previous plan and in this one.
-So both gradients of a curvature pair are sums over the same index set.
+knowledge of the mode: the plan names a row order ``rows`` and the spans of
+it that are the batch's parts, and ``link`` names the parts whose rows are
+O_prev in the previous plan and in this one. So both gradients of a
+curvature pair are sums over the same index set. In the multi-batch and
+serial modes ``rows`` is S itself and the parts are its consecutive blocks
+(strategy 1: O_prev, the middle and O_next; strategy 2: O_next and the
+rest). In fault mode ``rows`` is the layout's fixed order, all shards back
+to back, the same read-only array until a reshard; each responding node's
+shard is one span and failed nodes leave gaps, so no draw copies rows and
+the objective can keep that order's rows gathered (``Objective.eval_sums``).
 
 All draws come from a single named counter-based generator so a fixed seed
 replays the exact plan stream.
@@ -28,7 +33,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,35 +87,48 @@ class SamplePlan:
     set both curvature-pair gradients are evaluated on); O_next is the part
     reserved for the pair with the next batch, when known at draw time.
 
-    ``ends`` are the cumulative ends of the batch's non-empty parts, which
-    are consecutive blocks of S. ``link`` is None when O_prev is empty, and
-    otherwise a pair of position lists: the parts of the previous plan and
-    the parts of this plan whose rows are O_prev. The second entry is None
-    when O_prev is not made of this plan's parts (strategy 2), so its
-    gradient at the new iterate needs a fresh evaluation.
+    ``rows`` is the source's row order and ``spans`` holds one
+    ``(start, stop)`` pair per non-empty part of the batch, ascending and
+    disjoint within ``rows``; S is the concatenation of the parts and
+    ``sample_size`` its size, which every source knows when it draws. ``link``
+    is None when O_prev is empty, and otherwise a pair of position lists:
+    the parts of the previous plan and the parts of this plan whose rows
+    are O_prev. The second entry is None when O_prev is not made of this
+    plan's parts (strategy 2), so its gradient at the new iterate needs a
+    fresh evaluation.
     """
 
-    S: np.ndarray
+    rows: np.ndarray
+    spans: tuple
+    sample_size: int
     O_prev: np.ndarray
     O_next: np.ndarray
-    ends: tuple
     link: tuple | None = None
     responders: tuple = ()
     redraws: int = 0
 
+    @cached_property
+    def S(self) -> np.ndarray:
+        """The batch: the parts' rows in part order."""
+        if self.sample_size == self.rows.size:
+            return self.rows
+        return np.concatenate([self.rows[a:b] for a, b in self.spans])
 
-def _ends(*sizes) -> tuple:
-    """Cumulative ends of the non-empty parts with the given sizes."""
-    return tuple(itertools.accumulate(size for size in sizes if size))
+
+def _spans(*sizes) -> tuple:
+    """Consecutive spans of the non-empty parts with the given sizes."""
+    ends = list(itertools.accumulate((size for size in sizes if size), initial=0))
+    return tuple(zip(ends, ends[1:]))
 
 
 def _strategy1_plan(S, o_prev, o_next, prev) -> SamplePlan:
     """Plan whose parts are the blocks O_prev, the middle and O_next of S;
     a non-empty O_prev is the last part (O_next) of the plan ``prev``."""
-    link = ([len(prev.ends) - 1], [0]) if o_prev.size else None
-    return SamplePlan(S=S, O_prev=o_prev, O_next=o_next, link=link,
-                      ends=_ends(o_prev.size, S.size - o_prev.size - o_next.size,
-                                 o_next.size))
+    link = ([len(prev.spans) - 1], [0]) if o_prev.size else None
+    return SamplePlan(rows=S, sample_size=S.size, O_prev=o_prev, O_next=o_next,
+                      link=link,
+                      spans=_spans(o_prev.size, S.size - o_prev.size - o_next.size,
+                                   o_next.size))
 
 
 def strategy_batch_sizes(n: int, r: float, o: float) -> tuple:
@@ -182,17 +201,23 @@ def plan_strategy2(n: int, r: float, o: float, rng: SeededRng,
     S = rng.choice(n, s_size)
     O_next = rng.choice(S, o_size)
     rest = np.setdiff1d(S, O_next, assume_unique=True)
-    return SamplePlan(S=np.concatenate([O_next, rest]), O_prev=O_prev,
-                      O_next=O_next, ends=_ends(o_size, rest.size),
+    return SamplePlan(rows=np.concatenate([O_next, rest]), sample_size=s_size,
+                      O_prev=O_prev, O_next=O_next, spans=_spans(o_size, rest.size),
                       link=([0], None) if O_prev.size else None)
 
 
 @dataclass(frozen=True)
 class NodeLayout:
-    """Balanced partition of the example indices across B nodes."""
+    """Balanced partition of the example indices across B nodes.
+
+    ``rows`` holds all shards back to back, read-only; shard ``j`` is
+    ``rows[offsets[j]:offsets[j + 1]]``.
+    """
 
     shards: tuple
     fail_prob: float
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.fail_prob < 1:
@@ -200,10 +225,14 @@ class NodeLayout:
         sizes = [s.size for s in self.shards]
         if max(sizes) - min(sizes) > 1:
             raise ConfigurationError("shard sizes differ by more than 1")
-        total = np.concatenate(self.shards)
+        total = np.concatenate(self.shards).astype(np.int64, copy=False)
         n = total.size
         if np.unique(total).size != n:
             raise ConfigurationError("shards are not disjoint")
+        total.flags.writeable = False
+        object.__setattr__(self, "rows", total)
+        object.__setattr__(self, "offsets",
+                           tuple(itertools.accumulate(sizes, initial=0)))
 
     @property
     def node_count(self) -> int:
@@ -211,7 +240,7 @@ class NodeLayout:
 
     @property
     def n(self) -> int:
-        return sum(s.size for s in self.shards)
+        return self.rows.size
 
 
 def _split_balanced(order: np.ndarray, nodes: int) -> tuple:
@@ -257,8 +286,9 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
     ``ConfigurationError``, since p is then too close to 1 for the node
     count. The overlap with the previous iteration is the union of shards
     whose nodes responded both times. Each responding node's shard is one
-    part of the batch, so the positions of the repeat responders in both
-    draws link O_prev to the parts of both plans.
+    part of the batch, a span of the layout's ``rows``, so the positions of
+    the repeat responders in both draws link O_prev to the parts of both
+    plans.
     """
     p = layout.fail_prob
     redraws = 0
@@ -274,10 +304,12 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
     J = tuple(int(j) for j in np.nonzero(responded)[0])
     prev_pos = {j: i for i, j in enumerate(prev_responders or ())}
     shared = [(prev_pos[j], i) for i, j in enumerate(J) if j in prev_pos]
-    plan = SamplePlan(S=union_of_shards(layout, J),
+    offsets = layout.offsets
+    spans = tuple((offsets[j], offsets[j + 1]) for j in J)
+    plan = SamplePlan(rows=layout.rows, spans=spans,
+                      sample_size=sum(b - a for a, b in spans),
                       O_prev=union_of_shards(layout, [J[i] for _, i in shared]),
                       O_next=_EMPTY,
-                      ends=tuple(itertools.accumulate(layout.shards[j].size for j in J)),
                       link=tuple(map(list, zip(*shared))) if shared else None,
                       responders=J, redraws=redraws)
     return J, plan
@@ -368,7 +400,8 @@ class SerialSource:
 
     def next_plan(self) -> SamplePlan:
         S = np.array([self.rng.integers(self.n)], dtype=np.int64)
-        return SamplePlan(S=S, O_prev=_EMPTY, O_next=_EMPTY, ends=(1,))
+        return SamplePlan(rows=S, spans=((0, 1),), sample_size=1, O_prev=_EMPTY,
+                          O_next=_EMPTY)
 
     def epoch_boundary(self):
         pass

@@ -46,6 +46,15 @@ def test_data_error_exit_two(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_invalid_utf8_data_exit_two(tmp_path, capsys):
+    data = tmp_path / "bytes.txt"
+    data.write_bytes(b"+1 1:0.5 2:\xff\n")
+    assert main(["--dataset", str(data), "--epochs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "line 1: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_non_finite_data_exit_two(tmp_path, capsys):
     data = tmp_path / "nan.txt"
     data.write_text("".join(f"{'+1' if i % 2 else '-1'} 1:{i} 2:1\n" for i in range(60))

@@ -54,6 +54,19 @@ class TestParseLibsvm:
             with pytest.raises(DataError, match="line 2, token 3: non-finite"):
                 parse_libsvm(path)
 
+    @pytest.mark.parametrize("text, line", [
+        (b"+1 1:0.5 2:\xff\n", 1),
+        (b"+1 1:0.5\n-1 1:1\n# caf\xe9\n", 3),     # inside a comment
+        (b"+1 1:0.5\r\n-1 1:1\r+1 2:\xc3\n", 3),  # CRLF and CR line ends
+        (b"+1 1:0.5\n" * 5000 + b"-1 1:\x80\n", 5001),  # past the first read
+    ])
+    def test_invalid_utf8_names_the_line(self, tmp_path, text, line):
+        # used to escape as a UnicodeDecodeError traceback
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=f"line {line}: not valid UTF-8"):
+            parse_libsvm(path)
+
     def test_empty_rows_kept(self, tmp_path):
         path = tmp_path / "h.txt"
         path.write_text("+1\n-1 2:1\n+1\n")

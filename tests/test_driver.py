@@ -298,9 +298,10 @@ class TestEvaluationAccounting:
         calls = []
         eval_sums = Objective.eval_sums
 
-        def counting(self, w, subset, ends=None):
-            calls.append(len(subset))
-            return eval_sums(self, w, subset, ends)
+        def counting(self, w, rows, spans=None):
+            spans = [(0, len(rows))] if spans is None else spans
+            calls.append(sum(b - a for a, b in spans))
+            return eval_sums(self, w, rows, spans)
 
         monkeypatch.setattr(Objective, "eval_sums", counting)
         ledger = []

@@ -1,4 +1,4 @@
-"""Golden digests of generated data, its LIBSVM text and four run traces.
+"""Golden digests of generated data, its LIBSVM text and eight run traces.
 
 The digests pin the byte-identical rerun guarantee across refactors of the
 data path and the driver: any change to the synthetic generator's stream,
@@ -11,7 +11,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from mblbfgs import RunConfig, constant, logistic_l2, make_synthetic, run, serialize_libsvm
+from mblbfgs import (RunConfig, constant, logistic_l2, make_synthetic, quadratic, run,
+                     serialize_libsvm, sigmoid_lsq)
+from mblbfgs import objectives
 from mblbfgs.experiment import trace_csv_lines
 
 DATA_SHA256 = "388d376e38140f1f47cbd99163a4395136256b86907fd6284284cb95290b38ab"
@@ -21,6 +23,13 @@ TRACE_SHA256 = {
     "strategy2": "20cce47c8e35bb445c905bde385e7d39329d2c9efe72d5c336fd8bcae0b72b96",
     "fault": "a3a8082c425dab8e8fa3329fbffffaadfefe8a4400e0b2ab37a4e453f9b80b43",
     "serial_sgd": "b44471733089ecf267d92a42ca2991f5279767090811099b18082d5c86aad453",
+    # fault-mode paths the four above miss: a new shard layout every epoch,
+    # responder coverage low enough for the row-gather branch of eval_sums,
+    # and the two other objective kinds
+    "fault_reshard": "8e1b41dd3fc7823b9e1b9fe4223bfacabba05fce82535a4f286902b68e5c94ed",
+    "fault_p07": "018256b733d398c81819ef8ef87e0878fa9bd733c44f0c80425818a1b7b3c0ff",
+    "fault_sigmoid_lsq": "22b6faa3022b018f189ce0b7dc45c2e4720c7681c160b0f23bc8bfcebbd4d835",
+    "fault_quadratic": "f325047c7a9a8b88734e92222cb04e5cb3d395fb9279e1b505edb32976a619c5",
 }
 CONFIGS = {
     "strategy1": RunConfig(mode="strategy1", batch_frac=0.1, epochs=3, seed=0),
@@ -28,7 +37,13 @@ CONFIGS = {
     "fault": RunConfig(mode="fault", fail_prob=0.3, epochs=3, seed=0),
     "serial_sgd": RunConfig(method="serial_sgd", schedule=constant(0.05),
                             epochs=1, trace_stride=30, seed=0),
+    "fault_reshard": RunConfig(mode="fault", fail_prob=0.3, epochs=20, seed=0,
+                               reshard_each_epoch=True),
+    "fault_p07": RunConfig(mode="fault", fail_prob=0.7, epochs=10, seed=0),
+    "fault_sigmoid_lsq": RunConfig(mode="fault", fail_prob=0.3, epochs=10, seed=0),
+    "fault_quadratic": RunConfig(mode="fault", fail_prob=0.3, epochs=10, seed=0),
 }
+OBJECTIVES = {"fault_sigmoid_lsq": sigmoid_lsq, "fault_quadratic": quadratic}
 
 
 def golden_data():
@@ -52,8 +67,30 @@ def test_libsvm_text_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LIBSVM_SHA256
 
 
+def trace_digest(name):
+    objective = OBJECTIVES.get(name, logistic_l2)(golden_data())
+    trace = run(CONFIGS[name], objective)
+    text = "".join(line + "\n" for line in trace_csv_lines(trace))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_trace_digest(name):
-    trace = run(CONFIGS[name], logistic_l2(golden_data()))
-    text = "".join(line + "\n" for line in trace_csv_lines(trace))
-    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_SHA256[name]
+    assert trace_digest(name) == TRACE_SHA256[name]
+
+
+# eval_sums settings that send every fault batch down one branch: the cached
+# row block from the first call on, or a gather of the responding shards
+KERNEL_BRANCHES = {
+    "block": {"_BLOCK_AFTER_CALLS": 1, "_BLOCK_AFTER_SHORT_LIVED": 1,
+              "_MIN_BLOCK_COVERAGE": 0.0},
+    "gather": {"_MIN_BLOCK_COVERAGE": 2.0},
+}
+
+
+@pytest.mark.parametrize("branch", sorted(KERNEL_BRANCHES))
+@pytest.mark.parametrize("name", sorted(n for n in CONFIGS if n.startswith("fault")))
+def test_fault_trace_digest_on_each_kernel_branch(name, branch, monkeypatch):
+    for attr, value in KERNEL_BRANCHES[branch].items():
+        monkeypatch.setattr(objectives, attr, value)
+    assert trace_digest(name) == TRACE_SHA256[name]

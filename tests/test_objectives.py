@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -173,10 +173,28 @@ class TestSubsetSemantics:
         with pytest.raises(UsageError, match="1-D sequence of integer"):
             getattr(small_logistic, method)(np.zeros(small_logistic.d), subset)
 
-    @pytest.mark.parametrize("ends", [[], [3], [2, 5], [3, 1, 4], [-1, 4]])
-    def test_eval_sums_rejects_bad_part_ends(self, small_logistic, ends):
-        with pytest.raises(UsageError, match="part ends"):
-            small_logistic.eval_sums(np.zeros(small_logistic.d), [0, 1, 2, 3], ends)
+    @pytest.mark.parametrize("spans", [
+        [],                     # no part
+        [(0, 5)],               # past the end of rows
+        [(-1, 2)],              # before its start
+        [(2, 1)],               # reversed
+        [(0, 3), (2, 4)],       # overlapping
+        [(2, 4), (0, 1)],       # not ascending
+        [(0, 1, 2)],            # not a pair
+    ])
+    def test_eval_sums_rejects_bad_part_spans(self, small_logistic, spans):
+        with pytest.raises(UsageError, match="part spans"):
+            small_logistic.eval_sums(np.zeros(small_logistic.d), [0, 1, 2, 3], spans)
+
+    def test_rows_outside_the_spans_are_checked_too(self, small_logistic):
+        # every entry of rows is an index into X, evaluated or not, so the
+        # block and gather branches reject the same calls
+        with pytest.raises(UsageError, match="out of range"):
+            small_logistic.eval_sums(np.zeros(small_logistic.d), [0, 1, 300], [(0, 2)])
+
+    def test_spans_covering_nothing_are_an_empty_subset(self, small_logistic):
+        with pytest.raises(UsageError, match="empty subset"):
+            small_logistic.eval_sums(np.zeros(small_logistic.d), [0, 1], [(1, 1)])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_full_evaluation_carries_the_accuracy(self, small_dataset, kind):
@@ -202,20 +220,21 @@ class TestFusedParts:
     def test_each_part_equals_a_one_part_call_bitwise(self, small_dataset, kind, data):
         obj = make_objective(kind, small_dataset, sigma=0.01)
         rows = data.draw(st.lists(st.integers(0, obj.n - 1), min_size=1, max_size=150))
-        cuts = data.draw(st.lists(st.integers(0, len(rows)), max_size=16))
-        ends = sorted(cuts) + [len(rows)]
+        # spans with gaps between them, some empty
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), min_size=2,
+                                         max_size=16)))
+        spans = list(zip(cuts[::2], cuts[1::2]))
+        assume(any(b > a for a, b in spans))
         seed = data.draw(st.integers(0, 2**32 - 1))
         w = np.random.default_rng(seed).normal(size=obj.d)
-        G, L = obj.eval_sums(w, rows, ends)
-        assert G.shape == (len(ends), obj.d) and L.shape == (len(ends),)
-        start = 0
-        for k, end in enumerate(ends):
-            if end > start:
-                g, loss = obj.eval_sums(w, rows[start:end])
+        G, L = obj.eval_sums(w, rows, spans)
+        assert G.shape == (len(spans), obj.d) and L.shape == (len(spans),)
+        for k, (a, b) in enumerate(spans):
+            if b > a:
+                g, loss = obj.eval_sums(w, rows[a:b])
                 assert np.array_equal(G[k], g[0]) and L[k] == loss[0]
             else:  # an empty part sums to zero
                 assert not G[k].any() and L[k] == 0.0
-            start = end
 
 
 def _random_values(rng, size):
@@ -227,9 +246,25 @@ def _random_values(rng, size):
     return rng.uniform(-1, 1, size) * 10.0 ** decades
 
 
-def _sums_or_error(obj, w, rows, ends):
+def _random_problem(kind, data):
+    """An objective over random CSR data with empty rows and values from
+    1e-100 to 1e100, and a random iterate for it."""
+    n = data.draw(st.integers(1, 25), label="n")
+    d = data.draw(st.integers(1, 12), label="d")
+    density = data.draw(st.floats(0, 1), label="density")
+    empty_rows = data.draw(st.floats(0, 1), label="empty_rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    stored = (rng.random((n, d)) < density) & (rng.random((n, 1)) >= empty_rows)
+    values = np.zeros((n, d))
+    values[stored] = _random_values(rng, int(stored.sum()))
+    X = sparse.csr_matrix(values)
+    labels = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return make_objective(kind, Dataset(X, labels), sigma=0.01), _random_values(rng, d)
+
+
+def _sums_or_error(obj, w, rows, spans):
     try:
-        G, L = obj.eval_sums(w, rows, ends)
+        G, L = obj.eval_sums(w, rows, spans)
     except NumericError as exc:
         return str(exc)
     return G.tobytes(), L.tobytes()
@@ -239,28 +274,101 @@ class TestGatherBranches:
     @given(kind=st.sampled_from(KINDS), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_numpy_and_scipy_gathers_give_the_same_bytes(self, kind, data):
-        n = data.draw(st.integers(1, 25), label="n")
-        d = data.draw(st.integers(1, 12), label="d")
-        density = data.draw(st.floats(0, 1), label="density")
-        empty_rows = data.draw(st.floats(0, 1), label="empty_rows")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        stored = (rng.random((n, d)) < density) & (rng.random((n, 1)) >= empty_rows)
-        values = np.zeros((n, d))
-        values[stored] = _random_values(rng, int(stored.sum()))
-        X = sparse.csr_matrix(values)
-        labels = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-        obj = make_objective(kind, Dataset(X, labels), sigma=0.01)
-        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40),
+        obj, w = _random_problem(kind, data)
+        rows = data.draw(st.lists(st.integers(0, obj.n - 1), min_size=1, max_size=40),
                          label="rows")
         cuts = data.draw(st.lists(st.integers(0, len(rows)), max_size=6), label="cuts")
-        ends = sorted(cuts) + [len(rows)]
-        w = _random_values(rng, d)
+        ends = [0] + sorted(cuts) + [len(rows)]
+        spans = list(zip(ends, ends[1:]))
         results = []
         for threshold in (-1, 10**12):  # force the scipy, then the numpy gather
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(objectives, "_SMALL_BATCH_ENTRIES", threshold)
-                results.append(_sums_or_error(obj, w, rows, ends))
+                results.append(_sums_or_error(obj, w, rows, spans))
         assert results[0] == results[1]
+
+
+class TestBlockBranch:
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_block_and_gather_match_one_part_calls_bytewise(self, kind, data):
+        obj, w = _random_problem(kind, data)
+        rows = np.array(data.draw(st.lists(st.integers(0, obj.n - 1), min_size=1,
+                                           max_size=40), label="rows"), dtype=np.int64)
+        rows.flags.writeable = False
+        cuts = sorted(data.draw(st.lists(st.integers(0, rows.size), min_size=2,
+                                         max_size=12), label="cuts"))
+        # non-empty parts with gaps, some empty, between them
+        spans = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if b > a]
+        assume(spans)
+        # one-part calls on copies of the slices: writable, so gathered
+        expected = []
+        for a, b in spans:
+            part = _sums_or_error(obj, w, rows[a:b].copy(), None)
+            if isinstance(part, str):
+                expected = part  # the first failing part names the row
+                break
+            expected.append(part)
+        if not isinstance(expected, str):
+            expected = tuple(b"".join(col) for col in zip(*expected))
+        for coverage, block in ((0.0, True), (2.0, False)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(objectives, "_MIN_BLOCK_COVERAGE", coverage)
+                mp.setattr(objectives, "_BLOCK_AFTER_CALLS", 2)
+                obj._block_rows = obj._block = None
+                first = _sums_or_error(obj, w, rows, spans)   # first sight: gather
+                second = _sums_or_error(obj, w, rows, spans)  # block if covered
+                assert (obj._block is not None) == block
+            assert first == second == expected
+
+    def test_block_is_gathered_on_the_calls_that_cover_enough(self, small_logistic):
+        obj = logistic_l2(small_logistic.dataset)
+        w = np.linspace(-1, 1, obj.d)
+        rows = np.arange(obj.n)[::-1].copy()
+        for _ in range(objectives._BLOCK_AFTER_CALLS):
+            obj.eval_sums(w, rows)
+        assert obj._block_rows is None  # writable rows are never cached
+        rows.flags.writeable = False
+        wide, narrow = [(0, 100), (150, 300)], [(0, 10)]
+        expected = obj.eval_sums(w, rows.copy(), wide)
+        for _ in range(objectives._BLOCK_AFTER_CALLS - 1):
+            assert obj._block is None
+            obj.eval_sums(w, rows, narrow)  # too little of rows: not counted
+            result = obj.eval_sums(w, rows, wide)
+            assert obj._block_rows is rows
+            assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
+        result = obj.eval_sums(w, rows, wide)
+        assert obj._block is not None
+        assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
+        other = rows.copy()
+        other.flags.writeable = False
+        obj.eval_sums(w, other)
+        assert obj._block_rows is other and obj._block is None
+
+
+    def test_short_lived_rows_wait_longer_for_their_block(self, small_logistic):
+        # rows arrays replaced within a few calls (a reshard every epoch)
+        # would pay for a block they barely use
+        obj = logistic_l2(small_logistic.dataset)
+        w = np.linspace(-1, 1, obj.d)
+
+        def read_only(seed):
+            rows = np.random.default_rng(seed).permutation(obj.n)
+            rows.flags.writeable = False
+            return rows
+
+        first = read_only(0)
+        for _ in range(objectives._BLOCK_AFTER_SHORT_LIVED):
+            obj.eval_sums(w, first)  # long-lived: a block from call two
+        assert obj._block is not None
+        for seed in (1, 2):
+            rows = read_only(seed)
+            for _ in range(objectives._BLOCK_AFTER_SHORT_LIVED - 1):
+                obj.eval_sums(w, rows)
+            # the first follows a long-lived array, the second a short one
+            assert (obj._block is not None) == (seed == 1)
+        obj.eval_sums(w, rows)
+        assert obj._block is not None
 
 
 class TestNumericGuards:
@@ -296,7 +404,7 @@ class TestNumericGuards:
         obj = logistic_l2(dataset_from_rows(rows, [1, -1, 1, -1], 2), sigma=0.0)
         w = np.array([1e3, 0.0])
         with pytest.raises(NumericError, match="example 3"):
-            obj.eval_sums(w, [0, 2, 3, 1], [2, 4])
+            obj.eval_sums(w, [0, 2, 3, 1], [(0, 2), (2, 4)])
 
     def test_unknown_kind(self, small_dataset):
         with pytest.raises(UsageError):

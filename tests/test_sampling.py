@@ -258,9 +258,8 @@ def _plan_stream(mode, n, r, o, nodes, p, seed, count=40):
 
 
 def _part_rows(plan, parts):
-    """The set of rows of ``plan`` in the listed parts (blocks of S)."""
-    starts = (0,) + plan.ends[:-1]
-    return {int(i) for j in parts for i in plan.S[starts[j]:plan.ends[j]]}
+    """The set of rows of ``plan`` in the listed parts (spans of rows)."""
+    return {int(i) for j in parts for i in plan.rows[slice(*plan.spans[j])]}
 
 
 _ALL_SOURCES = ["strategy1", "strategy2", "fault", "serial"]
@@ -277,14 +276,42 @@ class TestPlanInvariants:
         stream = _plan_stream(mode, n, r, o, min(nodes, n), p, seed)
         assume(stream is not None)
         for plan in stream[1]:
-            # the parts are the blocks of S between consecutive ends: non-empty
-            # when the ends strictly increase, covering S when the last is
-            # S.size, and disjoint when S holds no index twice
-            assert np.all(np.diff(plan.ends, prepend=0) > 0)
-            assert plan.ends[-1] == plan.S.size
+            # the parts are non-empty spans of rows, ascending, disjoint and
+            # inside rows; S is their rows in order, no index twice
+            flat = [i for span in plan.spans for i in span]
+            assert all(b > a for a, b in plan.spans)
+            assert flat[0] >= 0 and flat[-1] <= plan.rows.size
+            assert all(stop <= start for stop, start in zip(flat[1::2], flat[2::2]))
+            assert np.array_equal(
+                plan.S, np.concatenate([plan.rows[a:b] for a, b in plan.spans]))
+            assert plan.sample_size == plan.S.size
             assert np.unique(plan.S).size == plan.S.size
+            if mode == "fault":
+                assert plan.rows is stream[0].rows
+            else:  # the parts cover rows, which is S
+                assert plan.rows.size == plan.S.size
             if mode == "strategy2":
                 assert np.array_equal(plan.S[:plan.O_next.size], plan.O_next)
+
+    @given(epochs=st.lists(st.booleans(), min_size=1, max_size=30),
+           n=_plan_params["n"], nodes=_plan_params["nodes"], p=_plan_params["p"],
+           seed=_plan_params["seed"])
+    @settings(max_examples=60, deadline=None)
+    def test_fault_rows_change_only_at_a_reshard(self, epochs, n, nodes, p, seed):
+        # the objective keeps the rows of the last read-only order it saw,
+        # so that order must stay one unchanged object between reshards
+        rng = SeededRng(seed)
+        src = make_plan_source("fault", n, rng, nodes=min(nodes, n), fail_prob=p,
+                               reshard_each_epoch=True)
+        rows = src.next_plan().rows
+        for boundary in epochs:
+            if boundary:
+                src.epoch_boundary()
+            plan = src.next_plan()
+            assert not plan.rows.flags.writeable
+            assert (plan.rows is rows) != boundary
+            assert np.array_equal(plan.rows, np.concatenate(src.layout.shards))
+            rows = plan.rows
 
     @given(mode=st.sampled_from(_ALL_SOURCES), **_plan_params)
     @settings(max_examples=80, deadline=None)
@@ -338,4 +365,4 @@ class TestPlanInvariants:
             src.epoch_boundary()
             assert plan.S.shape == (1,) and 0 <= plan.S[0] < n
             assert plan.O_prev.size == 0 and plan.O_next.size == 0
-            assert plan.ends == (1,) and plan.link is None
+            assert plan.spans == ((0, 1),) and plan.link is None
