@@ -18,10 +18,13 @@ Methods:
 All four run through the one loop in ``run``: each iteration draws a
 ``SamplePlan`` from a plan source, evaluates the batch and takes a step.
 The loop does not know the sampling mode; the plan carries the layout. One
-``Objective.eval_sums(w, plan.rows, plan.spans)`` call per batch returns the
-gradient and loss sums of every part (one row of ``G``/``L`` each), from
-one gather of the parts' rows or, for the fixed row order of fault mode,
-from the objective's cached block of that order. The batch gradient adds
+``Objective.eval_sums(w, plan.rows, plan.spans, plan.segments)`` call per
+batch returns the gradient and loss sums of every part (one row of
+``G``/``L`` each), from one gather of the parts' rows or, for the fixed row
+order of fault mode whose plans name the shard bounds in ``segments``,
+from the objective's cached block of that order, one keyed matvec for all
+parts. A metrology ``eval_full`` at the iterate the block was just
+evaluated at reuses that call's margins. The batch gradient adds
 all rows, and an overlap gradient adds the rows that ``plan.link`` names,
 so both gradients of a curvature pair are sums over the same index set
 O_k. Serial SGD is the source of one-example plans with empty overlaps
@@ -203,7 +206,7 @@ def form_pair(objective: Objective, w_prev: Vector, w_next: Vector,
 def _eval_parts(objective: Objective, w: Vector, plan: SamplePlan,
                 ledger, tag) -> tuple:
     """(G, L): gradient and loss sums of each part of the batch."""
-    G, L = objective.eval_sums(w, plan.rows, plan.spans)
+    G, L = objective.eval_sums(w, plan.rows, plan.spans, plan.segments)
     if ledger is not None:
         ledger.extend((tag, i, plan.rows[a:b])
                       for i, (a, b) in enumerate(plan.spans))

@@ -20,18 +20,22 @@ gradient and loss sums of each part, which the driver recombines into batch
 and overlap gradients. ``average`` adds the averaging and the
 regularization term and raises ``NumericError`` when either is not finite.
 
-A read-only ``rows`` (fault mode's fixed order of all shards) has its rows
-gathered into a block once it has served a second call, or a fourth when
-the one before it was replaced sooner (a reshard every epoch), and the
-block is kept until another read-only ``rows`` comes along. A call whose
-parts cover at least
+A read-only ``rows`` that comes with ``segments`` (fault mode's fixed order
+of all shards, and the shard bounds every span is one of) is kept as a
+block from its first call, or its fourth when the pair before it was
+replaced sooner (a reshard every epoch), until another such pair comes
+along. The block is one sparse matrix ``K`` with ``d`` rows per segment
+and one column per entry of ``rows``: column ``i`` holds the entries of
+row ``rows[i]`` at rows ``segment(i) * d + column``. A call whose parts
+cover at least
 ``_MIN_BLOCK_COVERAGE`` of the block reads no rows: its margins are one
-``Xb.dot(w)`` over the block, its row terms and per-entry weights are
-computed once, and each part is a contiguous slice of them. Parts with
-gaps between them (failed nodes) waste the work on the gap rows, so a call
-covering less of the block gathers its parts' rows instead. Each row's
-margin, row terms and entries are the same values summed in the same order
-on either branch, so the bytes are the same.
+``K.T`` matvec with ``w`` repeated per segment, and every segment's gradient
+sum comes from one ``K`` matvec with the per-row coefficients, from which
+the parts' segments are picked. Parts with gaps between them (failed
+nodes) waste the work on the gap rows, so a call covering less of the block
+gathers its parts' rows instead. Each row's margin and each gradient bin
+add the same products in the same order from 0.0 on either branch, so the
+bytes are the same.
 
 The gather has two branches with the same result bytes. A batch whose
 expected stored entries, rows times the mean row count ``nnz / n``, are at
@@ -44,7 +48,12 @@ larger batch keeps ``X[idx]`` and ``Xs.dot(w)``, which win from about
 with unusual entry counts can change which branch runs but never the result.
 
 ``eval_full`` also returns the training accuracy from the margins it
-computes anyway, so metrology reads ``X`` once per point.
+computes anyway, so metrology reads ``X`` once per point. When the last
+block call was at a ``w`` with the same bytes and the block's rows are a
+permutation of all rows, it skips ``X.dot(w)`` and the row terms and puts
+that call's margins, terms and coefficients back in row order. Comparing
+bytes, not values, keeps -0.0 apart from 0.0 and lets a NaN match itself,
+so the result is exactly what a fresh evaluation gives.
 """
 from __future__ import annotations
 
@@ -53,6 +62,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from .errors import NumericError, UsageError
@@ -71,27 +81,32 @@ _SMALL_BATCH_ENTRIES = 8192
 # Smallest fraction of a cached block's rows that a call's parts must cover
 # for eval_sums to evaluate the whole block instead of gathering the parts.
 # Measured with eval_sums on one pinned core, 5000 x 200 rows of 15 entries
-# in 16 shards, median per-call time of block over gather for logistic_l2:
-# 1.28 at 2 shards (coverage 0.125), 1.09 at 3, 0.95 at 4 (0.25), 0.86 at
-# 5, 0.70 at 8, 0.32 at 14 and 0.30 at 16; sigmoid_lsq 1.17, 1.03, 0.95,
-# 0.82, 0.68, 0.32, 0.31. The quadratic kind needs no margins and its block
-# wins at every coverage (0.25-0.47), but one rule serves all kinds.
+# in 16 shards, median per-call time of the keyed block over gather, two
+# rounds, for logistic_l2: 1.47-1.49 at 2 shards (coverage 0.125),
+# 1.21-1.23 at 3, 1.03-1.06 at 4 (0.25), 0.91 at 5, 0.66-0.67 at 8,
+# 0.41-0.42 at 14 and 0.37-0.42 at 16; sigmoid_lsq 1.28-1.36, 1.08-1.12,
+# 0.93-0.94, 0.78-0.82, 0.57-0.58, 0.37-0.42, 0.36-0.38. The quadratic kind
+# needs no margins and its block wins at every coverage (0.22-0.25), but
+# one rule serves all kinds.
 _MIN_BLOCK_COVERAGE = 0.25
 
-# eval_sums gathers a read-only rows array's block on the second call that
-# covers at least _MIN_BLOCK_COVERAGE of it, counting its first, or on the
-# _BLOCK_AFTER_SHORT_LIVED-th when the rows array before it was replaced
-# before that many such calls: a rows array is expected to serve about as
-# many calls as the last one. The gather costs 0.46 (coverage 0.9) to 0.70
-# (coverage 0.5) of a gather evaluation of the parts, so it pays back only
-# after one to three block calls. Fault runs that reshard every epoch keep
-# a layout for one to three calls at p <= 0.5. Replaying the eval_sums
-# calls of such runs (4 seeds, same data) against the previous kernel, a
-# block on the second call of every layout cost 1.01x, 1.31x and 1.29x per
-# call at p=0.1, 0.5 and 0.7, on the third 0.98x, 1.18x and 1.19x, and on
-# the fourth 1.00x, 1.02x and 1.04x; runs that keep their layout get
-# 0.54x, 0.77x and 0.91x.
-_BLOCK_AFTER_CALLS = 2
+# eval_sums builds the block of a read-only rows array with segments on the
+# first call that covers at least _MIN_BLOCK_COVERAGE of it, or on the
+# _BLOCK_AFTER_SHORT_LIVED-th when the pair before it was replaced before
+# that many such calls: a rows array is expected to serve about as many
+# calls as the last one. A build (X[rows], K and the permutation check)
+# takes about 330 us on the data above, about a gather evaluation of half
+# the shards, and the block call after it also lets the next metrology
+# reuse its margins. Replaying the eval_sums and eval_full calls of
+# robust_lbfgs runs on that data (16 nodes, 14 epochs, 4 seeds, one pinned
+# core; medians of 8-12 alternating replays per batch call, metrology
+# included), with the block on the (first, short-lived) call:
+#   layout kept, p=0.1 / 0.5: previous kernel 541 / 455 us, (1, 4)
+#   354 / 336 us, (2, 4) 386 / 347 us, (3, 5) 412 / 354 us;
+#   reshard every epoch, p=0.1 / 0.5 / 0.7: previous kernel 764 / 549 /
+#   361 us, (1, 4) 744 / 542 / 363 us, (2, 4) 772 / 551 / 368 us, (3, 5)
+#   758 / 553 / 359 us.
+_BLOCK_AFTER_CALLS = 1
 _BLOCK_AFTER_SHORT_LIVED = 4
 
 
@@ -136,11 +151,19 @@ class Objective:
         # reuses this one
         self._XT = self.X.T
         self._nnz = int(self.X.indptr[-1])
-        # one-entry cache of eval_sums: the last read-only rows array seen,
-        # its calls that covered enough of it, the count of such calls on
-        # which its block is gathered, and the block
-        self._block_rows = self._block = None
+        # one-entry cache of eval_sums: the last read-only rows array seen
+        # with segments, its segment bounds, its calls that covered enough
+        # of it, the count of such calls on which its block is built, and
+        # the block
+        self._block_rows = self._block_bounds = self._block = None
         self._block_calls = self._block_after = 0
+        # the last segments tuple given to eval_sums, with its bounds and
+        # segment index (see _segmentation)
+        self._segments = (None, None, None)
+        # the last block call's (w dtype, w bytes, inverse permutation,
+        # margins, row terms, coefficients), all in block order, which
+        # eval_full reuses at a bitwise-equal w
+        self._memo = None
         if kind == "quadratic":
             if quad_weights is None:
                 quad_weights = np.ones(dataset.d)
@@ -166,7 +189,7 @@ class Objective:
     # per-example sums (no averaging, no regularization): the building
     # block the driver combines when a batch is evaluated in parts
     # ------------------------------------------------------------------
-    def eval_sums(self, w: Vector, rows, spans=None) -> tuple:
+    def eval_sums(self, w: Vector, rows, spans=None, segments=None) -> tuple:
         """Sums of per-example gradients and losses over parts of ``rows``.
 
         ``rows`` is a 1-D sequence of integer row indices, repeats allowed;
@@ -177,15 +200,17 @@ class Objective:
         of the rows ``rows[start:stop]`` of part ``p``. Each part's sums are
         bit-identical to a one-part call on its slice of ``rows``.
 
-        A read-only ``rows`` array is a promise that it will not change: the
-        objective keeps the gathered rows of the last one it saw and, from
-        its second call on (see ``_BLOCK_AFTER_CALLS``), evaluates parts
-        covering at least ``_MIN_BLOCK_COVERAGE`` of it as slices of that
-        block. Other calls
-        gather the rows of their parts, with numpy from the CSR arrays up to
-        ``_SMALL_BATCH_ENTRIES`` expected stored entries and with
-        ``X[rows]`` above; every branch gives the same bytes (see the
-        module docstring).
+        ``segments``, when given, are the bounds ``0 = b0 <= b1 <= ... =
+        len(rows)`` of a fixed partition of ``rows`` (fault mode's shards),
+        and each span must be exactly one segment ``(b_j, b_j+1)``. A
+        read-only ``rows`` that comes with ``segments`` is a promise that
+        neither will change: the objective keeps the block of the last such
+        pair it saw and (see ``_BLOCK_AFTER_CALLS``) evaluates parts
+        covering at least ``_MIN_BLOCK_COVERAGE`` of it with one keyed
+        matvec over the block. Other calls gather the rows of their parts,
+        with numpy from the CSR arrays up to ``_SMALL_BATCH_ENTRIES``
+        expected stored entries and with ``X[rows]`` above; every branch
+        gives the same bytes (see the module docstring).
         """
         idx = np.asarray(rows)
         if spans is None:
@@ -203,84 +228,168 @@ class Objective:
             raise UsageError("rows must be a 1-D sequence of integer row indices")
         idx = idx.astype(np.int64, copy=False)
         self._check_length(w)
+        if segments is not None:
+            bounds, index = self._segmentation(segments)
+            if bounds[-1] != idx.size:
+                raise UsageError("segments must ascend from 0 to len(rows)")
+            part_segments = [index.get(pair) for pair in zip(flat[::2], flat[1::2])]
+            if None in part_segments:
+                raise UsageError("each part span must be exactly one segment")
         read_only = not idx.flags.writeable
         if idx is not self._block_rows or not read_only:
             # one reduction checks both ends: a negative index viewed as
             # unsigned is at least 2**63
             if idx.view(np.uint64).max() >= self.n:
                 raise UsageError("subset index out of range")
-        block = self._block_for(idx, covered) if read_only else None
+        block = None
+        if segments is not None and read_only:
+            block = self._block_for(idx, bounds, covered)
         G = np.empty((len(spans), self.d))
         L = np.empty(len(spans))
         with np.errstate(over="ignore", invalid="ignore"):
             if block is not None:
-                Xb, cols, row_nnz, row_data = block
-                indptr, vals = Xb.indptr, Xb.data
-                z = None if self.kind == "quadratic" else Xb.dot(w)
-                parts = flat
+                self._block_sums(w, block, flat, part_segments, G, L)
             else:
-                # parts covering all of rows are its consecutive blocks
-                sub, parts = idx, flat
-                if covered < idx.size:
-                    # gather the parts' rows, which makes them consecutive
-                    sub = np.concatenate([idx[a:b] for a, b in zip(flat[::2], flat[1::2])])
-                    ends = list(itertools.accumulate(
-                        (b - a for a, b in zip(flat[::2], flat[1::2])), initial=0))
-                    parts = [i for pair in zip(ends, ends[1:]) for i in pair]
-                indptr, row_nnz, cols, vals, z = self._gather(w, sub)
-                row_data = (self._quad_csq if self.kind == "quadratic"
-                            else self.labels).take(sub)
-            if self.kind == "quadratic":
-                terms, weights = row_data, vals
-            else:
-                terms, coeff = self._row_terms(z, row_data)
-                # each stored entry times its row's coefficient, summed per
-                # column in row order: the arithmetic of Xs.T.dot(coeff)
-                weights = vals * np.repeat(coeff, row_nnz)
-            # each part's first and last row and entry, taken pairwise
-            rows_at, entries_at = iter(parts), iter(indptr[parts].tolist())
-            for k, (r0, r1, p0, p1) in enumerate(zip(rows_at, rows_at,
-                                                     entries_at, entries_at)):
-                G[k] = np.bincount(cols[p0:p1], weights=weights[p0:p1],
-                                   minlength=self.d)
-                # the reduction ndarray.sum runs, without its Python wrapper
-                L[k] = np.add.reduce(terms[r0:r1])
-                if self.kind == "quadratic":
-                    G[k], L[k] = self._quad_sums(w, r1 - r0, G[k], L[k])
+                self._gather_sums(w, idx, flat, covered, G, L)
         self._check_finite(w, idx, flat, G, L)
         return G, L
 
-    def _block_for(self, rows, covered: int):
-        """``(Xb, cols, row_nnz, row_data)`` of the cached block of the
-        read-only ``rows`` when this call evaluates on it, else None.
+    def _segmentation(self, segments) -> tuple:
+        """``(bounds, index)`` of ``segments``: its bounds as a validated
+        list of ints, and each segment's position keyed by its ``(start,
+        stop)`` pair. The last tuple seen is remembered by identity, which
+        an immutable tuple makes safe; fault plans pass the same one on
+        every call of a layout."""
+        if segments is self._segments[0]:
+            return self._segments[1:]
+        bounds = list(map(int, segments))
+        if not bounds or bounds[0] != 0 or bounds != sorted(bounds):
+            raise UsageError("segments must ascend from 0 to len(rows)")
+        index = {pair: j for j, pair in enumerate(zip(bounds, bounds[1:]))}
+        if isinstance(segments, tuple):
+            self._segments = (segments, bounds, index)
+        return bounds, index
 
-        ``Xb`` is ``X[rows]``, ``cols`` its column indices, ``row_nnz`` its
-        entries per row and ``row_data`` the rows' labels (per-row constants
-        for the quadratic kind). A read-only ``rows`` is remembered on first
-        sight and its block gathered on its second call that covers enough
-        of it, or on its ``_BLOCK_AFTER_SHORT_LIVED``-th when the rows array
-        before it served fewer such calls, so short-lived rows arrays cost
-        no more than gathers of their parts.
+    def _block_sums(self, w: Vector, block, flat, part_segments, G, L):
+        """Fill ``G``/``L`` with the sums of the parts ``flat`` (pairs of
+        positions in the block's rows), which are the block's segments
+        ``part_segments``, from the block's keyed matrix ``K``.
+
+        ``K`` holds block row ``i``'s entries in its column ``i``, at row
+        ``segment(i) * d + column``: ``K.T`` applied to ``w`` once per
+        segment gives the margins, and ``K`` applied to the per-row
+        coefficients gives every segment's gradient sum in one matvec. Both
+        add each row's, and each output bin's, products left to right from
+        0.0, as the gather branch does.
         """
-        if rows is not self._block_rows:
+        K, KT, row_data, inv, colsums = block
+        if self.kind == "quadratic":
+            terms, sums = row_data, colsums
+        else:
+            nseg = K.shape[0] // self.d
+            z = KT.dot(np.tile(w, nseg))
+            terms, coeff = self._row_terms(z, row_data)
+            if inv is not None:
+                # every row's margin and terms at w, for eval_full at this w
+                self._memo = (w.dtype, w.tobytes(), inv, z, terms, coeff)
+            sums = K.dot(coeff).reshape(nseg, self.d)
+        G[:] = sums[part_segments]
+        for k, (r0, r1) in enumerate(zip(flat[::2], flat[1::2])):
+            # the reduction ndarray.sum runs, without its Python wrapper
+            L[k] = np.add.reduce(terms[r0:r1])
+            if self.kind == "quadratic":
+                G[k], L[k] = self._quad_sums(w, r1 - r0, G[k], L[k])
+
+    def _gather_sums(self, w: Vector, idx, flat, covered: int, G, L):
+        """Fill ``G``/``L`` with the sums of the parts ``flat`` (pairs of
+        positions in ``idx``) from a gather of their rows."""
+        # parts covering all of idx are its consecutive blocks
+        sub, parts = idx, flat
+        if covered < idx.size:
+            # gather the parts' rows, which makes them consecutive
+            sub = np.concatenate([idx[a:b] for a, b in zip(flat[::2], flat[1::2])])
+            ends = list(itertools.accumulate(
+                (b - a for a, b in zip(flat[::2], flat[1::2])), initial=0))
+            parts = [i for pair in zip(ends, ends[1:]) for i in pair]
+        indptr, row_nnz, cols, vals, z = self._gather(w, sub)
+        if self.kind == "quadratic":
+            terms, weights = self._quad_csq.take(sub), vals
+        else:
+            terms, coeff = self._row_terms(z, self.labels.take(sub))
+            # each stored entry times its row's coefficient, summed per
+            # column in row order: the arithmetic of Xs.T.dot(coeff)
+            weights = vals * np.repeat(coeff, row_nnz)
+        # each part's first and last row and entry, taken pairwise
+        rows_at, entries_at = iter(parts), iter(indptr[parts].tolist())
+        for k, (r0, r1, p0, p1) in enumerate(zip(rows_at, rows_at,
+                                                 entries_at, entries_at)):
+            G[k] = np.bincount(cols[p0:p1], weights=weights[p0:p1],
+                               minlength=self.d)
+            L[k] = np.add.reduce(terms[r0:r1])
+            if self.kind == "quadratic":
+                G[k], L[k] = self._quad_sums(w, r1 - r0, G[k], L[k])
+
+    def _block_for(self, rows, bounds, covered: int):
+        """``(K, K.T, row_data, inv, colsums)`` of the cached block of the
+        read-only ``rows`` with segment bounds ``bounds`` when this call
+        evaluates on it, else None.
+
+        ``K`` is the keyed matrix (see ``_block_sums``), ``row_data`` the
+        rows' labels (per-row constants for the quadratic kind), ``inv``
+        the inverse permutation when ``rows`` is a permutation of all rows
+        of ``X``, else None, and ``colsums`` each segment's column sums for
+        the quadratic kind, else None. A ``(rows, bounds)`` pair is
+        remembered on first sight and its block built on its
+        ``_BLOCK_AFTER_CALLS``-th call that covers enough of it, or on its
+        ``_BLOCK_AFTER_SHORT_LIVED``-th when the pair before it served fewer
+        such calls, so short-lived pairs cost no more than gathers of their
+        parts. The block is never rebuilt while the pair lasts.
+        """
+        if rows is not self._block_rows or bounds != self._block_bounds:
             short_lived = (self._block_rows is not None
                            and self._block_calls < _BLOCK_AFTER_SHORT_LIVED)
             self._block_after = (_BLOCK_AFTER_SHORT_LIVED if short_lived
                                  else _BLOCK_AFTER_CALLS)
-            self._block_rows, self._block, self._block_calls = rows, None, 0
+            self._block_rows, self._block_bounds = rows, bounds
+            self._block, self._block_calls = None, 0
         if covered < _MIN_BLOCK_COVERAGE * rows.size:
             return None
         self._block_calls += 1
         if self._block is None:
             if self._block_calls < self._block_after:
                 return None
-            Xb = self.X[rows]
-            row_data = self._quad_csq if self.kind == "quadratic" else self.labels
-            # bincount and repeat take intp columns and counts; converting
-            # once here saves a conversion per part and call
-            self._block = (Xb, Xb.indices.astype(np.intp),
-                           np.diff(Xb.indptr).astype(np.intp), row_data.take(rows))
+            self._block = self._build_block(rows, bounds)
         return self._block
+
+    def _build_block(self, rows, bounds) -> tuple:
+        """The block of ``rows`` cut into the segments ``bounds``; see
+        ``_block_for``."""
+        Xb, d = self.X[rows], self.d
+        nseg = len(bounds) - 1
+        # each entry's row in K: its segment's offset plus its column, in
+        # Xb's index type when nseg * d fits it, so that K shares data and
+        # indptr with Xb and scipy converts nothing
+        dtype = Xb.indices.dtype
+        if nseg * d > np.iinfo(dtype).max:
+            dtype = np.int64
+        keyed = np.repeat(np.repeat(np.arange(0, nseg * d, d, dtype=dtype),
+                                    np.diff(bounds)), np.diff(Xb.indptr))
+        keyed += Xb.indices
+        K = sparse.csc_matrix((Xb.data, keyed, Xb.indptr), shape=(nseg * d, rows.size))
+        # the quadratic kind's gradient sums need only each segment's column
+        # sums, which do not depend on w
+        colsums = None
+        if self.kind == "quadratic":
+            colsums = K.dot(np.ones(rows.size)).reshape(nseg, d)
+        row_data = (self._quad_csq if self.kind == "quadratic" else self.labels).take(rows)
+        inv = None
+        if rows.size == self.n:
+            # n in-range rows are a permutation when every row occurs
+            inv = np.full(self.n, -1, dtype=np.int64)
+            inv[rows] = np.arange(self.n)
+            if inv.min() < 0:
+                inv = None
+        return K, K.T, row_data, inv, colsums
 
     def _gather(self, w: Vector, idx) -> tuple:
         """``(indptr, row_nnz, cols, vals, z)`` of the rows ``idx``: their
@@ -368,8 +477,16 @@ class Objective:
                     w, self.n, colsum, np.sum(self._quad_csq))
                 acc = 0.0
             else:
-                z = X.dot(w)
-                terms, coeff = self._row_terms(z, self.labels)
+                memo = self._memo
+                if (memo is not None and memo[0] == w.dtype
+                        and memo[1] == w.tobytes()):
+                    # the same margins and terms a fresh X.dot(w) would give,
+                    # put back in row order
+                    inv = memo[2]
+                    z, terms, coeff = (a.take(inv) for a in memo[3:])
+                else:
+                    z = X.dot(w)
+                    terms, coeff = self._row_terms(z, self.labels)
                 grad_sum, loss_sum = self._XT.dot(coeff), np.sum(terms)
                 acc = _sign_accuracy(z, self.labels)
         self._check_finite(w, None, [0, self.n], grad_sum[None, :],

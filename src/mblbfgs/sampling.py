@@ -23,8 +23,10 @@ serial modes ``rows`` is S itself and the parts are its consecutive blocks
 (strategy 1: O_prev, the middle and O_next; strategy 2: O_next and the
 rest). In fault mode ``rows`` is the layout's fixed order, all shards back
 to back, the same read-only array until a reshard; each responding node's
-shard is one span and failed nodes leave gaps, so no draw copies rows and
-the objective can keep that order's rows gathered (``Objective.eval_sums``).
+shard is one span and failed nodes leave gaps, so no draw copies rows. The
+plan's ``segments`` name the shard bounds the spans come from, so the
+objective can keep that order's rows as one block keyed by shard
+(``Objective.eval_sums``).
 
 All draws come from a single named counter-based generator so a fixed seed
 replays the exact plan stream.
@@ -90,7 +92,10 @@ class SamplePlan:
     ``rows`` is the source's row order and ``spans`` holds one
     ``(start, stop)`` pair per non-empty part of the batch, ascending and
     disjoint within ``rows``; S is the concatenation of the parts and
-    ``sample_size`` its size, which every source knows when it draws. ``link``
+    ``sample_size`` its size, which every source knows when it draws.
+    ``segments`` is None, or the bounds of the fixed partition of ``rows``
+    that every span is one segment of (fault mode: the layout's
+    ``offsets``, the same tuple for the life of the layout). ``link``
     is None when O_prev is empty, and otherwise a pair of position lists:
     the parts of the previous plan and the parts of this plan whose rows
     are O_prev. The second entry is None when O_prev is not made of this
@@ -104,6 +109,7 @@ class SamplePlan:
     O_prev: np.ndarray
     O_next: np.ndarray
     link: tuple | None = None
+    segments: tuple | None = None
     responders: tuple = ()
     redraws: int = 0
 
@@ -210,7 +216,7 @@ def plan_strategy2(n: int, r: float, o: float, rng: SeededRng,
 class NodeLayout:
     """Balanced partition of the example indices across B nodes.
 
-    ``rows`` holds all shards back to back, read-only; shard ``j`` is
+    The shards must partition 0..n-1, n being their total size. ``rows`` holds all shards back to back, read-only; shard ``j`` is
     ``rows[offsets[j]:offsets[j + 1]]``.
     """
 
@@ -223,11 +229,20 @@ class NodeLayout:
         if not 0 <= self.fail_prob < 1:
             raise ConfigurationError(f"failure probability {self.fail_prob} outside [0, 1)")
         sizes = [s.size for s in self.shards]
+        if not sizes or max(sizes) == 0:
+            raise ConfigurationError("shards hold no rows")
         if max(sizes) - min(sizes) > 1:
             raise ConfigurationError("shard sizes differ by more than 1")
-        total = np.concatenate(self.shards).astype(np.int64, copy=False)
+        total = np.concatenate(self.shards)
+        if total.dtype.kind not in "iu":
+            raise ConfigurationError("shard rows must be integers")
+        total = total.astype(np.int64, copy=False)
         n = total.size
-        if np.unique(total).size != n:
+        # n rows inside 0..n-1 with none repeated are all of them, once each;
+        # a negative row viewed as unsigned is at least 2**63
+        if total.view(np.uint64).max() >= n:
+            raise ConfigurationError(f"shard rows outside 0..{n - 1}")
+        if np.bincount(total, minlength=n).max() > 1:
             raise ConfigurationError("shards are not disjoint")
         total.flags.writeable = False
         object.__setattr__(self, "rows", total)
@@ -311,7 +326,7 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
                       O_prev=union_of_shards(layout, [J[i] for _, i in shared]),
                       O_next=_EMPTY,
                       link=tuple(map(list, zip(*shared))) if shared else None,
-                      responders=J, redraws=redraws)
+                      segments=offsets, responders=J, redraws=redraws)
     return J, plan
 
 

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mblbfgs import logistic_l2, make_synthetic, sigmoid_lsq
+
+# CI selects "ci" (HYPOTHESIS_PROFILE=ci) so that a failure replays exactly
+# from its printed blob; local runs keep exploring new examples
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

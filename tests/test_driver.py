@@ -19,6 +19,7 @@ from mblbfgs import (
     sqrt_horizon,
     take_step,
 )
+from mblbfgs import objectives
 from mblbfgs.driver import _average, form_pair
 from mblbfgs.objectives import Objective
 
@@ -298,10 +299,10 @@ class TestEvaluationAccounting:
         calls = []
         eval_sums = Objective.eval_sums
 
-        def counting(self, w, rows, spans=None):
+        def counting(self, w, rows, spans=None, segments=None):
             spans = [(0, len(rows))] if spans is None else spans
             calls.append(sum(b - a for a, b in spans))
-            return eval_sums(self, w, rows, spans)
+            return eval_sums(self, w, rows, spans, segments)
 
         monkeypatch.setattr(Objective, "eval_sums", counting)
         ledger = []
@@ -400,6 +401,52 @@ class TestFaultModeRuns:
         assert [r.grad_norm for r in t1.records] == [r.grad_norm for r in t2.records]
         # the reshard boundary forgets the previous responders
         assert any(r.overlap_size == 0 for r in t1.records[1:])
+
+    @pytest.mark.parametrize("fail_prob,epochs,reshard", [(0.1, 15.0, False),
+                                                          (0.6, 20.0, True)])
+    def test_fault_runs_use_the_keyed_block_and_the_metrology_memo(
+            self, small_logistic, monkeypatch, fail_prob, epochs, reshard):
+        # spies on the kernel's paths, so that no change can switch the fast
+        # path off silently
+        events, built = [], []
+
+        def spy(name):
+            real = getattr(Objective, name)
+
+            def wrapper(self, *args):
+                events.append(name)
+                if name == "_build_block":
+                    built.append(args[0])
+                return real(self, *args)
+            return wrapper
+
+        for name in ("_gather_sums", "_block_sums", "_build_block", "_row_terms",
+                     "eval_full"):
+            monkeypatch.setattr(Objective, name, spy(name))
+        cfg = RunConfig(method="robust_lbfgs", mode="fault", nodes=8,
+                        fail_prob=fail_prob, schedule=constant(0.1), epochs=epochs,
+                        seed=3, reshard_each_epoch=reshard)
+        trace = run(cfg, logistic_l2(small_logistic.dataset))
+        assert trace.aborted is None
+        kernels = ("_gather_sums", "_block_sums")
+        batches = [e for e in events if e in kernels]
+        assert len(batches) == len(trace.records)
+        # each layout's block is built at most once (built keeps every rows
+        # array alive, so their ids are distinct)
+        assert len({id(rows) for rows in built}) == len(built) > 0
+        if not reshard:
+            # one layout: every call from its block's build on uses K
+            gathers = objectives._BLOCK_AFTER_CALLS - 1
+            assert len(built) == 1
+            assert batches == (["_gather_sums"] * gathers
+                               + ["_block_sums"] * (len(batches) - gathers))
+        # metrology right after a block call at the same w reads the memo
+        # (no row terms of its own); after a gather it computes them
+        fulls = [i for i, e in enumerate(events) if e == "eval_full"]
+        assert len(fulls) > 2
+        for i in fulls:
+            last = next(e for e in reversed(events[:i]) if e in kernels)
+            assert (events[i + 1:i + 2] == ["_row_terms"]) == (last == "_gather_sums")
 
 
 class TestFaultEquivalence:

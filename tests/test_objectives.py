@@ -262,9 +262,9 @@ def _random_problem(kind, data):
     return make_objective(kind, Dataset(X, labels), sigma=0.01), _random_values(rng, d)
 
 
-def _sums_or_error(obj, w, rows, spans):
+def _sums_or_error(obj, w, rows, spans, segments=None):
     try:
-        G, L = obj.eval_sums(w, rows, spans)
+        G, L = obj.eval_sums(w, rows, spans, segments)
     except NumericError as exc:
         return str(exc)
     return G.tobytes(), L.tobytes()
@@ -288,19 +288,36 @@ class TestGatherBranches:
         assert results[0] == results[1]
 
 
+def _segmented(n, data):
+    """Read-only rows (a permutation of range(n) or any rows), bounds of a
+    random segmentation of them, and spans that are a subset of its
+    segments, with gaps."""
+    if data.draw(st.booleans(), label="permutation"):
+        rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                               label="perm_seed")).permutation(n)
+    else:
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                           max_size=40), label="rows"), dtype=np.int64)
+    rows.flags.writeable = False
+    cuts = data.draw(st.lists(st.integers(0, rows.size), max_size=10), label="cuts")
+    bounds = tuple([0] + sorted(cuts) + [rows.size])
+    segments = list(zip(bounds, bounds[1:]))
+    spans = [seg for seg in segments
+             if seg[1] > seg[0] and data.draw(st.booleans(), label="kept")]
+    assume(spans)
+    return rows, bounds, spans
+
+
+def _fresh_block(obj):
+    obj._block_rows = obj._block_bounds = obj._block = obj._memo = None
+
+
 class TestBlockBranch:
     @given(kind=st.sampled_from(KINDS), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_block_and_gather_match_one_part_calls_bytewise(self, kind, data):
         obj, w = _random_problem(kind, data)
-        rows = np.array(data.draw(st.lists(st.integers(0, obj.n - 1), min_size=1,
-                                           max_size=40), label="rows"), dtype=np.int64)
-        rows.flags.writeable = False
-        cuts = sorted(data.draw(st.lists(st.integers(0, rows.size), min_size=2,
-                                         max_size=12), label="cuts"))
-        # non-empty parts with gaps, some empty, between them
-        spans = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if b > a]
-        assume(spans)
+        rows, bounds, spans = _segmented(obj.n, data)
         # one-part calls on copies of the slices: writable, so gathered
         expected = []
         for a, b in spans:
@@ -315,42 +332,68 @@ class TestBlockBranch:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(objectives, "_MIN_BLOCK_COVERAGE", coverage)
                 mp.setattr(objectives, "_BLOCK_AFTER_CALLS", 2)
-                obj._block_rows = obj._block = None
-                first = _sums_or_error(obj, w, rows, spans)   # first sight: gather
-                second = _sums_or_error(obj, w, rows, spans)  # block if covered
+                _fresh_block(obj)
+                first = _sums_or_error(obj, w, rows, spans, bounds)   # first sight: gather
+                second = _sums_or_error(obj, w, rows, spans, bounds)  # block if covered
                 assert (obj._block is not None) == block
             assert first == second == expected
+
+    @pytest.mark.parametrize("spans,segments", [
+        ([(0, 4)], (0, 2, 4)),            # two segments in one span
+        ([(0, 1)], (0, 2, 4)),            # part of a segment
+        ([(1, 3)], (0, 2, 4)),            # straddles a bound
+        ([(0, 2)], (0, 2)),               # bounds stop short of rows
+        ([(0, 2)], (1, 2, 4)),            # bounds do not start at 0
+        ([(0, 2)], (0, 3, 2, 4)),         # bounds descend
+        ([(0, 2)], ()),                   # no bounds
+    ])
+    @pytest.mark.parametrize("read_only", [False, True])
+    def test_span_that_is_not_one_segment_raises(self, small_logistic, spans,
+                                                 segments, read_only):
+        rows = np.arange(4)
+        rows.flags.writeable = not read_only
+        with pytest.raises(UsageError, match="segment"):
+            small_logistic.eval_sums(np.zeros(small_logistic.d), rows, spans, segments)
 
     def test_block_is_gathered_on_the_calls_that_cover_enough(self, small_logistic):
         obj = logistic_l2(small_logistic.dataset)
         w = np.linspace(-1, 1, obj.d)
         rows = np.arange(obj.n)[::-1].copy()
+        bounds = (0, 100, 150, 300)
+        wide, narrow = [(0, 100), (150, 300)], [(100, 150)]
         for _ in range(objectives._BLOCK_AFTER_CALLS):
-            obj.eval_sums(w, rows)
+            obj.eval_sums(w, rows, wide, bounds)
         assert obj._block_rows is None  # writable rows are never cached
         rows.flags.writeable = False
-        wide, narrow = [(0, 100), (150, 300)], [(0, 10)]
+        for _ in range(objectives._BLOCK_AFTER_CALLS):
+            obj.eval_sums(w, rows, wide)
+        assert obj._block_rows is None  # nor are rows without segments
         expected = obj.eval_sums(w, rows.copy(), wide)
         for _ in range(objectives._BLOCK_AFTER_CALLS - 1):
             assert obj._block is None
-            obj.eval_sums(w, rows, narrow)  # too little of rows: not counted
-            result = obj.eval_sums(w, rows, wide)
+            obj.eval_sums(w, rows, narrow, bounds)  # too little of rows: not counted
+            result = obj.eval_sums(w, rows, wide, bounds)
             assert obj._block_rows is rows
             assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
-        result = obj.eval_sums(w, rows, wide)
+        result = obj.eval_sums(w, rows, wide, bounds)
         assert obj._block is not None
         assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
+        block = obj._block
+        obj.eval_sums(w, rows, wide, list(bounds))  # equal bounds: the same block
+        assert obj._block is block
+        obj.eval_sums(w, rows, [(0, 300)], (0, 300))  # other bounds: a new pair
+        assert obj._block_rows is rows and obj._block is not block
         other = rows.copy()
         other.flags.writeable = False
-        obj.eval_sums(w, other)
-        assert obj._block_rows is other and obj._block is None
-
+        obj.eval_sums(w, other, wide, bounds)
+        assert obj._block_rows is other and obj._block is not block
 
     def test_short_lived_rows_wait_longer_for_their_block(self, small_logistic):
         # rows arrays replaced within a few calls (a reshard every epoch)
         # would pay for a block they barely use
         obj = logistic_l2(small_logistic.dataset)
         w = np.linspace(-1, 1, obj.d)
+        bounds = (0, obj.n)
 
         def read_only(seed):
             rows = np.random.default_rng(seed).permutation(obj.n)
@@ -359,16 +402,82 @@ class TestBlockBranch:
 
         first = read_only(0)
         for _ in range(objectives._BLOCK_AFTER_SHORT_LIVED):
-            obj.eval_sums(w, first)  # long-lived: a block from call two
+            obj.eval_sums(w, first, None, bounds)  # long-lived
         assert obj._block is not None
         for seed in (1, 2):
             rows = read_only(seed)
             for _ in range(objectives._BLOCK_AFTER_SHORT_LIVED - 1):
-                obj.eval_sums(w, rows)
+                obj.eval_sums(w, rows, None, bounds)
             # the first follows a long-lived array, the second a short one
             assert (obj._block is not None) == (seed == 1)
-        obj.eval_sums(w, rows)
+        obj.eval_sums(w, rows, None, bounds)
         assert obj._block is not None
+
+
+def _full_or_error(obj, w):
+    try:
+        full = obj.eval_full(w)
+    except NumericError as exc:
+        return str(exc)
+    return full.gradient.tobytes(), full.loss, full.accuracy
+
+
+class TestMetrologyMemo:
+    @given(kind=st.sampled_from(KINDS), data=st.data(),
+           case=st.sampled_from(["same", "ulp", "signed_zero", "nan", "reshard"]))
+    @settings(max_examples=150, deadline=None)
+    def test_eval_full_after_a_block_call_matches_a_fresh_objective(self, kind, data,
+                                                                   case):
+        obj, w = _random_problem(kind, data)
+        j = data.draw(st.integers(0, obj.d - 1), label="j")
+        if case in ("signed_zero", "nan"):
+            w[j] = {"signed_zero": 0.0, "nan": np.nan}[case]
+        rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                               label="perm_seed")).permutation(obj.n)
+        rows.flags.writeable = False
+        bounds = (0, obj.n)
+        row_terms = []
+        real_row_terms = Objective._row_terms
+
+        def counting(self, z, y):
+            row_terms.append(z.size)
+            return real_row_terms(self, z, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objectives, "_BLOCK_AFTER_CALLS", 1)
+            mp.setattr(objectives, "_MIN_BLOCK_COVERAGE", 0.0)
+            _sums_or_error(obj, w, rows, [bounds], bounds)
+            assert obj._block is not None
+            if case == "reshard":
+                # a new layout's first call gathers; the old memo stays valid
+                other = np.random.default_rng(0).permutation(obj.n)
+                other.flags.writeable = False
+                _sums_or_error(obj, w, other, [bounds], bounds)
+            point = w.copy()
+            if case == "ulp":
+                point[j] = np.nextafter(point[j], np.inf)
+            elif case == "signed_zero":
+                point[j] = -0.0
+            mp.setattr(Objective, "_row_terms", counting)
+            result = _full_or_error(obj, point)
+        fresh = make_objective(kind, obj.dataset, obj.sigma)
+        assert result == _full_or_error(fresh, point)
+        if kind != "quadratic":
+            # a bitwise-equal w (NaN included) reads the memo; any other
+            # bytes (one ulp, -0.0 against 0.0) recompute
+            assert len(row_terms) == (case in ("ulp", "signed_zero"))
+
+    def test_memo_needs_the_block_rows_to_be_a_permutation(self, small_logistic,
+                                                          monkeypatch):
+        obj = logistic_l2(small_logistic.dataset)
+        w = np.linspace(-1, 1, obj.d)
+        monkeypatch.setattr(objectives, "_BLOCK_AFTER_CALLS", 1)
+        rows = np.arange(obj.n)
+        rows[0] = 1  # n rows, one repeated: not a permutation
+        rows.flags.writeable = False
+        obj.eval_sums(w, rows, None, (0, obj.n))
+        assert obj._block is not None and obj._memo is None
+        assert _full_or_error(obj, w) == _full_or_error(logistic_l2(obj.dataset), w)
 
 
 class TestNumericGuards:

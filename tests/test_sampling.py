@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mblbfgs import ConfigurationError, SeededRng, make_layout, plan_fault, reshard
 from mblbfgs.sampling import (
     FaultSource,
+    NodeLayout,
     SerialSource,
     Strategy1Source,
     Strategy2Source,
@@ -142,6 +143,22 @@ class TestFaultMode:
     def test_bad_probability(self):
         with pytest.raises(ConfigurationError):
             make_layout(10, 2, 1.0)
+
+    @pytest.mark.parametrize("shards,match", [
+        ((np.array([0, 7]), np.array([-1, 3])), "outside 0..3"),
+        ((np.array([0, 4]), np.array([1, 2])), "outside 0..3"),
+        ((np.array([0, 1]), np.array([1, 2])), "not disjoint"),
+        ((np.array([3, 3]), np.array([0, 1])), "not disjoint"),
+        ((np.array([0.5, 1.7]), np.array([2.2, 3.0])), "integers"),  # were truncated
+        ((np.array([True, False]),), "integers"),                   # were rows 1 and 0
+        ((np.zeros(0, dtype=np.int64),), "no rows"),
+        ((), "no rows"),                                            # raised ValueError
+    ])
+    def test_shards_must_partition_the_rows(self, shards, match):
+        # out-of-range rows used to pass and fail only at evaluation
+        with pytest.raises(ConfigurationError, match=match):
+            NodeLayout(shards=shards, fail_prob=0.0)
+        NodeLayout(shards=(np.array([3, 0]), np.array([1, 2])), fail_prob=0.0)
 
     def test_p_zero_all_respond(self):
         layout = make_layout(20, 4, 0.0)
@@ -287,9 +304,14 @@ class TestPlanInvariants:
             assert plan.sample_size == plan.S.size
             assert np.unique(plan.S).size == plan.S.size
             if mode == "fault":
+                # each part is one shard, a segment of the layout's rows
                 assert plan.rows is stream[0].rows
+                assert plan.segments is stream[0].offsets
+                bounds = list(zip(plan.segments, plan.segments[1:]))
+                assert all(span in bounds for span in plan.spans)
             else:  # the parts cover rows, which is S
                 assert plan.rows.size == plan.S.size
+                assert plan.segments is None
             if mode == "strategy2":
                 assert np.array_equal(plan.S[:plan.O_next.size], plan.O_next)
 
