@@ -160,9 +160,9 @@ class Objective:
         # the last segments tuple given to eval_sums, with its bounds and
         # segment index (see _segmentation)
         self._segments = (None, None, None)
-        # the last block call's (w dtype, w bytes, inverse permutation,
-        # margins, row terms, coefficients), all in block order, which
-        # eval_full reuses at a bitwise-equal w
+        # the last block call's ((w dtype, w bytes), inverse permutation,
+        # margins, row terms, coefficients), the arrays in block order,
+        # which eval_full reuses at a bitwise-equal w
         self._memo = None
         if kind == "quadratic":
             if quad_weights is None:
@@ -291,7 +291,7 @@ class Objective:
             terms, coeff = self._row_terms(z, row_data)
             if inv is not None:
                 # every row's margin and terms at w, for eval_full at this w
-                self._memo = (w.dtype, w.tobytes(), inv, z, terms, coeff)
+                self._memo = ((w.dtype, w.tobytes()), inv, z, terms, coeff)
             sums = K.dot(coeff).reshape(nseg, self.d)
         G[:] = sums[part_segments]
         for k, (r0, r1) in enumerate(zip(flat[::2], flat[1::2])):
@@ -478,12 +478,11 @@ class Objective:
                 acc = 0.0
             else:
                 memo = self._memo
-                if (memo is not None and memo[0] == w.dtype
-                        and memo[1] == w.tobytes()):
+                if memo is not None and memo[0] == (w.dtype, w.tobytes()):
                     # the same margins and terms a fresh X.dot(w) would give,
                     # put back in row order
-                    inv = memo[2]
-                    z, terms, coeff = (a.take(inv) for a in memo[3:])
+                    inv = memo[1]
+                    z, terms, coeff = (a.take(inv) for a in memo[2:])
                 else:
                     z = X.dot(w)
                     terms, coeff = self._row_terms(z, self.labels)
