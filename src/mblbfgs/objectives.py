@@ -104,8 +104,12 @@ _MIN_BLOCK_COVERAGE = 0.25
 #   layout kept, p=0.1 / 0.5: previous kernel 541 / 455 us, (1, 4)
 #   354 / 336 us, (2, 4) 386 / 347 us, (3, 5) 412 / 354 us;
 #   reshard every epoch, p=0.1 / 0.5 / 0.7: previous kernel 764 / 549 /
-#   361 us, (1, 4) 744 / 542 / 363 us, (2, 4) 772 / 551 / 368 us, (3, 5)
-#   758 / 553 / 359 us.
+#   361 us (quartiles 754-792 / 540-550 / 359-363 us), (1, 4) 744 / 542 /
+#   363 us, (2, 4) 772 / 551 / 368 us, (3, 5) 758 / 553 / 359 us.
+# At p=0.7 no setting is resolved from the previous kernel: (1, 4) reads
+# 0.4% slower here and 0.8% in an earlier round of twelve, each within
+# about one quartile distance, and indexing the segments on every call
+# (about 5 us, not in these replays) may make it 1-2% slower.
 _BLOCK_AFTER_CALLS = 1
 _BLOCK_AFTER_SHORT_LIVED = 4
 
@@ -157,9 +161,6 @@ class Objective:
         # the block
         self._block_rows = self._block_bounds = self._block = None
         self._block_calls = self._block_after = 0
-        # the last segments tuple given to eval_sums, with its bounds and
-        # segment index (see _segmentation)
-        self._segments = (None, None, None)
         # the last block call's ((w dtype, w bytes), inverse permutation,
         # margins, row terms, coefficients), the arrays in block order,
         # which eval_full reuses at a bitwise-equal w
@@ -229,9 +230,12 @@ class Objective:
         idx = idx.astype(np.int64, copy=False)
         self._check_length(w)
         if segments is not None:
-            bounds, index = self._segmentation(segments)
-            if bounds[-1] != idx.size:
+            bounds = list(map(int, segments))
+            if (not bounds or bounds[0] != 0 or bounds[-1] != idx.size
+                    or bounds != sorted(bounds)):
                 raise UsageError("segments must ascend from 0 to len(rows)")
+            # each segment's position, keyed by its (start, stop) pair
+            index = {pair: j for j, pair in enumerate(zip(bounds, bounds[1:]))}
             part_segments = [index.get(pair) for pair in zip(flat[::2], flat[1::2])]
             if None in part_segments:
                 raise UsageError("each part span must be exactly one segment")
@@ -253,22 +257,6 @@ class Objective:
                 self._gather_sums(w, idx, flat, covered, G, L)
         self._check_finite(w, idx, flat, G, L)
         return G, L
-
-    def _segmentation(self, segments) -> tuple:
-        """``(bounds, index)`` of ``segments``: its bounds as a validated
-        list of ints, and each segment's position keyed by its ``(start,
-        stop)`` pair. The last tuple seen is remembered by identity, which
-        an immutable tuple makes safe; fault plans pass the same one on
-        every call of a layout."""
-        if segments is self._segments[0]:
-            return self._segments[1:]
-        bounds = list(map(int, segments))
-        if not bounds or bounds[0] != 0 or bounds != sorted(bounds):
-            raise UsageError("segments must ascend from 0 to len(rows)")
-        index = {pair: j for j, pair in enumerate(zip(bounds, bounds[1:]))}
-        if isinstance(segments, tuple):
-            self._segments = (segments, bounds, index)
-        return bounds, index
 
     def _block_sums(self, w: Vector, block, flat, part_segments, G, L):
         """Fill ``G``/``L`` with the sums of the parts ``flat`` (pairs of

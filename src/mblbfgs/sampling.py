@@ -216,7 +216,8 @@ def plan_strategy2(n: int, r: float, o: float, rng: SeededRng,
 class NodeLayout:
     """Balanced partition of the example indices across B nodes.
 
-    The shards must partition 0..n-1, n being their total size. ``rows`` holds all shards back to back, read-only; shard ``j`` is
+    The shards must partition 0..n-1, n being their total size. ``rows``
+    holds all shards back to back, read-only; shard ``j`` is
     ``rows[offsets[j]:offsets[j + 1]]``.
     """
 

@@ -355,7 +355,10 @@ class TestBlockBranch:
         with pytest.raises(UsageError, match="segment"):
             small_logistic.eval_sums(np.zeros(small_logistic.d), rows, spans, segments)
 
-    def test_block_is_gathered_on_the_calls_that_cover_enough(self, small_logistic):
+    def test_block_is_gathered_on_the_calls_that_cover_enough(self, small_logistic,
+                                                              monkeypatch):
+        # a build after two calls leaves one call on the gather to check
+        monkeypatch.setattr(objectives, "_BLOCK_AFTER_CALLS", 2)
         obj = logistic_l2(small_logistic.dataset)
         w = np.linspace(-1, 1, obj.d)
         rows = np.arange(obj.n)[::-1].copy()
@@ -370,10 +373,11 @@ class TestBlockBranch:
         assert obj._block_rows is None  # nor are rows without segments
         expected = obj.eval_sums(w, rows.copy(), wide)
         for _ in range(objectives._BLOCK_AFTER_CALLS - 1):
-            assert obj._block is None
+            assert obj._block is None and obj._block_calls == 0
             obj.eval_sums(w, rows, narrow, bounds)  # too little of rows: not counted
+            assert obj._block_rows is rows and obj._block_calls == 0
             result = obj.eval_sums(w, rows, wide, bounds)
-            assert obj._block_rows is rows
+            assert obj._block_rows is rows and obj._block is None
             assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
         result = obj.eval_sums(w, rows, wide, bounds)
         assert obj._block is not None
@@ -393,7 +397,8 @@ class TestBlockBranch:
         # would pay for a block they barely use
         obj = logistic_l2(small_logistic.dataset)
         w = np.linspace(-1, 1, obj.d)
-        bounds = (0, obj.n)
+        bounds = (0, 20, obj.n)
+        wide, narrow = [(20, obj.n)], [(0, 20)]
 
         def read_only(seed):
             rows = np.random.default_rng(seed).permutation(obj.n)
@@ -402,16 +407,19 @@ class TestBlockBranch:
 
         first = read_only(0)
         for _ in range(objectives._BLOCK_AFTER_SHORT_LIVED):
-            obj.eval_sums(w, first, None, bounds)  # long-lived
+            obj.eval_sums(w, first, wide, bounds)  # long-lived
         assert obj._block is not None
         for seed in (1, 2):
             rows = read_only(seed)
             for _ in range(objectives._BLOCK_AFTER_SHORT_LIVED - 1):
-                obj.eval_sums(w, rows, None, bounds)
+                obj.eval_sums(w, rows, wide, bounds)
+                obj.eval_sums(w, rows, narrow, bounds)  # too little of rows
             # the first follows a long-lived array, the second a short one
             assert (obj._block is not None) == (seed == 1)
-        obj.eval_sums(w, rows, None, bounds)
+        expected = obj.eval_sums(w, rows.copy(), wide, bounds)
+        result = obj.eval_sums(w, rows, wide, bounds)
         assert obj._block is not None
+        assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
 
 
 def _full_or_error(obj, w):
