@@ -21,9 +21,10 @@ The loop does not know the sampling mode; the plan carries the layout. One
 ``Objective.eval_sums(w, plan.rows, plan.spans, plan.segments)`` call per
 batch returns the gradient and loss sums of every part (one row of
 ``G``/``L`` each), from one gather of the parts' rows or, for the fixed row
-order of fault mode whose plans name the shard bounds in ``segments``,
-from the objective's cached block of that order, one keyed matvec for all
-parts. A metrology ``eval_full`` at the iterate the block was just
+order of a fault-mode layout kept for the run, whose plans name the shard
+bounds in ``segments``, from the objective's cached block of that order,
+one keyed matvec for all parts; a layout resharded every epoch is
+gathered. A metrology ``eval_full`` at the iterate the block was just
 evaluated at reuses that call's margins. The batch gradient adds
 all rows, and an overlap gradient adds the rows that ``plan.link`` names,
 so both gradients of a curvature pair are sums over the same index set
@@ -51,7 +52,8 @@ from .engine import LbfgsMemory
 from .errors import ConfigurationError, NumericError, UsageError
 from .linalg import Vector
 from .objectives import Objective
-from .sampling import SamplePlan, SeededRng, SerialSource, make_plan_source
+from .sampling import (SamplePlan, SeededRng, SerialSource, check_node_count,
+                       make_plan_source, strategy_batch_sizes)
 
 METHODS = ("robust_lbfgs", "inconsistent_lbfgs", "multibatch_gd", "serial_sgd")
 MODES = ("strategy1", "strategy2", "fault")
@@ -69,7 +71,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "diminishing", "sqrt_horizon"):
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
-        if self.value <= 0:
+        if not self.value > 0:  # NaN too
             raise ConfigurationError("schedule parameter must be positive")
         if self.kind == "sqrt_horizon" and (self.tau is None or self.tau < 1):
             raise ConfigurationError("sqrt_horizon schedule needs tau >= 1")
@@ -124,15 +126,26 @@ class RunConfig:
     divergence_factor: float = 1e6
     w0: object = None
 
-    def validate(self):
+    def validate(self, n: int):
+        """Raise ``ConfigurationError`` unless this run can start on ``n``
+        rows; the sizes are checked with the plan sources' own rules, before
+        anything is drawn."""
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown sampling mode {self.mode!r}")
-        if self.epochs < 0:
+        if not self.epochs >= 0:  # NaN too
             raise ConfigurationError("epochs must be >= 0")
+        if not 0 <= self.seed < 2**128:  # the range of a Philox key
+            raise ConfigurationError(f"seed {self.seed} outside [0, 2**128)")
         if self.mode == "fault" and not 0 <= self.fail_prob < 1:
             raise ConfigurationError("failure probability must be in [0, 1)")
+        if self.method == "serial_sgd":
+            return
+        if self.mode == "fault":
+            check_node_count(n, self.nodes)
+        else:
+            strategy_batch_sizes(n, self.batch_frac, self.overlap_frac, self.mode)
 
     def effective_stride(self, n: int) -> int:
         if self.trace_stride is not None:
@@ -242,8 +255,8 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
     plan, or "O_extra" for the extra overlap evaluation of strategy 2. ``pair_log`` collects
     (k, y's, s's, y'y, accepted) for every candidate curvature pair.
     """
-    config.validate()
     n, d = objective.n, objective.d
+    config.validate(n)
     stride = config.effective_stride(n)
     rng = SeededRng(config.seed)
     if config.method == "serial_sgd":

@@ -140,6 +140,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     manifest and the remaining cells still run."""
     spec.validate()
     objective = spec.load_objective()  # a data error leaves no directory behind
+    for config in spec.cells():  # nor does a bad grid value
+        config.validate(objective.n)
     out_dir = Path(os.environ.get("MBLBFGS_OUT", spec.out_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
 

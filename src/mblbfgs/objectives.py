@@ -20,15 +20,14 @@ gradient and loss sums of each part, which the driver recombines into batch
 and overlap gradients. ``average`` adds the averaging and the
 regularization term and raises ``NumericError`` when either is not finite.
 
-A read-only ``rows`` that comes with ``segments`` (fault mode's fixed order
-of all shards, and the shard bounds every span is one of) is kept as a
-block from its first call, or its fourth when the pair before it was
-replaced sooner (a reshard every epoch), until another such pair comes
-along. The block is one sparse matrix ``K`` with ``d`` rows per segment
-and one column per entry of ``rows``: column ``i`` holds the entries of
-row ``rows[i]`` at rows ``segment(i) * d + column``. A call whose parts
-cover at least
-``_MIN_BLOCK_COVERAGE`` of the block reads no rows: its margins are one
+A read-only ``rows`` that comes with ``segments`` (the fixed order of all
+shards of a fault-mode layout kept for the run, and the shard bounds every
+span is one of) is kept as a block from its first call that covers at
+least ``_MIN_BLOCK_COVERAGE`` of it, until another such pair comes along.
+The block is one sparse matrix ``K`` with ``d`` rows per segment and one
+column per entry of ``rows``: column ``i`` holds the entries of row
+``rows[i]`` at rows ``segment(i) * d + column``. A call whose parts cover
+at least that much of the block reads no rows: its margins are one
 ``K.T`` matvec with ``w`` repeated per segment, and every segment's gradient
 sum comes from one ``K`` matvec with the per-row coefficients, from which
 the parts' segments are picked. Parts with gaps between them (failed
@@ -90,29 +89,6 @@ _SMALL_BATCH_ENTRIES = 8192
 # one rule serves all kinds.
 _MIN_BLOCK_COVERAGE = 0.25
 
-# eval_sums builds the block of a read-only rows array with segments on the
-# first call that covers at least _MIN_BLOCK_COVERAGE of it, or on the
-# _BLOCK_AFTER_SHORT_LIVED-th when the pair before it was replaced before
-# that many such calls: a rows array is expected to serve about as many
-# calls as the last one. A build (X[rows], K and the permutation check)
-# takes about 330 us on the data above, about a gather evaluation of half
-# the shards, and the block call after it also lets the next metrology
-# reuse its margins. Replaying the eval_sums and eval_full calls of
-# robust_lbfgs runs on that data (16 nodes, 14 epochs, 4 seeds, one pinned
-# core; medians of 8-12 alternating replays per batch call, metrology
-# included), with the block on the (first, short-lived) call:
-#   layout kept, p=0.1 / 0.5: previous kernel 541 / 455 us, (1, 4)
-#   354 / 336 us, (2, 4) 386 / 347 us, (3, 5) 412 / 354 us;
-#   reshard every epoch, p=0.1 / 0.5 / 0.7: previous kernel 764 / 549 /
-#   361 us (quartiles 754-792 / 540-550 / 359-363 us), (1, 4) 744 / 542 /
-#   363 us, (2, 4) 772 / 551 / 368 us, (3, 5) 758 / 553 / 359 us.
-# At p=0.7 no setting is resolved from the previous kernel: (1, 4) reads
-# 0.4% slower here and 0.8% in an earlier round of twelve, each within
-# about one quartile distance, and indexing the segments on every call
-# (about 5 us, not in these replays) may make it 1-2% slower.
-_BLOCK_AFTER_CALLS = 1
-_BLOCK_AFTER_SHORT_LIVED = 4
-
 
 @dataclass
 class SubsetGradient:
@@ -156,11 +132,8 @@ class Objective:
         self._XT = self.X.T
         self._nnz = int(self.X.indptr[-1])
         # one-entry cache of eval_sums: the last read-only rows array seen
-        # with segments, its segment bounds, its calls that covered enough
-        # of it, the count of such calls on which its block is built, and
-        # the block
+        # with segments, its segment bounds, and its block once built
         self._block_rows = self._block_bounds = self._block = None
-        self._block_calls = self._block_after = 0
         # the last block call's ((w dtype, w bytes), inverse permutation,
         # margins, row terms, coefficients), the arrays in block order,
         # which eval_full reuses at a bitwise-equal w
@@ -205,13 +178,14 @@ class Objective:
         len(rows)`` of a fixed partition of ``rows`` (fault mode's shards),
         and each span must be exactly one segment ``(b_j, b_j+1)``. A
         read-only ``rows`` that comes with ``segments`` is a promise that
-        neither will change: the objective keeps the block of the last such
-        pair it saw and (see ``_BLOCK_AFTER_CALLS``) evaluates parts
-        covering at least ``_MIN_BLOCK_COVERAGE`` of it with one keyed
-        matvec over the block. Other calls gather the rows of their parts,
-        with numpy from the CSR arrays up to ``_SMALL_BATCH_ENTRIES``
-        expected stored entries and with ``X[rows]`` above; every branch
-        gives the same bytes (see the module docstring).
+        neither will change and that the pair serves many calls: the
+        objective keeps the block of the last such pair it saw and
+        evaluates parts covering at least ``_MIN_BLOCK_COVERAGE`` of it
+        with one keyed matvec over the block. Other calls gather the rows
+        of their parts, with numpy from the CSR arrays up to
+        ``_SMALL_BATCH_ENTRIES`` expected stored entries and with
+        ``X[rows]`` above; every branch gives the same bytes (see the module
+        docstring).
         """
         idx = np.asarray(rows)
         if spans is None:
@@ -327,25 +301,14 @@ class Objective:
         the inverse permutation when ``rows`` is a permutation of all rows
         of ``X``, else None, and ``colsums`` each segment's column sums for
         the quadratic kind, else None. A ``(rows, bounds)`` pair is
-        remembered on first sight and its block built on its
-        ``_BLOCK_AFTER_CALLS``-th call that covers enough of it, or on its
-        ``_BLOCK_AFTER_SHORT_LIVED``-th when the pair before it served fewer
-        such calls, so short-lived pairs cost no more than gathers of their
-        parts. The block is never rebuilt while the pair lasts.
+        remembered on first sight and its block built on its first call
+        that covers enough of it, and never rebuilt while the pair lasts.
         """
         if rows is not self._block_rows or bounds != self._block_bounds:
-            short_lived = (self._block_rows is not None
-                           and self._block_calls < _BLOCK_AFTER_SHORT_LIVED)
-            self._block_after = (_BLOCK_AFTER_SHORT_LIVED if short_lived
-                                 else _BLOCK_AFTER_CALLS)
-            self._block_rows, self._block_bounds = rows, bounds
-            self._block, self._block_calls = None, 0
+            self._block_rows, self._block_bounds, self._block = rows, bounds, None
         if covered < _MIN_BLOCK_COVERAGE * rows.size:
             return None
-        self._block_calls += 1
         if self._block is None:
-            if self._block_calls < self._block_after:
-                return None
             self._block = self._build_block(rows, bounds)
         return self._block
 
@@ -404,8 +367,9 @@ class Objective:
         return indptr, row_nnz, cols, vals, z
 
     def _check_length(self, w: Vector):
-        if w.shape[0] != self.d:
-            raise UsageError(f"w has length {w.shape[0]}, expected {self.d}")
+        # O(1): eval_sums runs it on every one-row step of serial SGD
+        if not isinstance(w, np.ndarray) or w.shape != (self.d,):
+            raise UsageError(f"w must be a 1-D array of length {self.d}")
 
     def _row_terms(self, z, y) -> tuple:
         """Per-row loss terms and gradient coefficients at margins ``z``."""

@@ -23,10 +23,11 @@ serial modes ``rows`` is S itself and the parts are its consecutive blocks
 (strategy 1: O_prev, the middle and O_next; strategy 2: O_next and the
 rest). In fault mode ``rows`` is the layout's fixed order, all shards back
 to back, the same read-only array until a reshard; each responding node's
-shard is one span and failed nodes leave gaps, so no draw copies rows. The
-plan's ``segments`` name the shard bounds the spans come from, so the
-objective can keep that order's rows as one block keyed by shard
-(``Objective.eval_sums``).
+shard is one span and failed nodes leave gaps, so no draw copies rows. When
+the layout is kept for the whole run, the plan's ``segments`` name the
+shard bounds the spans come from, so the objective can keep that order's
+rows as one block keyed by shard (``Objective.eval_sums``); a layout
+replaced every epoch names none, and its batches are gathered.
 
 All draws come from a single named counter-based generator so a fixed seed
 replays the exact plan stream.
@@ -94,8 +95,8 @@ class SamplePlan:
     disjoint within ``rows``; S is the concatenation of the parts and
     ``sample_size`` its size, which every source knows when it draws.
     ``segments`` is None, or the bounds of the fixed partition of ``rows``
-    that every span is one segment of (fault mode: the layout's
-    ``offsets``, the same tuple for the life of the layout). ``link``
+    that every span is one segment of (fault mode with a layout kept for
+    the run: its ``offsets``, the same tuple in every plan). ``link``
     is None when O_prev is empty, and otherwise a pair of position lists:
     the parts of the previous plan and the parts of this plan whose rows
     are O_prev. The second entry is None when O_prev is not made of this
@@ -137,8 +138,10 @@ def _strategy1_plan(S, o_prev, o_next, prev) -> SamplePlan:
                                    o_next.size))
 
 
-def strategy_batch_sizes(n: int, r: float, o: float) -> tuple:
-    """Validated (|S|, |O|) for the multi-batch strategies."""
+def strategy_batch_sizes(n: int, r: float, o: float,
+                         mode: str = "strategy2") -> tuple:
+    """Validated (|S|, |O|) for the multi-batch strategies; strategy 1 also
+    needs a batch longer than its two overlap blocks together."""
     if not 0 < r <= 1:
         raise ConfigurationError(f"batch fraction r={r} outside (0, 1]")
     if not 0 < o < 1:
@@ -149,6 +152,10 @@ def strategy_batch_sizes(n: int, r: float, o: float) -> tuple:
         )
     s_size = math.ceil(r * n)
     o_size = max(1, math.ceil(o * s_size))
+    if mode == "strategy1" and 2 * o_size >= s_size:
+        raise ConfigurationError(
+            f"overlap too large for strategy 1: 2*{o_size} >= |S|={s_size}"
+        )
     return s_size, o_size
 
 
@@ -160,11 +167,7 @@ def plan_strategy1_epoch(n: int, r: float, o: float, rng: SeededRng) -> list:
     final batch is truncated if needed so the epoch covers every index; the
     epoch ends without a planned overlap into the next (reshuffled) epoch.
     """
-    s_size, o_size = strategy_batch_sizes(n, r, o)
-    if 2 * o_size >= s_size:
-        raise ConfigurationError(
-            f"overlap too large for strategy 1: 2*{o_size} >= |S|={s_size}"
-        )
+    s_size, o_size = strategy_batch_sizes(n, r, o, "strategy1")
     perm = rng.permutation(n)
 
     if s_size == n:
@@ -270,11 +273,15 @@ def _split_balanced(order: np.ndarray, nodes: int) -> tuple:
     return tuple(shards)
 
 
+def check_node_count(n: int, nodes: int):
+    if nodes < 1 or nodes > n:
+        raise ConfigurationError(f"node count {nodes} outside [1, n={n}]")
+
+
 def make_layout(n: int, nodes: int, fail_prob: float,
                 rng: SeededRng | None = None) -> NodeLayout:
     """Shard {0..n-1} across ``nodes``; random assignment when rng is given."""
-    if nodes < 1 or nodes > n:
-        raise ConfigurationError(f"node count {nodes} outside [1, n={n}]")
+    check_node_count(n, nodes)
     order = rng.permutation(n) if rng is not None else np.arange(n, dtype=np.int64)
     return NodeLayout(shards=_split_balanced(order, nodes), fail_prob=fail_prob)
 
@@ -294,7 +301,7 @@ def union_of_shards(layout: NodeLayout, node_ids) -> np.ndarray:
 
 
 def plan_fault(layout: NodeLayout, rng: SeededRng,
-               prev_responders=None) -> tuple:
+               prev_responders=None, *, kept: bool = True) -> tuple:
     """Draw the responding node set and the resulting batch.
 
     Each node independently responds with probability 1 - p. An all-failed
@@ -304,7 +311,9 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
     whose nodes responded both times. Each responding node's shard is one
     part of the batch, a span of the layout's ``rows``, so the positions of
     the repeat responders in both draws link O_prev to the parts of both
-    plans.
+    plans. ``kept`` says that the layout serves the rest of the run; only
+    then does the plan name the shard bounds in ``segments``, since a
+    block of the layout's rows pays off only over many batches.
     """
     p = layout.fail_prob
     redraws = 0
@@ -327,7 +336,8 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
                       O_prev=union_of_shards(layout, [J[i] for _, i in shared]),
                       O_next=_EMPTY,
                       link=tuple(map(list, zip(*shared))) if shared else None,
-                      segments=offsets, responders=J, redraws=redraws)
+                      segments=offsets if kept else None, responders=J,
+                      redraws=redraws)
     return J, plan
 
 
@@ -338,7 +348,7 @@ class Strategy1Source:
     """Streams strategy-1 plans, reshuffling after each pass over the data."""
 
     def __init__(self, n: int, r: float, o: float, rng: SeededRng):
-        strategy_batch_sizes(n, r, o)  # validate eagerly
+        strategy_batch_sizes(n, r, o, "strategy1")  # validate eagerly
         self.n, self.r, self.o, self.rng = n, r, o, rng
         self._queue = []
         self._full_batch = math.ceil(r * n) == n
@@ -396,7 +406,8 @@ class FaultSource:
         self._prev_responders = None
 
     def next_plan(self) -> SamplePlan:
-        J, plan = plan_fault(self.layout, self.rng, self._prev_responders)
+        J, plan = plan_fault(self.layout, self.rng, self._prev_responders,
+                             kept=not self.reshard_each_epoch)
         self._prev_responders = J
         return plan
 

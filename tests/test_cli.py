@@ -1,3 +1,5 @@
+import pytest
+
 from mblbfgs.cli import main, parse_scaling, parse_step
 from mblbfgs.experiment import MANIFEST_NAME
 
@@ -132,3 +134,23 @@ def test_fault_strategy_via_cli(tmp_path):
         "robust_lbfgs_r0.05_o0.2_a0.1_p0.1_s0.csv",
         "robust_lbfgs_r0.05_o0.2_a0.1_p0.3_s0.csv",
     ]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--batch-frac", "0"],                    # raised ZeroDivisionError
+    ["--batch-frac", "0.05,1.5"],             # failed after the first cell's CSV
+    ["--overlap-frac", "0.2,0.6"],            # strategy 1 needs |S| > 2|O|
+    ["--strategy", "fault", "--fail-prob", "0.3,1.0"],
+    ["--strategy", "fault", "--nodes", "0"],
+    ["--seed", "0,-1"],                       # raised numpy's ValueError
+    ["--epochs", "nan"],                      # ran no iteration and read ok
+    ["--step", "constant:nan"],
+])
+def test_bad_grid_value_exits_one_before_any_output(tmp_path, capsys, flags):
+    out = tmp_path / "runs"
+    code = main(["--synthetic", "100,8,4,0.5", "--epochs", "1", "--seed", "0",
+                 "--out", str(out), *flags])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err

@@ -80,10 +80,10 @@ def test_trace_digest(name):
 
 
 # eval_sums settings that send every fault batch down one branch: the cached
-# row block from the first call on, or a gather of the responding shards
+# row block of a kept layout from the first call on, or a gather of the
+# responding shards; a layout resharded every epoch is gathered on both
 KERNEL_BRANCHES = {
-    "block": {"_BLOCK_AFTER_CALLS": 1, "_BLOCK_AFTER_SHORT_LIVED": 1,
-              "_MIN_BLOCK_COVERAGE": 0.0},
+    "block": {"_MIN_BLOCK_COVERAGE": 0.0},
     "gather": {"_MIN_BLOCK_COVERAGE": 2.0},
 }
 

@@ -173,6 +173,19 @@ class TestSubsetSemantics:
         with pytest.raises(UsageError, match="1-D sequence of integer"):
             getattr(small_logistic, method)(np.zeros(small_logistic.d), subset)
 
+    @pytest.mark.parametrize("shape", ["list", "column", "short"])
+    @pytest.mark.parametrize("method", ["eval_sums", "eval_subset", "eval_full"])
+    def test_w_that_is_not_a_vector_of_length_d_rejected(self, small_logistic, shape,
+                                                         method):
+        # a list raised AttributeError; a (d, 1) column passed eval_sums but
+        # made eval_full and eval_subset raise numpy's ValueError
+        d = small_logistic.d
+        w = {"list": [0.0] * d, "column": np.zeros((d, 1)),
+             "short": np.zeros(d - 1)}[shape]
+        args = () if method == "eval_full" else ([0, 1],)
+        with pytest.raises(UsageError, match="1-D array of length"):
+            getattr(small_logistic, method)(w, *args)
+
     @pytest.mark.parametrize("spans", [
         [],                     # no part
         [(0, 5)],               # past the end of rows
@@ -331,10 +344,9 @@ class TestBlockBranch:
         for coverage, block in ((0.0, True), (2.0, False)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(objectives, "_MIN_BLOCK_COVERAGE", coverage)
-                mp.setattr(objectives, "_BLOCK_AFTER_CALLS", 2)
                 _fresh_block(obj)
-                first = _sums_or_error(obj, w, rows, spans, bounds)   # first sight: gather
-                second = _sums_or_error(obj, w, rows, spans, bounds)  # block if covered
+                first = _sums_or_error(obj, w, rows, spans, bounds)   # builds if covered
+                second = _sums_or_error(obj, w, rows, spans, bounds)  # reuses it
                 assert (obj._block is not None) == block
             assert first == second == expected
 
@@ -355,31 +367,21 @@ class TestBlockBranch:
         with pytest.raises(UsageError, match="segment"):
             small_logistic.eval_sums(np.zeros(small_logistic.d), rows, spans, segments)
 
-    def test_block_is_gathered_on_the_calls_that_cover_enough(self, small_logistic,
-                                                              monkeypatch):
-        # a build after two calls leaves one call on the gather to check
-        monkeypatch.setattr(objectives, "_BLOCK_AFTER_CALLS", 2)
+    def test_block_is_gathered_on_the_calls_that_cover_enough(self, small_logistic):
         obj = logistic_l2(small_logistic.dataset)
         w = np.linspace(-1, 1, obj.d)
         rows = np.arange(obj.n)[::-1].copy()
         bounds = (0, 100, 150, 300)
         wide, narrow = [(0, 100), (150, 300)], [(100, 150)]
-        for _ in range(objectives._BLOCK_AFTER_CALLS):
-            obj.eval_sums(w, rows, wide, bounds)
+        obj.eval_sums(w, rows, wide, bounds)
         assert obj._block_rows is None  # writable rows are never cached
         rows.flags.writeable = False
-        for _ in range(objectives._BLOCK_AFTER_CALLS):
-            obj.eval_sums(w, rows, wide)
+        obj.eval_sums(w, rows, wide)
         assert obj._block_rows is None  # nor are rows without segments
         expected = obj.eval_sums(w, rows.copy(), wide)
-        for _ in range(objectives._BLOCK_AFTER_CALLS - 1):
-            assert obj._block is None and obj._block_calls == 0
-            obj.eval_sums(w, rows, narrow, bounds)  # too little of rows: not counted
-            assert obj._block_rows is rows and obj._block_calls == 0
-            result = obj.eval_sums(w, rows, wide, bounds)
-            assert obj._block_rows is rows and obj._block is None
-            assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
-        result = obj.eval_sums(w, rows, wide, bounds)
+        obj.eval_sums(w, rows, narrow, bounds)  # too little of rows: no block
+        assert obj._block_rows is rows and obj._block is None
+        result = obj.eval_sums(w, rows, wide, bounds)  # the first wide call builds it
         assert obj._block is not None
         assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
         block = obj._block
@@ -391,35 +393,6 @@ class TestBlockBranch:
         other.flags.writeable = False
         obj.eval_sums(w, other, wide, bounds)
         assert obj._block_rows is other and obj._block is not block
-
-    def test_short_lived_rows_wait_longer_for_their_block(self, small_logistic):
-        # rows arrays replaced within a few calls (a reshard every epoch)
-        # would pay for a block they barely use
-        obj = logistic_l2(small_logistic.dataset)
-        w = np.linspace(-1, 1, obj.d)
-        bounds = (0, 20, obj.n)
-        wide, narrow = [(20, obj.n)], [(0, 20)]
-
-        def read_only(seed):
-            rows = np.random.default_rng(seed).permutation(obj.n)
-            rows.flags.writeable = False
-            return rows
-
-        first = read_only(0)
-        for _ in range(objectives._BLOCK_AFTER_SHORT_LIVED):
-            obj.eval_sums(w, first, wide, bounds)  # long-lived
-        assert obj._block is not None
-        for seed in (1, 2):
-            rows = read_only(seed)
-            for _ in range(objectives._BLOCK_AFTER_SHORT_LIVED - 1):
-                obj.eval_sums(w, rows, wide, bounds)
-                obj.eval_sums(w, rows, narrow, bounds)  # too little of rows
-            # the first follows a long-lived array, the second a short one
-            assert (obj._block is not None) == (seed == 1)
-        expected = obj.eval_sums(w, rows.copy(), wide, bounds)
-        result = obj.eval_sums(w, rows, wide, bounds)
-        assert obj._block is not None
-        assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
 
 
 def _full_or_error(obj, w):
@@ -452,15 +425,15 @@ class TestMetrologyMemo:
             return real_row_terms(self, z, y)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(objectives, "_BLOCK_AFTER_CALLS", 1)
             mp.setattr(objectives, "_MIN_BLOCK_COVERAGE", 0.0)
             _sums_or_error(obj, w, rows, [bounds], bounds)
             assert obj._block is not None
             if case == "reshard":
-                # a new layout's first call gathers; the old memo stays valid
+                # a layout replaced every epoch comes without segments and
+                # is gathered; the old memo stays valid
                 other = np.random.default_rng(0).permutation(obj.n)
                 other.flags.writeable = False
-                _sums_or_error(obj, w, other, [bounds], bounds)
+                _sums_or_error(obj, w, other, [bounds])
             point = w.copy()
             if case == "ulp":
                 point[j] = np.nextafter(point[j], np.inf)
@@ -475,11 +448,9 @@ class TestMetrologyMemo:
             # bytes (one ulp, -0.0 against 0.0) recompute
             assert len(row_terms) == (case in ("ulp", "signed_zero"))
 
-    def test_memo_needs_the_block_rows_to_be_a_permutation(self, small_logistic,
-                                                          monkeypatch):
+    def test_memo_needs_the_block_rows_to_be_a_permutation(self, small_logistic):
         obj = logistic_l2(small_logistic.dataset)
         w = np.linspace(-1, 1, obj.d)
-        monkeypatch.setattr(objectives, "_BLOCK_AFTER_CALLS", 1)
         rows = np.arange(obj.n)
         rows[0] = 1  # n rows, one repeated: not a permutation
         rows.flags.writeable = False

@@ -332,6 +332,8 @@ class TestPlanInvariants:
             plan = src.next_plan()
             assert not plan.rows.flags.writeable
             assert (plan.rows is rows) != boundary
+            # a layout that lives one epoch is not worth a block
+            assert plan.segments is None
             assert np.array_equal(plan.rows, np.concatenate(src.layout.shards))
             rows = plan.rows
 
