@@ -15,9 +15,12 @@ Methods:
 * ``serial_sgd``         -- one uniformly drawn sample per iteration and an
                             identity inverse Hessian.
 
-All four run through the one loop in ``run``: each iteration draws a
-``SamplePlan`` from a plan source, evaluates the batch and takes a step.
-The loop does not know the sampling mode; the plan carries the layout. One
+All four run through the one loop in ``run``, one pass per iterate from
+k = 0: draw a plan, evaluate the batch, form the pair of the step that led
+here (none at k = 0), evaluate the full data every ``stride`` iterates,
+record, check the stopping rules, step. One handler catches a
+``NumericError`` anywhere in the pass. The loop does not know the sampling
+mode; the plan carries the layout. One
 ``Objective.eval_sums(w, plan.rows, plan.spans, plan.segments)`` call per
 batch returns the gradient and loss sums of every part (one row of
 ``G``/``L`` each), from one gather of the parts' rows or, for the fixed row
@@ -43,6 +46,7 @@ and is never charged.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -52,11 +56,14 @@ from .engine import LbfgsMemory
 from .errors import ConfigurationError, NumericError, UsageError
 from .linalg import Vector
 from .objectives import Objective
-from .sampling import (SamplePlan, SeededRng, SerialSource, check_node_count,
-                       make_plan_source, strategy_batch_sizes)
+from .sampling import (SeededRng, SerialSource, check_node_count, make_plan_source,
+                       strategy_batch_sizes)
 
 METHODS = ("robust_lbfgs", "inconsistent_lbfgs", "multibatch_gd", "serial_sgd")
 MODES = ("strategy1", "strategy2", "fault")
+# a run aborts as diverged once its full loss exceeds this multiple of the
+# first full loss
+DIVERGENCE_FACTOR = 1e6
 
 
 @dataclass(frozen=True)
@@ -123,7 +130,6 @@ class RunConfig:
     trace_stride: int | None = None
     max_iterations: int | None = None
     grad_tol: float | None = None
-    divergence_factor: float = 1e6
     w0: object = None
 
     def validate(self, n: int):
@@ -140,6 +146,10 @@ class RunConfig:
             raise ConfigurationError(f"seed {self.seed} outside [0, 2**128)")
         if self.mode == "fault" and not 0 <= self.fail_prob < 1:
             raise ConfigurationError("failure probability must be in [0, 1)")
+        stride = self.trace_stride
+        if stride is not None and not (isinstance(stride, numbers.Integral)
+                                       and stride >= 1):
+            raise ConfigurationError(f"trace stride {stride!r} is not an integer >= 1")
         if self.method == "serial_sgd":
             return
         if self.mode == "fault":
@@ -149,7 +159,7 @@ class RunConfig:
 
     def effective_stride(self, n: int) -> int:
         if self.trace_stride is not None:
-            return max(1, int(self.trace_stride))
+            return self.trace_stride
         if self.method == "serial_sgd":
             return n
         frac = (1.0 - self.fail_prob) if self.mode == "fault" else self.batch_frac
@@ -213,19 +223,6 @@ def form_pair(objective: Objective, w_prev: Vector, w_next: Vector,
     return w_next - w_prev, g_next - g_prev
 
 
-# ----------------------------------------------------------------------
-# per-part batch evaluation
-# ----------------------------------------------------------------------
-def _eval_parts(objective: Objective, w: Vector, plan: SamplePlan,
-                ledger, tag) -> tuple:
-    """(G, L): gradient and loss sums of each part of the batch."""
-    G, L = objective.eval_sums(w, plan.rows, plan.spans, plan.segments)
-    if ledger is not None:
-        ledger.extend((tag, i, plan.rows[a:b])
-                      for i, (a, b) in enumerate(plan.spans))
-    return G, L
-
-
 def _average(objective: Objective, w: Vector, G, L, count: int) -> tuple:
     """Average gradient and loss of the summed parts (rows of ``G``/``L``)
     over ``count`` examples, with the regularization term added once."""
@@ -234,13 +231,6 @@ def _average(objective: Objective, w: Vector, G, L, count: int) -> tuple:
     # terms up (for G, when d = 1), which changes the last bits
     return objective.average(w, np.add.accumulate(G)[-1],
                              np.add.accumulate(L)[-1], count)
-
-
-def _full_metrics(objective: Objective, w: Vector) -> tuple:
-    """Full-data gradient norm, loss and training accuracy (metrology)."""
-    full = objective.eval_full(w)
-    return (math.sqrt(float(np.dot(full.gradient, full.gradient))), full.loss,
-            full.accuracy)
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +243,8 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
     ``eval_ledger``, when a list, collects (iterate, part, indices) for every
     algorithmic gradient evaluation; ``part`` is the part's position in its
     plan, or "O_extra" for the extra overlap evaluation of strategy 2. ``pair_log`` collects
-    (k, y's, s's, y'y, accepted) for every candidate curvature pair.
+    (k, y's, s's, y'y, accepted) for every candidate curvature pair, k being
+    the step the pair measures.
     """
     n, d = objective.n, objective.d
     config.validate(n)
@@ -268,121 +259,95 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
             reshard_each_epoch=config.reshard_each_epoch,
         )
     memory = LbfgsMemory(config.memory, config.scaling, config.cautious_eps)
-    w = np.zeros(d) if config.w0 is None else np.asarray(config.w0, dtype=np.float64).copy()
-
-    records: list[TraceRecord] = []
-    aborted = None
-    t0 = time.perf_counter()
-
-    plan = source.next_plan()
-    try:
-        G, L = _eval_parts(objective, w, plan, eval_ledger, 0)
-        g_S, loss_S = _average(objective, w, G, L, plan.sample_size)
-        grad_norm, full_loss, train_acc = _full_metrics(objective, w)
-    except NumericError as exc:
-        return RunTrace(records, f"numeric: {exc}", w, memory, config)
-    epoch = plan.sample_size / n
-    divergence_limit = config.divergence_factor * max(abs(full_loss), 1e-12)
-
-    records.append(TraceRecord(
-        k=0, epoch=epoch, grad_norm=grad_norm, subset_loss=loss_S,
-        full_loss=full_loss, train_acc=train_acc, pair_accepted=0,
-        sample_size=int(plan.sample_size), overlap_size=int(plan.O_prev.size),
-        redraws=plan.redraws, wallclock=0.0))
-
-    if config.grad_tol is not None and grad_norm <= config.grad_tol:
-        return RunTrace(records, None, w, memory, config)
-
-    k = 0
-    epochs_seen = 0
     use_memory = config.method in ("robust_lbfgs", "inconsistent_lbfgs")
-    while epoch < config.epochs and (config.max_iterations is None
-                                     or k < config.max_iterations):
-        alpha = config.schedule.alpha_at(k)
-        try:
-            w_next = take_step(w, memory, g_S, alpha,
-                               identity_hessian=not use_memory)
-        except NumericError as exc:
-            aborted = f"numeric: {exc}"
-            break
+    w = np.zeros(d) if config.w0 is None else np.asarray(config.w0, dtype=np.float64).copy()
+    # the iterate the trace ends at if this pass fails: the previous one
+    # until the new one's batch and pair are evaluated
+    final_w = w
+    s = np.zeros(d)  # no step before iterate 0, so no pair there
 
-        if math.floor(epoch) > epochs_seen:
-            epochs_seen = math.floor(epoch)
-            source.epoch_boundary()
-        plan_next = source.next_plan()
-        try:
-            G_next, L_next = _eval_parts(objective, w_next, plan_next, eval_ledger, k + 1)
-            g_S_next, loss_S_next = _average(objective, w_next, G_next, L_next,
-                                             plan_next.sample_size)
-        except NumericError as exc:
-            aborted = f"numeric: {exc}"
-            break
-        epoch += plan_next.sample_size / n
+    records, aborted = [], None
+    k, epoch, epochs_seen = 0, 0.0, 0
+    divergence_limit = math.inf  # set from the first full loss
+    t0 = time.perf_counter()
+    try:
+        while True:
+            if math.floor(epoch) > epochs_seen:
+                epochs_seen = math.floor(epoch)
+                source.epoch_boundary()
+            plan = source.next_plan()
+            G, L = objective.eval_sums(w, plan.rows, plan.spans, plan.segments)
+            if eval_ledger is not None:
+                eval_ledger.extend((k, i, plan.rows[a:b])
+                                   for i, (a, b) in enumerate(plan.spans))
+            g_S, loss_S = _average(objective, w, G, L, plan.sample_size)
+            epoch += plan.sample_size / n
 
-        pair_accepted = 0
-        overlap = plan_next.O_prev
-        if use_memory:
-            s = w_next - w
-            y = None
-            if not np.any(s):
-                pass  # zero step: skip the pair entirely
-            elif config.method == "inconsistent_lbfgs":
-                # gradient difference across different samples
-                y = g_S_next - g_S
-            elif plan_next.link is not None:
-                # overlap gradients at both iterates on the same index set O_k
-                prev_parts, next_parts = plan_next.link
-                try:
-                    g_over_prev, _ = _average(objective, w, G[prev_parts],
-                                              L[prev_parts], overlap.size)
+            pair_accepted = 0
+            overlap = plan.O_prev
+            if use_memory and np.any(s):  # a zero step forms no pair
+                y = None
+                if config.method == "inconsistent_lbfgs":
+                    # gradient difference across different samples
+                    y = g_S - g_prev
+                elif plan.link is not None:
+                    # overlap gradients at both iterates on the same index set O_k
+                    prev_parts, next_parts = plan.link
+                    g_over_prev, _ = _average(objective, w_prev, G_prev[prev_parts],
+                                              L_prev[prev_parts], overlap.size)
                     if next_parts is None:
                         # O_k is not made of parts of the new batch: one
                         # extra evaluation, charged to the epoch count
-                        G_over, L_over = objective.eval_sums(w_next, overlap)
+                        G_over, L_over = objective.eval_sums(w, overlap)
                         if eval_ledger is not None:
-                            eval_ledger.append((k + 1, "O_extra", overlap))
+                            eval_ledger.append((k, "O_extra", overlap))
                         epoch += overlap.size / n
                     else:
-                        G_over, L_over = G_next[next_parts], L_next[next_parts]
-                    g_over_next, _ = _average(objective, w_next, G_over, L_over,
+                        G_over, L_over = G[next_parts], L[next_parts]
+                    g_over_next, _ = _average(objective, w, G_over, L_over,
                                               overlap.size)
-                except NumericError as exc:
-                    aborted = f"numeric: {exc}"
-                    break
-                y = g_over_next - g_over_prev
-            if y is not None:
-                pair_accepted = int(memory.admit(s, y))
-                if pair_log is not None:
-                    pair_log.append((k, float(np.dot(y, s)), float(np.dot(s, s)),
-                                     float(np.dot(y, y)), bool(pair_accepted)))
+                    y = g_over_next - g_over_prev
+                if y is not None:
+                    pair_accepted = int(memory.admit(s, y))
+                    if pair_log is not None:
+                        pair_log.append((k - 1, float(np.dot(y, s)),
+                                         float(np.dot(s, s)), float(np.dot(y, y)),
+                                         bool(pair_accepted)))
+            final_w = w
 
-        k += 1
-        w, g_S, loss_S, plan = w_next, g_S_next, loss_S_next, plan_next
-        G, L = G_next, L_next
+            # a blown-up batch loss forces a confirming full evaluation so
+            # divergence aborts promptly instead of at the next stride
+            if k % stride == 0 or loss_S > divergence_limit:
+                full = objective.eval_full(w)
+                grad_norm = math.sqrt(float(np.dot(full.gradient, full.gradient)))
+                full_loss, train_acc = full.loss, full.accuracy
+                if k == 0:
+                    divergence_limit = DIVERGENCE_FACTOR * max(abs(full_loss), 1e-12)
 
-        # a blown-up batch loss forces a confirming full evaluation so
-        # divergence aborts promptly instead of at the next stride
-        if k % stride == 0 or loss_S > divergence_limit:
-            try:
-                grad_norm, full_loss, train_acc = _full_metrics(objective, w)
-            except NumericError as exc:
-                aborted = f"numeric: {exc}"
+            records.append(TraceRecord(
+                k=k, epoch=epoch, grad_norm=grad_norm, subset_loss=loss_S,
+                full_loss=full_loss, train_acc=train_acc,
+                pair_accepted=pair_accepted, sample_size=int(plan.sample_size),
+                overlap_size=int(overlap.size), redraws=plan.redraws,
+                wallclock=time.perf_counter() - t0 if k else 0.0))
+
+            if full_loss > divergence_limit:
+                aborted = "divergence"
+                break
+            if config.grad_tol is not None and grad_norm <= config.grad_tol:
+                break
+            if epoch >= config.epochs or (config.max_iterations is not None
+                                          and k >= config.max_iterations):
                 break
 
-        records.append(TraceRecord(
-            k=k, epoch=epoch, grad_norm=grad_norm, subset_loss=loss_S,
-            full_loss=full_loss, train_acc=train_acc,
-            pair_accepted=pair_accepted, sample_size=int(plan.sample_size),
-            overlap_size=int(overlap.size), redraws=plan.redraws,
-            wallclock=time.perf_counter() - t0))
-
-        if full_loss > divergence_limit:
-            aborted = "divergence"
-            break
-        if config.grad_tol is not None and grad_norm <= config.grad_tol:
-            break
-
-    return RunTrace(records, aborted, w, memory, config)
+            w_prev, G_prev, L_prev, g_prev = w, G, L, g_S
+            w = take_step(w, memory, g_S, config.schedule.alpha_at(k),
+                          identity_hessian=not use_memory)
+            s = w - w_prev
+            k += 1
+    except NumericError as exc:
+        aborted = f"numeric: {exc}"
+    return RunTrace(records, aborted, final_w, memory, config)
 
 
 # ----------------------------------------------------------------------

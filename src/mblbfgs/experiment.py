@@ -138,16 +138,20 @@ class ExperimentResult:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run every grid cell, writing its CSV; cell aborts are recorded in the
     manifest and the remaining cells still run."""
-    spec.validate()
+    cells = list(spec.cells())
     objective = spec.load_objective()  # a data error leaves no directory behind
-    for config in spec.cells():  # nor does a bad grid value
+    for config in cells:  # nor does a bad grid value
         config.validate(objective.n)
+    names = [cell_filename(config) for config in cells]
+    # nor do two cells that would write one file
+    shared = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if shared is not None:
+        raise ConfigurationError(f"two grid cells share the file name {shared}")
     out_dir = Path(os.environ.get("MBLBFGS_OUT", spec.out_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     csv_paths, statuses, aborted = [], [], 0
-    for config in spec.cells():
-        name = cell_filename(config)
+    for name, config in zip(names, cells):
         trace = run(config, objective)
         write_trace_csv(trace, out_dir / name)
         csv_paths.append(out_dir / name)
@@ -160,7 +164,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {version_string()}\n")
         fh.write("filename,method,mode,r,o,alpha,p,seed,status\n")
-        for (name, status), config in zip(statuses, spec.cells()):
+        for (name, status), config in zip(statuses, cells):
             fh.write(",".join([
                 name, config.method, config.mode,
                 f"{config.batch_frac:g}", f"{config.overlap_frac:g}",

@@ -154,3 +154,31 @@ def test_bad_grid_value_exits_one_before_any_output(tmp_path, capsys, flags):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
+
+
+def test_trace_stride_below_one_exits_one_before_any_output(tmp_path, capsys):
+    out = tmp_path / "runs"
+    code = main(["--synthetic", "500,8,4,0.5", "--trace-stride", "-5",
+                 "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "usage error: trace stride -5" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--seed", "0,0"], "robust_lbfgs_r0.05_o0.2_a0.1_p0_s0.csv"),
+    (["--method", "robust_lbfgs", "--method", "robust_lbfgs"],
+     "robust_lbfgs_r0.05_o0.2_a0.1_p0_s0.csv"),
+    (["--batch-frac", "0.1,0.1000001"], "robust_lbfgs_r0.1_o0.2_a0.1_p0_s0.csv"),
+])
+def test_grid_cells_sharing_a_file_name_exit_one_before_any_output(
+        tmp_path, capsys, flags, name):
+    # each ran, and the manifest listed one CSV twice
+    out = tmp_path / "runs"
+    code = main(["--synthetic", "100,8,4,0.5", "--epochs", "1", "--out", str(out),
+                 *flags])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"usage error: two grid cells share the file name {name}" in err

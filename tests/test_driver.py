@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mblbfgs import (
     ConfigurationError,
     LbfgsMemory,
+    NumericError,
     RunConfig,
     SeededRng,
     StepSchedule,
@@ -19,6 +21,7 @@ from mblbfgs import (
     sqrt_horizon,
     take_step,
 )
+from mblbfgs import driver
 from mblbfgs.driver import _average, form_pair
 from mblbfgs.objectives import Objective
 
@@ -128,6 +131,14 @@ class TestRunLoop:
         # the trace stride divided by it first and raised ZeroDivisionError
         with pytest.raises(ConfigurationError, match="batch fraction"):
             run(RunConfig(mode=mode, batch_frac=0.0), small_logistic)
+
+    @pytest.mark.parametrize("method", ["robust_lbfgs", "serial_sgd"])
+    @pytest.mark.parametrize("stride", [0, -5])
+    def test_trace_stride_below_one_raises_a_configuration_error(
+            self, small_logistic, method, stride):
+        # it was clamped to 1: a full evaluation every iteration
+        with pytest.raises(ConfigurationError, match="trace stride"):
+            run(RunConfig(method=method, trace_stride=stride), small_logistic)
 
     @pytest.mark.parametrize("method,mode", [
         ("robust_lbfgs", "strategy1"),
@@ -265,6 +276,67 @@ class TestRunLoop:
         trace = run(cfg, sep_logistic)
         assert trace.records[-1].grad_norm <= 1e-8
         assert len(trace.records) < 300
+
+
+class TestAbortSites:
+    # the calls each site makes, in order, at trace_stride=2:
+    #   eval_sums (strategy 1): batch 0, batch 1, batch 2, ...
+    #   eval_sums (strategy 2): batch 0, batch 1, extra overlap 1, batch 2,
+    #                           extra overlap 2, ...
+    #   eval_full: iterate 0, iterate 2, iterate 4, ...
+    #   take_step: the step from iterate 0, 1, 2, ...
+    @pytest.mark.parametrize("site,owner,name,mode,nth,records,j", [
+        # iterate 2's batch fails: the trace ends at iterate 1
+        ("batch", Objective, "eval_sums", "strategy1", 3, 2, 1),
+        # iterate 2's extra overlap evaluation fails: back to iterate 1
+        ("extra overlap", Objective, "eval_sums", "strategy2", 5, 2, 1),
+        # iterate 2's full evaluation fails: the run keeps iterate 2 but
+        # has no record of it
+        ("metrology", Objective, "eval_full", "strategy1", 2, 2, 2),
+        # the step from iterate 2 fails: the trace ends at iterate 2
+        ("step", driver, "take_step", "strategy1", 3, 3, 2),
+    ], ids=["batch", "extra_overlap", "metrology", "step"])
+    def test_numeric_failure_keeps_the_trace_up_to_its_site(
+            self, small_logistic, monkeypatch, site, owner, name, mode, nth,
+            records, j):
+        cfg = RunConfig(method="robust_lbfgs", mode=mode, batch_frac=0.1,
+                        overlap_frac=0.2, schedule=constant(0.2), epochs=10.0,
+                        trace_stride=2, seed=1)
+        real, calls = getattr(owner, name), []
+
+        def failing(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == nth:
+                raise NumericError(f"injected at the {site}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+        trace = run(cfg, small_logistic)
+        monkeypatch.undo()
+        assert trace.aborted == f"numeric: injected at the {site}"
+        assert [r.k for r in trace.records] == list(range(records))
+        reference = run(replace(cfg, max_iterations=j), small_logistic)
+        assert reference.aborted is None
+        assert np.array_equal(trace.final_w, reference.final_w)
+
+    @pytest.mark.parametrize("mode", ["strategy1", "strategy2", "fault"])
+    def test_ledger_tags_and_pair_log_name_iterates(self, small_logistic, mode):
+        ledger, pairs = [], []
+        cfg = RunConfig(method="robust_lbfgs", mode=mode, batch_frac=0.1,
+                        overlap_frac=0.2, nodes=4, fail_prob=0.25,
+                        schedule=constant(0.2), epochs=2.0, seed=1)
+        trace = run(cfg, small_logistic, eval_ledger=ledger, pair_log=pairs)
+        ks = [r.k for r in trace.records]
+        # the batch parts and the extra overlap carry the iterate they were
+        # evaluated at
+        assert sorted({tag for tag, key, _ in ledger if key != "O_extra"}) == ks
+        assert {tag for tag, key, _ in ledger if key == "O_extra"} <= set(ks[1:])
+        # a pair carries the step it measures: step k leads to record k + 1
+        assert pairs
+        assert [k + 1 for k, *_ in pairs] == [
+            r.k for r in trace.records[1:] if r.overlap_size > 0]
+        assert [accepted for *_, accepted in pairs] == [
+            bool(r.pair_accepted) for r in trace.records[1:] if r.overlap_size > 0]
 
 
 class TestEvaluationAccounting:
