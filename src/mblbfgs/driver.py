@@ -23,17 +23,16 @@ record, check the stopping rules, step. One handler catches a
 mode; the plan carries the layout. One
 ``Objective.eval_sums(w, plan.rows, plan.spans, plan.segments)`` call per
 batch returns the gradient and loss sums of every part (one row of
-``G``/``L`` each), from one gather of the parts' rows or, for the fixed row
-order of a fault-mode layout kept for the run, whose plans name the shard
-bounds in ``segments``, from the objective's cached block of that order,
-one keyed matvec for all parts; a layout resharded every epoch is
-gathered. A metrology ``eval_full`` at the iterate the block was just
-evaluated at reuses that call's margins. The batch gradient adds
-all rows, and an overlap gradient adds the rows that ``plan.link`` names,
-so both gradients of a curvature pair are sums over the same index set
-O_k. Serial SGD is the source of one-example plans with empty overlaps
-(``sampling.SerialSource``), so it gets the same stopping rules,
-divergence check and abort strings as the batch methods. The methods
+``G``/``L`` each). A row order that serves many batches, a strategy-1
+epoch's permutation or a fault-mode layout kept for the run, comes with
+``segments``, and the objective reads its parts in place from its kept copy
+of those rows; other batches are gathered. A metrology ``eval_full`` at the
+iterate a kept order was just evaluated at reuses that call's margins. The
+batch gradient adds all rows, and an overlap gradient adds the rows that
+``plan.link`` names, so both gradients of a curvature pair are sums over
+the same index set O_k. Serial SGD is the source of one-example plans with
+empty overlaps (``sampling.SerialSource``), so it gets the same stopping
+rules, divergence check and abort strings as the batch methods. The methods
 without memory (``multibatch_gd``, ``serial_sgd``) step along -g.
 
 Epoch accounting charges |S_k|/n per batch-gradient evaluation, plus
@@ -193,10 +192,6 @@ class RunTrace:
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records], dtype=np.float64)
-
-    @property
-    def final_record(self) -> TraceRecord:
-        return self.records[-1]
 
 
 # ----------------------------------------------------------------------

@@ -20,39 +20,36 @@ gradient and loss sums of each part, which the driver recombines into batch
 and overlap gradients. ``average`` adds the averaging and the
 regularization term and raises ``NumericError`` when either is not finite.
 
-A read-only ``rows`` that comes with ``segments`` (the fixed order of all
-shards of a fault-mode layout kept for the run, and the shard bounds every
-span is one of) is kept as a block from its first call that covers at
-least ``_MIN_BLOCK_COVERAGE`` of it, until another such pair comes along.
-The block is one sparse matrix ``K`` with ``d`` rows per segment and one
-column per entry of ``rows``: column ``i`` holds the entries of row
-``rows[i]`` at rows ``segment(i) * d + column``. A call whose parts cover
-at least that much of the block reads no rows: its margins are one
-``K.T`` matvec with ``w`` repeated per segment, and every segment's gradient
-sum comes from one ``K`` matvec with the per-row coefficients, from which
-the parts' segments are picked. Parts with gaps between them (failed
-nodes) waste the work on the gap rows, so a call covering less of the block
-gathers its parts' rows instead. Each row's margin and each gradient bin
-add the same products in the same order from 0.0 on either branch, so the
-bytes are the same.
+Every call reads its parts as row ranges of one CSR matrix. The margins of
+each run of adjacent parts come from one compiled ``csr_matvec`` over its
+rows, the row terms of all runs from one ``_row_terms`` call, and each
+part's gradient sum from one ``csc_matvec`` over its rows into a zeroed
+output. Both add each row's, and each output entry's, products left to
+right from 0.0, as ``X[idx].dot(w)`` and ``X[idx].T.dot(c)`` do, so the
+bytes do not depend on where the rows come from:
 
-The gather has two branches with the same result bytes. A batch whose
-expected stored entries, rows times the mean row count ``nnz / n``, are at
-most ``_SMALL_BATCH_ENTRIES`` is read straight from ``X.indptr``,
-``X.indices`` and ``X.data`` with numpy, and its margins are per-row
-``bincount`` sums; at these sizes the cost is per call, and scipy's
-``X[idx]`` with ``Xs.dot(w)`` costs about twice as much for one row. A
-larger batch keeps ``X[idx]`` and ``Xs.dot(w)``, which win from about
-10,000 entries on. The rule is O(1) and reads only the batch size, so rows
-with unusual entry counts can change which branch runs but never the result.
+* A read-only ``rows`` that comes with ``segments`` (a strategy-1 epoch's
+  permutation or a fault layout kept for the run, and the bounds every span
+  is one segment of) promises that the pair serves many calls. The
+  objective keeps one entry, for the last such pair: ``Xb = X[rows]``, the
+  rows' labels and, when ``rows`` is a permutation of all rows, its inverse.
+  Parts are then row ranges of ``Xb`` itself; rows outside them (failed
+  nodes, the rest of the epoch) cost nothing.
+* Any other call gathers its parts' rows back to back. A batch whose
+  expected stored entries, rows times the mean row count ``nnz / n``, are
+  at most ``_SMALL_BATCH_ENTRIES`` is read straight from ``X.indptr``,
+  ``X.indices`` and ``X.data`` with numpy; a larger one with ``X[idx]``.
+  The rule is O(1) and reads only the batch size, so rows with unusual
+  entry counts can change which branch runs but never the result.
 
 ``eval_full`` also returns the training accuracy from the margins it
 computes anyway, so metrology reads ``X`` once per point. When the last
-block call was at a ``w`` with the same bytes and the block's rows are a
-permutation of all rows, it skips ``X.dot(w)`` and the row terms and puts
-that call's margins, terms and coefficients back in row order. Comparing
-bytes, not values, keeps -0.0 apart from 0.0 and lets a NaN match itself,
-so the result is exactly what a fresh evaluation gives.
+call on the kept entry was at a ``w`` with the same bytes and the entry's
+rows are a permutation of all rows, it reuses that call's margins, terms
+and coefficients, computes only the other rows' in place on ``Xb``, and puts
+them back in row order. Comparing bytes, not values, keeps -0.0 apart from
+0.0 and lets a NaN match itself, so the result is exactly what a fresh
+evaluation gives.
 """
 from __future__ import annotations
 
@@ -61,8 +58,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.special import expit
+# scipy's compiled sparse matvecs, the one place this package imports them.
+# csr_matvec(n_row, n_col, Ap, Aj, Ax, Xx, Yx) adds the CSR product A Xx to
+# Yx, each row's products left to right; csc_matvec with the same arguments
+# adds the CSC product, which for a CSR A's arrays is A.T Xx, scattered
+# column by column. The module is private, but both keep this signature
+# from the scipy>=1.10 floor in pyproject.toml onwards, and
+# tests/test_objectives.py pins their bytes against X[idx].dot(w) and
+# X[idx].T.dot(c).
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .errors import NumericError, UsageError
 from .linalg import Dataset, Vector
@@ -70,24 +75,58 @@ from .linalg import Dataset, Vector
 KINDS = ("logistic_l2", "sigmoid_lsq", "quadratic")
 
 # Largest expected number of stored entries (batch rows * nnz / n) gathered
-# with numpy instead of scipy's X[idx]. Crossover measured with eval_sums on
-# one pinned core, scipy vs numpy gather: 8,000 entries at d=50 158.9 vs
-# 158.1 us; 7,500 at d=200 143 vs 134 us; 12,000 at d=200 169 vs 189 us;
-# 60,000 624 vs 935 us. Counting a batch's exact entries would take passes
-# over its indptr that cost more than they save on large batches.
+# with numpy instead of scipy's X[idx]. Measured with two-part eval_sums calls
+# on writable rows, one pinned core, best of 9, numpy vs scipy gather: at
+# d=50, 10 entries a row, 8,000 entries 187-190 vs 231-250 us, 12,000 261-263
+# vs 252-266 us, 20,000 317 vs 254 us, 60,000 912 vs 692 us; at d=200, 15 a
+# row, 8,000 139-171 vs 229-241 us, 12,000 170-213 vs 164-243 us, 60,000 832
+# vs 590 us. The crossover lies near 12,000 entries on a noisy host, so the
+# bound stays where the numpy gather clearly wins. Counting a batch's exact
+# entries would take passes over its indptr that cost more than they save.
 _SMALL_BATCH_ENTRIES = 8192
 
-# Smallest fraction of a cached block's rows that a call's parts must cover
-# for eval_sums to evaluate the whole block instead of gathering the parts.
-# Measured with eval_sums on one pinned core, 5000 x 200 rows of 15 entries
-# in 16 shards, median per-call time of the keyed block over gather, two
-# rounds, for logistic_l2: 1.47-1.49 at 2 shards (coverage 0.125),
-# 1.21-1.23 at 3, 1.03-1.06 at 4 (0.25), 0.91 at 5, 0.66-0.67 at 8,
-# 0.41-0.42 at 14 and 0.37-0.42 at 16; sigmoid_lsq 1.28-1.36, 1.08-1.12,
-# 0.93-0.94, 0.78-0.82, 0.57-0.58, 0.37-0.42, 0.36-0.38. The quadratic kind
-# needs no margins and its block wins at every coverage (0.22-0.25), but
-# one rule serves all kinds.
-_MIN_BLOCK_COVERAGE = 0.25
+
+@dataclass(frozen=True)
+class _KeptOrder:
+    """A read-only row order ``rows`` with its ``segments``, their
+    ``(start, stop)`` pairs, the CSR arrays ``(indptr, indices, data)`` of
+    ``X[rows]``, the rows' labels (or quadratic constants) and the inverse
+    permutation when ``rows`` is a permutation of all rows, else None."""
+
+    rows: np.ndarray
+    segments: object
+    pairs: set
+    csr: tuple
+    row_data: np.ndarray
+    inv: np.ndarray | None
+
+
+def _segment_pairs(segments, size: int) -> set:
+    """The ``(start, stop)`` pairs of ``segments``, checked to ascend from 0
+    to ``size``."""
+    bounds = list(map(int, segments))
+    if not bounds or bounds[0] != 0 or bounds[-1] != size or bounds != sorted(bounds):
+        raise UsageError("segments must ascend from 0 to len(rows)")
+    return set(zip(bounds, bounds[1:]))
+
+
+def _runs(parts) -> list:
+    """The ascending ``(start, stop)`` ranges ``parts``, back-to-back ones
+    merged."""
+    runs = [list(parts[0])]
+    for a, b in parts[1:]:
+        if a == runs[-1][1]:
+            runs[-1][1] = b
+        else:
+            runs.append([a, b])
+    return runs
+
+
+def _packed(values, ranges):
+    """The entries of ``values`` in ``ranges``, range after range."""
+    if len(ranges) == 1:
+        return values[ranges[0][0]:ranges[0][1]]
+    return np.concatenate([values[a:b] for a, b in ranges])
 
 
 @dataclass
@@ -127,17 +166,16 @@ class Objective:
         self.dataset = dataset
         self.sigma = float(sigma)
         self.X, self.labels = dataset.X, dataset.y
+        # plain attributes, not properties: every eval_sums call reads d
+        self.n, self.d = dataset.n, dataset.d
         # the csc view X.T costs a scipy constructor per call; eval_full
         # reuses this one
         self._XT = self.X.T
         self._nnz = int(self.X.indptr[-1])
-        # one-entry cache of eval_sums: the last read-only rows array seen
-        # with segments, its segment bounds, and its block once built
-        self._block_rows = self._block_bounds = self._block = None
-        # the last block call's ((w dtype, w bytes), inverse permutation,
-        # margins, row terms, coefficients), the arrays in block order,
-        # which eval_full reuses at a bitwise-equal w
-        self._memo = None
+        # eval_sums's one _KeptOrder, and its last call as ((w dtype, w
+        # bytes), runs, margins, row terms, coefficients), the arrays packed
+        # run after run, for eval_full at a bitwise-equal w
+        self._kept = self._memo = None
         if kind == "quadratic":
             if quad_weights is None:
                 quad_weights = np.ones(dataset.d)
@@ -148,16 +186,10 @@ class Objective:
                 raise UsageError("quad_weights must be positive")
             # per-example constant sum_j a_j c_ij^2, precomputed once
             self._quad_csq = self.X.multiply(self.X).dot(self.quad_weights)
+            self._row_data = self._quad_csq
         else:
             self.quad_weights = None
-
-    @property
-    def n(self) -> int:
-        return self.dataset.n
-
-    @property
-    def d(self) -> int:
-        return self.dataset.d
+            self._row_data = self.labels
 
     # ------------------------------------------------------------------
     # per-example sums (no averaging, no regularization): the building
@@ -175,17 +207,13 @@ class Objective:
         bit-identical to a one-part call on its slice of ``rows``.
 
         ``segments``, when given, are the bounds ``0 = b0 <= b1 <= ... =
-        len(rows)`` of a fixed partition of ``rows`` (fault mode's shards),
-        and each span must be exactly one segment ``(b_j, b_j+1)``. A
-        read-only ``rows`` that comes with ``segments`` is a promise that
-        neither will change and that the pair serves many calls: the
-        objective keeps the block of the last such pair it saw and
-        evaluates parts covering at least ``_MIN_BLOCK_COVERAGE`` of it
-        with one keyed matvec over the block. Other calls gather the rows
-        of their parts, with numpy from the CSR arrays up to
-        ``_SMALL_BATCH_ENTRIES`` expected stored entries and with
-        ``X[rows]`` above; every branch gives the same bytes (see the module
-        docstring).
+        len(rows)`` of a fixed partition of ``rows``, and each span must be
+        exactly one segment ``(b_j, b_j+1)``. A read-only ``rows`` that
+        comes with ``segments`` is a promise that neither object will change
+        and that the pair serves many calls: the objective keeps ``X[rows]``
+        for the last such pair it saw and reads the parts in place. Other
+        calls gather the rows of their parts; every branch gives the same
+        bytes (see the module docstring).
         """
         idx = np.asarray(rows)
         if spans is None:
@@ -203,168 +231,113 @@ class Objective:
             raise UsageError("rows must be a 1-D sequence of integer row indices")
         idx = idx.astype(np.int64, copy=False)
         self._check_length(w)
-        if segments is not None:
-            bounds = list(map(int, segments))
-            if (not bounds or bounds[0] != 0 or bounds[-1] != idx.size
-                    or bounds != sorted(bounds)):
-                raise UsageError("segments must ascend from 0 to len(rows)")
-            # each segment's position, keyed by its (start, stop) pair
-            index = {pair: j for j, pair in enumerate(zip(bounds, bounds[1:]))}
-            part_segments = [index.get(pair) for pair in zip(flat[::2], flat[1::2])]
-            if None in part_segments:
-                raise UsageError("each part span must be exactly one segment")
+        parts = list(zip(flat[::2], flat[1::2]))
         read_only = not idx.flags.writeable
-        if idx is not self._block_rows or not read_only:
+        kept = self._kept
+        if not (read_only and kept and idx is kept.rows and segments is kept.segments):
+            kept = None
+        if segments is not None:
+            # checked and indexed once per kept entry: O(parts) per call
+            pairs = kept.pairs if kept else _segment_pairs(segments, idx.size)
+            if not pairs.issuperset(parts):
+                raise UsageError("each part span must be exactly one segment")
+        if kept is None:
             # one reduction checks both ends: a negative index viewed as
             # unsigned is at least 2**63
             if idx.view(np.uint64).max() >= self.n:
                 raise UsageError("subset index out of range")
-        block = None
-        if segments is not None and read_only:
-            block = self._block_for(idx, bounds, covered)
-        G = np.empty((len(spans), self.d))
-        L = np.empty(len(spans))
+            if segments is not None and read_only:
+                kept = self._keep(idx, segments, pairs)
+        G = np.zeros((len(parts), self.d))
+        L = np.empty(len(parts))
         with np.errstate(over="ignore", invalid="ignore"):
-            if block is not None:
-                self._block_sums(w, block, flat, part_segments, G, L)
+            if kept is not None:
+                memo = self._part_sums(w, kept.csr, kept.row_data, parts, G, L)
+                if kept.inv is not None and self.kind != "quadratic":
+                    self._memo = ((w.dtype, w.tobytes()), *memo)
             else:
-                self._gather_sums(w, idx, flat, covered, G, L)
+                sub = idx  # parts covering all of idx are its back-to-back ranges
+                if covered < idx.size:
+                    # gather the parts' rows, which puts them back to back
+                    sub = _packed(idx, parts)
+                    ends = list(itertools.accumulate((b - a for a, b in parts), initial=0))
+                    parts = list(zip(ends, ends[1:]))
+                self._part_sums(w, self._gather(sub), self._row_data.take(sub), parts,
+                                G, L)
         self._check_finite(w, idx, flat, G, L)
         return G, L
 
-    def _block_sums(self, w: Vector, block, flat, part_segments, G, L):
-        """Fill ``G``/``L`` with the sums of the parts ``flat`` (pairs of
-        positions in the block's rows), which are the block's segments
-        ``part_segments``, from the block's keyed matrix ``K``.
+    def _part_sums(self, w: Vector, csr, row_data, parts, G, L) -> tuple:
+        """Fill the zeroed ``G`` and ``L`` with the sums of ``parts``,
+        ascending ``(start, stop)`` row ranges of the CSR arrays ``csr``
+        whose rows' labels (or quadratic constants) are ``row_data``.
 
-        ``K`` holds block row ``i``'s entries in its column ``i``, at row
-        ``segment(i) * d + column``: ``K.T`` applied to ``w`` once per
-        segment gives the margins, and ``K`` applied to the per-row
-        coefficients gives every segment's gradient sum in one matvec. Both
-        add each row's, and each output bin's, products left to right from
-        0.0, as the gather branch does.
+        Returns ``(runs, z, terms, coeff)``: the runs of back-to-back parts,
+        and their rows' margins, loss terms and gradient coefficients packed
+        run after run (``z`` and ``coeff`` None for the quadratic kind).
         """
-        K, KT, row_data, inv, colsums = block
+        (indptr, indices, data), d = csr, self.d
+        runs = _runs(parts)
+        z = coeff = None
         if self.kind == "quadratic":
-            terms, sums = row_data, colsums
+            terms = _packed(row_data, runs)
+            weights = np.ones(terms.size)  # each part's gradient needs its column sums
         else:
-            nseg = K.shape[0] // self.d
-            z = KT.dot(np.tile(w, nseg))
-            terms, coeff = self._row_terms(z, row_data)
-            if inv is not None:
-                # every row's margin and terms at w, for eval_full at this w
-                self._memo = ((w.dtype, w.tobytes()), inv, z, terms, coeff)
-            sums = K.dot(coeff).reshape(nseg, self.d)
-        G[:] = sums[part_segments]
-        for k, (r0, r1) in enumerate(zip(flat[::2], flat[1::2])):
+            z = self._margins(w, csr, runs)
+            terms, coeff = self._row_terms(z, _packed(row_data, runs))
+            weights = coeff
+        at = 0
+        for k, (a, b) in enumerate(parts):
+            csc_matvec(d, b - a, indptr[a:b + 1], indices, data,
+                       weights[at:at + b - a], G[k])
             # the reduction ndarray.sum runs, without its Python wrapper
-            L[k] = np.add.reduce(terms[r0:r1])
+            L[k] = np.add.reduce(terms[at:at + b - a])
             if self.kind == "quadratic":
-                G[k], L[k] = self._quad_sums(w, r1 - r0, G[k], L[k])
+                G[k], L[k] = self._quad_sums(w, b - a, G[k], L[k])
+            at += b - a
+        return runs, z, terms, coeff
 
-    def _gather_sums(self, w: Vector, idx, flat, covered: int, G, L):
-        """Fill ``G``/``L`` with the sums of the parts ``flat`` (pairs of
-        positions in ``idx``) from a gather of their rows."""
-        # parts covering all of idx are its consecutive blocks
-        sub, parts = idx, flat
-        if covered < idx.size:
-            # gather the parts' rows, which makes them consecutive
-            sub = np.concatenate([idx[a:b] for a, b in zip(flat[::2], flat[1::2])])
-            ends = list(itertools.accumulate(
-                (b - a for a, b in zip(flat[::2], flat[1::2])), initial=0))
-            parts = [i for pair in zip(ends, ends[1:]) for i in pair]
-        indptr, row_nnz, cols, vals, z = self._gather(w, sub)
-        if self.kind == "quadratic":
-            terms, weights = self._quad_csq.take(sub), vals
-        else:
-            terms, coeff = self._row_terms(z, self.labels.take(sub))
-            # each stored entry times its row's coefficient, summed per
-            # column in row order: the arithmetic of Xs.T.dot(coeff)
-            weights = vals * np.repeat(coeff, row_nnz)
-        # each part's first and last row and entry, taken pairwise
-        rows_at, entries_at = iter(parts), iter(indptr[parts].tolist())
-        for k, (r0, r1, p0, p1) in enumerate(zip(rows_at, rows_at,
-                                                 entries_at, entries_at)):
-            G[k] = np.bincount(cols[p0:p1], weights=weights[p0:p1],
-                               minlength=self.d)
-            L[k] = np.add.reduce(terms[r0:r1])
-            if self.kind == "quadratic":
-                G[k], L[k] = self._quad_sums(w, r1 - r0, G[k], L[k])
+    def _margins(self, w: Vector, csr, runs):
+        """Margins of the rows in ``runs``, row ranges of the CSR arrays
+        ``csr``, packed run after run."""
+        indptr, indices, data = csr
+        z = np.zeros(sum(b - a for a, b in runs))
+        at = 0
+        for a, b in runs:
+            csr_matvec(b - a, self.d, indptr[a:b + 1], indices, data, w, z[at:at + b - a])
+            at += b - a
+        return z
 
-    def _block_for(self, rows, bounds, covered: int):
-        """``(K, K.T, row_data, inv, colsums)`` of the cached block of the
-        read-only ``rows`` with segment bounds ``bounds`` when this call
-        evaluates on it, else None.
-
-        ``K`` is the keyed matrix (see ``_block_sums``), ``row_data`` the
-        rows' labels (per-row constants for the quadratic kind), ``inv``
-        the inverse permutation when ``rows`` is a permutation of all rows
-        of ``X``, else None, and ``colsums`` each segment's column sums for
-        the quadratic kind, else None. A ``(rows, bounds)`` pair is
-        remembered on first sight and its block built on its first call
-        that covers enough of it, and never rebuilt while the pair lasts.
-        """
-        if rows is not self._block_rows or bounds != self._block_bounds:
-            self._block_rows, self._block_bounds, self._block = rows, bounds, None
-        if covered < _MIN_BLOCK_COVERAGE * rows.size:
-            return None
-        if self._block is None:
-            self._block = self._build_block(rows, bounds)
-        return self._block
-
-    def _build_block(self, rows, bounds) -> tuple:
-        """The block of ``rows`` cut into the segments ``bounds``; see
-        ``_block_for``."""
-        Xb, d = self.X[rows], self.d
-        nseg = len(bounds) - 1
-        # each entry's row in K: its segment's offset plus its column, in
-        # Xb's index type when nseg * d fits it, so that K shares data and
-        # indptr with Xb and scipy converts nothing
-        dtype = Xb.indices.dtype
-        if nseg * d > np.iinfo(dtype).max:
-            dtype = np.int64
-        keyed = np.repeat(np.repeat(np.arange(0, nseg * d, d, dtype=dtype),
-                                    np.diff(bounds)), np.diff(Xb.indptr))
-        keyed += Xb.indices
-        K = sparse.csc_matrix((Xb.data, keyed, Xb.indptr), shape=(nseg * d, rows.size))
-        # the quadratic kind's gradient sums need only each segment's column
-        # sums, which do not depend on w
-        colsums = None
-        if self.kind == "quadratic":
-            colsums = K.dot(np.ones(rows.size)).reshape(nseg, d)
-        row_data = (self._quad_csq if self.kind == "quadratic" else self.labels).take(rows)
-        inv = None
-        if rows.size == self.n:
-            # n in-range rows are a permutation when every row occurs
-            inv = np.full(self.n, -1, dtype=np.int64)
+    def _keep(self, rows, segments, pairs) -> _KeptOrder:
+        """Make the read-only ``rows`` with ``segments`` the kept entry."""
+        # drop the old entry first, so that two copies of X never coexist
+        self._kept = self._memo = None
+        Xb, inv = self.X[rows], None
+        # n in-range rows are a permutation when every row occurs
+        if rows.size == self.n and np.bincount(rows, minlength=self.n).all():
+            inv = np.empty_like(rows)
             inv[rows] = np.arange(self.n)
-            if inv.min() < 0:
-                inv = None
-        return K, K.T, row_data, inv, colsums
+        self._kept = _KeptOrder(rows, segments, pairs,
+                                (Xb.indptr, Xb.indices, Xb.data),
+                                self._row_data.take(rows), inv)
+        return self._kept
 
-    def _gather(self, w: Vector, idx) -> tuple:
-        """``(indptr, row_nnz, cols, vals, z)`` of the rows ``idx``: their
-        CSR entry layout, stored entries, and margins ``z = X[idx] w`` (None
-        for the quadratic kind, which needs no margins)."""
+    def _gather(self, idx) -> tuple:
+        """The CSR arrays ``(indptr, indices, data)`` of the rows ``idx``."""
         X, m = self.X, idx.size
         if m * self._nnz > _SMALL_BATCH_ENTRIES * X.shape[0]:
             Xs = X[idx]
-            z = None if self.kind == "quadratic" else Xs.dot(w)
-            return Xs.indptr, np.diff(Xs.indptr), Xs.indices, Xs.data, z
+            return Xs.indptr, Xs.indices, Xs.data
         # .take, not [...]: with int32 index arrays it is several times faster
         lo = X.indptr.take(idx)
         row_nnz = X.indptr.take(idx + 1) - lo
         indptr = np.zeros(m + 1, dtype=np.int64)
         row_nnz.cumsum(out=indptr[1:])
         pos = np.repeat(lo - indptr[:-1], row_nnz) + np.arange(indptr[-1])
-        cols, vals = X.indices.take(pos), X.data.take(pos)
-        z = None
-        if self.kind != "quadratic":
-            # bincount adds each row's products left to right from 0.0, the
-            # order of scipy's csr_matvec, so z has Xs.dot(w)'s bits
-            z = np.bincount(np.repeat(np.arange(m), row_nnz),
-                            weights=vals * w.take(cols), minlength=m)
-        return indptr, row_nnz, cols, vals, z
+        indices = X.indices.take(pos)
+        if indptr[-1] <= self._nnz:  # fits X's index type, so each matvec converts nothing
+            indptr = indptr.astype(indices.dtype)
+        return indptr, indices, X.data.take(pos)
 
     def _check_length(self, w: Vector):
         # O(1): eval_sums runs it on every one-row step of serial SGD
@@ -431,10 +404,8 @@ class Objective:
             else:
                 memo = self._memo
                 if memo is not None and memo[0] == (w.dtype, w.tobytes()):
-                    # the same margins and terms a fresh X.dot(w) would give,
-                    # put back in row order
-                    inv = memo[1]
-                    z, terms, coeff = (a.take(inv) for a in memo[2:])
+                    # the same margins and terms a fresh X.dot(w) would give
+                    z, terms, coeff = self._full_rows(w, *memo[1:])
                 else:
                     z = X.dot(w)
                     terms, coeff = self._row_terms(z, self.labels)
@@ -444,6 +415,27 @@ class Objective:
                            np.array([loss_sum]))
         return SubsetGradient(*self.average(w, grad_sum, loss_sum, self.n),
                               self.n, acc)
+
+    def _full_rows(self, w: Vector, runs, *packed) -> tuple:
+        """Margins, row terms and coefficients of all rows at ``w``, in row
+        order: those of the kept entry's rows in ``runs`` are ``packed``
+        (run after run), and the other rows' are computed in place on
+        ``Xb``."""
+        kept, n = self._kept, self.n
+        ends = [0, *itertools.chain.from_iterable(runs), n]
+        gaps = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if b > a]
+        pieces = [(runs, packed)]
+        if gaps:
+            z = self._margins(w, kept.csr, gaps)
+            pieces.append((gaps, (z, *self._row_terms(z, _packed(kept.row_data, gaps)))))
+        out = [np.empty(n) for _ in packed]
+        for ranges, arrays in pieces:
+            at = 0
+            for a, b in ranges:
+                for dst, src in zip(out, arrays):
+                    dst[a:b] = src[at:at + b - a]
+                at += b - a
+        return tuple(a.take(kept.inv) for a in out)
 
     def average(self, w: Vector, grad_sum, loss_sum, m: int) -> tuple:
         """Gradient and loss averaged over ``m`` examples plus the

@@ -18,16 +18,17 @@ Every plan also carries its evaluation layout, so the driver needs no
 knowledge of the mode: the plan names a row order ``rows`` and the spans of
 it that are the batch's parts, and ``link`` names the parts whose rows are
 O_prev in the previous plan and in this one. So both gradients of a
-curvature pair are sums over the same index set. In the multi-batch and
-serial modes ``rows`` is S itself and the parts are its consecutive blocks
-(strategy 1: O_prev, the middle and O_next; strategy 2: O_next and the
-rest). In fault mode ``rows`` is the layout's fixed order, all shards back
-to back, the same read-only array until a reshard; each responding node's
-shard is one span and failed nodes leave gaps, so no draw copies rows. When
-the layout is kept for the whole run, the plan's ``segments`` name the
-shard bounds the spans come from, so the objective can keep that order's
-rows as one block keyed by shard (``Objective.eval_sums``); a layout
-replaced every epoch names none, and its batches are gathered.
+curvature pair are sums over the same index set. In strategy 1 ``rows`` is
+the epoch's read-only permutation, shared by every plan of the epoch, and a
+batch's parts O_prev, the middle and O_next are spans of it (the full
+batch, reordered every epoch, is S itself). In strategy 2 and serial mode
+``rows`` is S, cut into O_next and the rest. In fault mode ``rows`` is the
+layout's read-only order of all shards, kept until a reshard; each
+responding node's shard is one span and failed nodes leave gaps. An order
+that serves many batches (a strategy-1 epoch below the full batch, a fault
+layout kept for the run) names in ``segments`` the bounds every span is one
+segment of, and the objective reads its parts in place
+(``Objective.eval_sums``).
 
 All draws come from a single named counter-based generator so a fixed seed
 replays the exact plan stream.
@@ -95,8 +96,8 @@ class SamplePlan:
     disjoint within ``rows``; S is the concatenation of the parts and
     ``sample_size`` its size, which every source knows when it draws.
     ``segments`` is None, or the bounds of the fixed partition of ``rows``
-    that every span is one segment of (fault mode with a layout kept for
-    the run: its ``offsets``, the same tuple in every plan). ``link``
+    that every span is one segment of, one tuple for all plans on ``rows``
+    (a strategy-1 epoch's span ends, a kept fault layout's ``offsets``). ``link``
     is None when O_prev is empty, and otherwise a pair of position lists:
     the parts of the previous plan and the parts of this plan whose rows
     are O_prev. The second entry is None when O_prev is not made of this
@@ -116,26 +117,28 @@ class SamplePlan:
 
     @cached_property
     def S(self) -> np.ndarray:
-        """The batch: the parts' rows in part order."""
-        if self.sample_size == self.rows.size:
-            return self.rows
-        return np.concatenate([self.rows[a:b] for a, b in self.spans])
+        """The batch: the parts' rows in part order, a view of ``rows`` when
+        the parts are back to back."""
+        spans = self.spans
+        if all(b == a for (_, b), (a, _) in zip(spans, spans[1:])):
+            return self.rows[spans[0][0]:spans[-1][1]]
+        return np.concatenate([self.rows[a:b] for a, b in spans])
 
 
-def _spans(*sizes) -> tuple:
-    """Consecutive spans of the non-empty parts with the given sizes."""
-    ends = list(itertools.accumulate((size for size in sizes if size), initial=0))
+def _spans(*sizes, start: int = 0) -> tuple:
+    """Consecutive spans from ``start`` of the non-empty parts of ``sizes``."""
+    ends = list(itertools.accumulate((size for size in sizes if size), initial=start))
     return tuple(zip(ends, ends[1:]))
 
 
-def _strategy1_plan(S, o_prev, o_next, prev) -> SamplePlan:
-    """Plan whose parts are the blocks O_prev, the middle and O_next of S;
-    a non-empty O_prev is the last part (O_next) of the plan ``prev``."""
-    link = ([len(prev.spans) - 1], [0]) if o_prev.size else None
-    return SamplePlan(rows=S, sample_size=S.size, O_prev=o_prev, O_next=o_next,
-                      link=link,
-                      spans=_spans(o_prev.size, S.size - o_prev.size - o_next.size,
-                                   o_next.size))
+def _strategy1_plan(rows, a: int, b: int, o_prev: int, o_next: int, prev,
+                    segments=None) -> SamplePlan:
+    """Plan of S = rows[a:b] in the parts O_prev (its head), the middle and
+    O_next (its tail); a non-empty O_prev is the last part of ``prev``."""
+    link = ([len(prev.spans) - 1], [0]) if o_prev else None
+    return SamplePlan(rows=rows, sample_size=b - a, O_prev=rows[a:a + o_prev],
+                      O_next=rows[b - o_next:b], link=link, segments=segments,
+                      spans=_spans(o_prev, b - a - o_prev - o_next, o_next, start=a))
 
 
 def strategy_batch_sizes(n: int, r: float, o: float,
@@ -166,35 +169,34 @@ def plan_strategy1_epoch(n: int, r: float, o: float, rng: SeededRng) -> list:
     tail block of each batch is exactly the head block of the next one. The
     final batch is truncated if needed so the epoch covers every index; the
     epoch ends without a planned overlap into the next (reshuffled) epoch.
+    Every plan's ``rows`` is the read-only permutation; below the full batch
+    its ``segments`` are the ends of all spans of the epoch.
     """
     s_size, o_size = strategy_batch_sizes(n, r, o, "strategy1")
     perm = rng.permutation(n)
+    perm.flags.writeable = False
 
     if s_size == n:
         # full-batch special case: every batch is the whole (re)shuffled
         # dataset, so any designated overlap block is shared with the next
         # batch; one full batch per epoch
-        return [_strategy1_plan(perm, _EMPTY, perm[-o_size:], None)]
+        return [_strategy1_plan(perm, 0, n, 0, o_size, None)]
 
-    stride = s_size - o_size
-    starts = []
-    a = 0
-    while a + s_size <= n:
-        starts.append(a)
-        a += stride
+    # (start, stop, |O_prev|, |O_next|) of each batch in the permutation
+    starts = range(0, n - s_size + 1, s_size - o_size)
+    batches = [(a, a + s_size, o_size if a else 0, o_size) for a in starts]
     coverage = starts[-1] + s_size
-    plans = []
-    for i, a in enumerate(starts):
-        S = perm[a:a + s_size]
-        o_prev = S[:o_size] if i > 0 else _EMPTY
-        last = (i == len(starts) - 1) and coverage == n
-        o_next = _EMPTY if last else S[-o_size:]
-        plans.append(_strategy1_plan(S, o_prev, o_next, plans[-1] if plans else None))
     if coverage < n:
         # truncated final batch: reuses the pending overlap block and runs
         # to the end of the permutation so every index is used this epoch
-        S = perm[coverage - o_size:n]
-        plans.append(_strategy1_plan(S, S[:o_size], _EMPTY, plans[-1]))
+        batches.append((coverage - o_size, n, o_size, 0))
+    batches[-1] = (*batches[-1][:3], 0)  # no overlap into the next epoch
+    segments = tuple(sorted({end for a, b, o_prev, o_next in batches
+                             for end in (a, a + o_prev, b - o_next, b)}))
+    plans = []
+    for a, b, o_prev, o_next in batches:
+        plans.append(_strategy1_plan(perm, a, b, o_prev, o_next,
+                                     plans[-1] if plans else None, segments))
     return plans
 
 
@@ -312,8 +314,8 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
     part of the batch, a span of the layout's ``rows``, so the positions of
     the repeat responders in both draws link O_prev to the parts of both
     plans. ``kept`` says that the layout serves the rest of the run; only
-    then does the plan name the shard bounds in ``segments``, since a
-    block of the layout's rows pays off only over many batches.
+    then does the plan name the shard bounds in ``segments``, since keeping
+    a copy of the layout's rows pays off only over many batches.
     """
     p = layout.fail_prob
     redraws = 0
@@ -369,7 +371,7 @@ class Strategy1Source:
                 o_next = self.rng.choice(outside, plan.O_next.size)
                 middle = plan.S[~np.isin(plan.S, np.concatenate([o_prev, o_next]))]
                 self._queue[0] = _strategy1_plan(np.concatenate([o_prev, middle, o_next]),
-                                                 o_prev, o_next, last)
+                                                 0, self.n, o_prev.size, o_next.size, last)
         self._last = self._queue.pop(0)
         return self._last
 

@@ -482,50 +482,55 @@ class TestFaultModeRuns:
 
     @pytest.mark.parametrize("fail_prob,epochs,reshard", [(0.1, 15.0, False),
                                                           (0.6, 20.0, True)])
-    def test_fault_runs_use_the_keyed_block_and_the_metrology_memo(
+    def test_fault_runs_keep_one_layout_and_reuse_its_margins(
             self, small_logistic, monkeypatch, fail_prob, epochs, reshard):
         # spies on the kernel's paths, so that no change can switch the fast
         # path off silently
-        events, built = [], []
+        events = []
 
         def spy(name):
             real = getattr(Objective, name)
 
             def wrapper(self, *args):
-                events.append(name)
-                if name == "_build_block":
-                    built.append(args[0])
+                # _row_terms is logged with its row count, eval_sums with
+                # the rows its parts cover
+                if name == "_row_terms":
+                    events.append((name, args[0].size))
+                elif name == "eval_sums":
+                    events.append((name, sum(b - a for a, b in args[2])))
+                else:
+                    events.append((name, None))
                 return real(self, *args)
             return wrapper
 
-        for name in ("_gather_sums", "_block_sums", "_build_block", "_row_terms",
-                     "eval_full"):
+        for name in ("eval_sums", "_keep", "_row_terms", "eval_full"):
             monkeypatch.setattr(Objective, name, spy(name))
         cfg = RunConfig(method="robust_lbfgs", mode="fault", nodes=8,
                         fail_prob=fail_prob, schedule=constant(0.1), epochs=epochs,
                         seed=3, reshard_each_epoch=reshard)
-        trace = run(cfg, logistic_l2(small_logistic.dataset))
+        objective = logistic_l2(small_logistic.dataset)
+        trace = run(cfg, objective)
         assert trace.aborted is None
-        kernels = ("_gather_sums", "_block_sums")
-        batches = [e for e in events if e in kernels]
-        assert len(batches) == len(trace.records)
-        if reshard:
-            # a layout replaced every epoch gets no block: every batch is
-            # gathered
-            assert built == []
-            assert batches == ["_gather_sums"] * len(batches)
-        else:
-            # one layout: its block is built once, on the first call, and
-            # every call uses K
-            assert len(built) == 1
-            assert batches == ["_block_sums"] * len(batches)
-        # metrology right after a block call at the same w reads the memo
-        # (no row terms of its own); after a gather it computes them
-        fulls = [i for i, e in enumerate(events) if e == "eval_full"]
+        names = [name for name, _ in events]
+        assert names.count("eval_sums") == len(trace.records)
+        # a layout kept for the run is copied once, on the first call; a
+        # layout replaced every epoch never
+        assert names.count("_keep") == (0 if reshard else 1)
+        assert reshard or names.index("_keep") == 1
+        # metrology right after a batch on the kept layout at the same w
+        # computes row terms only for the rows the batch did not cover,
+        # and none when it covered them all; after a gather, for every row
+        fulls = [i for i, name in enumerate(names) if name == "eval_full"]
         assert len(fulls) > 2
+        seen_partial = False
         for i in fulls:
-            last = next(e for e in reversed(events[:i]) if e in kernels)
-            assert (events[i + 1:i + 2] == ["_row_terms"]) == (last == "_gather_sums")
+            covered = next(size for name, size in reversed(events[:i])
+                           if name == "eval_sums")
+            terms = [size for name, size in events[i + 1:i + 2] if name == "_row_terms"]
+            expected = objective.n if reshard else objective.n - covered
+            assert terms == ([expected] if expected else [])
+            seen_partial |= 0 < expected < objective.n
+        assert seen_partial or reshard
 
 
 class TestFaultEquivalence:

@@ -7,6 +7,7 @@ in a run shows up here. They were recorded once and must not be re-recorded
 to make a change pass.
 """
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -79,18 +80,39 @@ def test_trace_digest(name):
     assert trace_digest(name) == TRACE_SHA256[name]
 
 
-# eval_sums settings that send every fault batch down one branch: the cached
-# row block of a kept layout from the first call on, or a gather of the
-# responding shards; a layout resharded every epoch is gathered on both
-KERNEL_BRANCHES = {
-    "block": {"_MIN_BLOCK_COVERAGE": 0.0},
-    "gather": {"_MIN_BLOCK_COVERAGE": 2.0},
-}
+def _gathered(eval_sums):
+    """eval_sums on a writable copy of ``rows``: nothing is kept, every
+    batch is gathered."""
+    def wrapper(self, w, rows, spans=None, segments=None):
+        return eval_sums(self, w, np.array(rows), spans, segments)
+    return wrapper
+
+
+def _kept(eval_sums):
+    """eval_sums with segments named for every read-only ``rows`` that comes
+    without them (a layout resharded every epoch): every such batch is read
+    in place from a kept entry, a new one on each call."""
+    def wrapper(self, w, rows, spans=None, segments=None):
+        if segments is None and not rows.flags.writeable:
+            segments = tuple(sorted({0, rows.size, *itertools.chain(*spans)}))
+        return eval_sums(self, w, rows, spans, segments)
+    return wrapper
+
+
+# eval_sums wrappers that send every batch of a strategy-1 or fault run
+# down one branch: in place on the kept row order, or a gather of the parts
+KERNEL_BRANCHES = {"kept": _kept, "gather": _gathered}
 
 
 @pytest.mark.parametrize("branch", sorted(KERNEL_BRANCHES))
-@pytest.mark.parametrize("name", sorted(n for n in CONFIGS if n.startswith("fault")))
-def test_fault_trace_digest_on_each_kernel_branch(name, branch, monkeypatch):
-    for attr, value in KERNEL_BRANCHES[branch].items():
-        monkeypatch.setattr(objectives, attr, value)
+@pytest.mark.parametrize("name", sorted(n for n in CONFIGS
+                                        if n.startswith("fault") or n == "strategy1"))
+def test_trace_digest_on_each_kernel_branch(name, branch, monkeypatch):
+    Objective = objectives.Objective
+    monkeypatch.setattr(Objective, "eval_sums",
+                        KERNEL_BRANCHES[branch](Objective.eval_sums))
+    kept, keep = [], Objective._keep
+    monkeypatch.setattr(Objective, "_keep",
+                        lambda self, *args: kept.append(1) or keep(self, *args))
     assert trace_digest(name) == TRACE_SHA256[name]
+    assert bool(kept) == (branch == "kept")

@@ -321,14 +321,62 @@ def _segmented(n, data):
     return rows, bounds, spans
 
 
-def _fresh_block(obj):
-    obj._block_rows = obj._block_bounds = obj._block = obj._memo = None
+def _with_index_dtype(obj, dtype):
+    """``obj``'s kind and data, with the CSR index arrays of ``dtype``."""
+    X = obj.X.copy()
+    # set after construction: the constructor may narrow int64 indices
+    X.indices, X.indptr = X.indices.astype(dtype), X.indptr.astype(dtype)
+    return make_objective(obj.kind, Dataset(X, obj.labels), obj.sigma)
 
 
-class TestBlockBranch:
+class TestCompiledKernels:
+    @given(kind=st.sampled_from(KINDS), data=st.data(),
+           index_dtype=st.sampled_from([np.int32, np.int64]),
+           rows_dtype=st.sampled_from([np.int32, np.int64]),
+           small=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_part_sums_equal_public_scipy_products_bytewise(
+            self, kind, data, index_dtype, rows_dtype, small):
+        # the compiled matvecs against X[idx].dot(w) and X[idx].T.dot(c), on
+        # row ranges of a kept X[rows] and of a gather (numpy or X[idx]); a
+        # scipy release that changes its private kernels fails here
+        obj, w = _random_problem(kind, data)
+        obj = _with_index_dtype(obj, index_dtype)
+        rows, _, parts = _segmented(obj.n, data)
+        rows = rows.astype(rows_dtype)
+        Xb = obj.X[rows]
+        sub = np.concatenate([rows[a:b] for a, b in parts]).astype(np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objectives, "_SMALL_BATCH_ENTRIES", 10**12 if small else -1)
+            gathered = obj._gather(sub)
+        ends = np.cumsum([0] + [b - a for a, b in parts])
+        for csr, row_data, ranges in (
+                ((Xb.indptr, Xb.indices, Xb.data), obj._row_data.take(rows), parts),
+                (gathered, obj._row_data.take(sub), list(zip(ends, ends[1:])))):
+            G, L = np.zeros((len(parts), obj.d)), np.empty(len(parts))
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, z, terms, coeff = obj._part_sums(w, csr, row_data, ranges, G, L)
+                at = 0
+                for k, (a, b) in enumerate(parts):
+                    Xs, m = obj.X[rows[a:b]], b - a
+                    if kind == "quadratic":
+                        expected = obj._quad_sums(w, m, Xs.T.dot(np.ones(m)),
+                                                  np.add.reduce(terms[at:at + m]))[0]
+                    else:
+                        assert Xs.dot(w).tobytes() == z[at:at + m].tobytes()
+                        expected = Xs.T.dot(coeff[at:at + m])
+                    assert expected.tobytes() == G[k].tobytes()
+                    at += m
+
+
+def _fresh(obj):
+    obj._kept = obj._memo = None
+
+
+class TestKeptOrder:
     @given(kind=st.sampled_from(KINDS), data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_block_and_gather_match_one_part_calls_bytewise(self, kind, data):
+    def test_kept_and_gathered_match_one_part_calls_bytewise(self, kind, data):
         obj, w = _random_problem(kind, data)
         rows, bounds, spans = _segmented(obj.n, data)
         # one-part calls on copies of the slices: writable, so gathered
@@ -341,14 +389,14 @@ class TestBlockBranch:
             expected.append(part)
         if not isinstance(expected, str):
             expected = tuple(b"".join(col) for col in zip(*expected))
-        for coverage, block in ((0.0, True), (2.0, False)):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(objectives, "_MIN_BLOCK_COVERAGE", coverage)
-                _fresh_block(obj)
-                first = _sums_or_error(obj, w, rows, spans, bounds)   # builds if covered
-                second = _sums_or_error(obj, w, rows, spans, bounds)  # reuses it
-                assert (obj._block is not None) == block
-            assert first == second == expected
+        _fresh(obj)
+        first = _sums_or_error(obj, w, rows, spans, bounds)   # keeps X[rows]
+        assert obj._kept is not None and obj._kept.rows is rows
+        second = _sums_or_error(obj, w, rows, spans, bounds)  # reads it again
+        _fresh(obj)
+        gathered = _sums_or_error(obj, w, rows.copy(), spans, bounds)
+        assert obj._kept is None
+        assert first == second == gathered == expected
 
     @pytest.mark.parametrize("spans,segments", [
         ([(0, 4)], (0, 2, 4)),            # two segments in one span
@@ -367,32 +415,57 @@ class TestBlockBranch:
         with pytest.raises(UsageError, match="segment"):
             small_logistic.eval_sums(np.zeros(small_logistic.d), rows, spans, segments)
 
-    def test_block_is_gathered_on_the_calls_that_cover_enough(self, small_logistic):
+    def test_span_outside_the_kept_segments_raises(self, small_logistic):
+        obj = logistic_l2(small_logistic.dataset)
+        rows = np.arange(obj.n)
+        rows.flags.writeable = False
+        bounds = (0, 100, obj.n)
+        obj.eval_sums(np.zeros(obj.d), rows, [(0, 100)], bounds)
+        with pytest.raises(UsageError, match="segment"):
+            obj.eval_sums(np.zeros(obj.d), rows, [(0, 50)], bounds)
+
+    def test_the_entry_follows_the_last_read_only_pair(self, small_logistic,
+                                                       monkeypatch):
         obj = logistic_l2(small_logistic.dataset)
         w = np.linspace(-1, 1, obj.d)
         rows = np.arange(obj.n)[::-1].copy()
         bounds = (0, 100, 150, 300)
         wide, narrow = [(0, 100), (150, 300)], [(100, 150)]
+        # each X[rows] of a new entry is built after the old one is dropped
+        built = []
+
+        class Spy(type(obj.X)):
+            def __getitem__(self, key):
+                built.append(obj._kept)
+                return super().__getitem__(key)
+        obj.X = Spy(obj.X)
+        validated = []
+        segment_pairs = objectives._segment_pairs
+        monkeypatch.setattr(objectives, "_segment_pairs",
+                            lambda *args: validated.append(1) or segment_pairs(*args))
+
         obj.eval_sums(w, rows, wide, bounds)
-        assert obj._block_rows is None  # writable rows are never cached
+        assert obj._kept is None  # writable rows are never kept
         rows.flags.writeable = False
         obj.eval_sums(w, rows, wide)
-        assert obj._block_rows is None  # nor are rows without segments
+        assert obj._kept is None  # nor are rows without segments
         expected = obj.eval_sums(w, rows.copy(), wide)
-        obj.eval_sums(w, rows, narrow, bounds)  # too little of rows: no block
-        assert obj._block_rows is rows and obj._block is None
-        result = obj.eval_sums(w, rows, wide, bounds)  # the first wide call builds it
-        assert obj._block is not None
+        obj.eval_sums(w, rows, narrow, bounds)  # any coverage keeps X[rows]
+        kept = obj._kept
+        assert kept.rows is rows and built == [None]
+        validated.clear()
+        result = obj.eval_sums(w, rows, wide, bounds)  # the same pair: the same entry
+        assert obj._kept is kept and built == [None]
+        # the bounds are checked once per entry, not once per call
+        assert validated == []
         assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
-        block = obj._block
-        obj.eval_sums(w, rows, wide, list(bounds))  # equal bounds: the same block
-        assert obj._block is block
-        obj.eval_sums(w, rows, [(0, 300)], (0, 300))  # other bounds: a new pair
-        assert obj._block_rows is rows and obj._block is not block
+        obj.eval_sums(w, rows, wide, list(bounds))  # another segments object
+        assert obj._kept.rows is rows and obj._kept is not kept
         other = rows.copy()
         other.flags.writeable = False
         obj.eval_sums(w, other, wide, bounds)
-        assert obj._block_rows is other and obj._block is not block
+        assert obj._kept.rows is other
+        assert built == [None] * 3
 
 
 def _full_or_error(obj, w):
@@ -407,8 +480,8 @@ class TestMetrologyMemo:
     @given(kind=st.sampled_from(KINDS), data=st.data(),
            case=st.sampled_from(["same", "ulp", "signed_zero", "nan", "reshard"]))
     @settings(max_examples=150, deadline=None)
-    def test_eval_full_after_a_block_call_matches_a_fresh_objective(self, kind, data,
-                                                                   case):
+    def test_eval_full_after_a_kept_call_matches_a_fresh_objective(self, kind, data,
+                                                                  case):
         obj, w = _random_problem(kind, data)
         j = data.draw(st.integers(0, obj.d - 1), label="j")
         if case in ("signed_zero", "nan"):
@@ -416,7 +489,13 @@ class TestMetrologyMemo:
         rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                                label="perm_seed")).permutation(obj.n)
         rows.flags.writeable = False
-        bounds = (0, obj.n)
+        # spans of a random segmentation, with gaps
+        cuts = data.draw(st.lists(st.integers(0, obj.n), max_size=6), label="cuts")
+        bounds = tuple([0] + sorted(cuts) + [obj.n])
+        spans = [seg for seg in zip(bounds, bounds[1:])
+                 if seg[1] > seg[0] and data.draw(st.booleans(), label="kept")]
+        assume(spans)
+        covered = sum(b - a for a, b in spans)
         row_terms = []
         real_row_terms = Objective._row_terms
 
@@ -425,15 +504,14 @@ class TestMetrologyMemo:
             return real_row_terms(self, z, y)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(objectives, "_MIN_BLOCK_COVERAGE", 0.0)
-            _sums_or_error(obj, w, rows, [bounds], bounds)
-            assert obj._block is not None
+            _sums_or_error(obj, w, rows, spans, bounds)
+            assert obj._kept is not None
             if case == "reshard":
                 # a layout replaced every epoch comes without segments and
                 # is gathered; the old memo stays valid
                 other = np.random.default_rng(0).permutation(obj.n)
                 other.flags.writeable = False
-                _sums_or_error(obj, w, other, [bounds])
+                _sums_or_error(obj, w, other, [(0, obj.n)])
             point = w.copy()
             if case == "ulp":
                 point[j] = np.nextafter(point[j], np.inf)
@@ -444,18 +522,22 @@ class TestMetrologyMemo:
         fresh = make_objective(kind, obj.dataset, obj.sigma)
         assert result == _full_or_error(fresh, point)
         if kind != "quadratic":
-            # a bitwise-equal w (NaN included) reads the memo; any other
-            # bytes (one ulp, -0.0 against 0.0) recompute
-            assert len(row_terms) == (case in ("ulp", "signed_zero"))
+            # a bitwise-equal w (NaN included) computes row terms only for
+            # the rows the kept call did not cover; any other bytes (one
+            # ulp, -0.0 against 0.0) compute them for every row
+            if case in ("ulp", "signed_zero"):
+                assert row_terms == [obj.n]
+            else:
+                assert row_terms == ([obj.n - covered] if covered < obj.n else [])
 
-    def test_memo_needs_the_block_rows_to_be_a_permutation(self, small_logistic):
+    def test_memo_needs_the_kept_rows_to_be_a_permutation(self, small_logistic):
         obj = logistic_l2(small_logistic.dataset)
         w = np.linspace(-1, 1, obj.d)
         rows = np.arange(obj.n)
         rows[0] = 1  # n rows, one repeated: not a permutation
         rows.flags.writeable = False
         obj.eval_sums(w, rows, None, (0, obj.n))
-        assert obj._block is not None and obj._memo is None
+        assert obj._kept is not None and obj._memo is None
         assert _full_or_error(obj, w) == _full_or_error(logistic_l2(obj.dataset), w)
 
 

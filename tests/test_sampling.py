@@ -307,13 +307,34 @@ class TestPlanInvariants:
                 # each part is one shard, a segment of the layout's rows
                 assert plan.rows is stream[0].rows
                 assert plan.segments is stream[0].offsets
-                bounds = list(zip(plan.segments, plan.segments[1:]))
-                assert all(span in bounds for span in plan.spans)
+            elif plan.segments is not None:
+                # strategy 1 below the full batch: rows is the epoch's
+                # read-only permutation and S a back-to-back view of it
+                assert mode == "strategy1" and plan.sample_size < n
+                assert not plan.rows.flags.writeable
+                assert np.array_equal(np.sort(plan.rows), np.arange(n))
+                assert np.shares_memory(plan.S, plan.rows)
+                assert np.array_equal(plan.S, plan.rows[flat[0]:flat[-1]])
             else:  # the parts cover rows, which is S
                 assert plan.rows.size == plan.S.size
-                assert plan.segments is None
+            if plan.segments is not None:
+                # each span is one segment of a partition of rows
+                assert plan.segments[0] == 0 and plan.segments[-1] == plan.rows.size
+                bounds = list(zip(plan.segments, plan.segments[1:]))
+                assert all(span in bounds for span in plan.spans)
             if mode == "strategy2":
                 assert np.array_equal(plan.S[:plan.O_next.size], plan.O_next)
+        plans = stream[1]
+        if mode == "strategy1" and plans[0].sample_size == n:
+            # the full batch, reordered every epoch, names no segments
+            assert all(plan.segments is None for plan in plans)
+        elif mode == "strategy1":
+            # one permutation and one segments tuple per epoch, shared by
+            # every plan of it; a new epoch starts without O_prev
+            for prev, plan in zip(plans, plans[1:]):
+                same_epoch = plan.link is not None
+                assert (plan.rows is prev.rows) == same_epoch
+                assert (plan.segments is prev.segments) == same_epoch
 
     @given(epochs=st.lists(st.booleans(), min_size=1, max_size=30),
            n=_plan_params["n"], nodes=_plan_params["nodes"], p=_plan_params["p"],
