@@ -26,14 +26,14 @@ batch returns the gradient and loss sums of every part (one row of
 ``G``/``L`` each). A row order that serves many batches, a strategy-1
 epoch's permutation or a fault-mode layout kept for the run, comes with
 ``segments``, and the objective reads its parts in place from its kept copy
-of those rows; other batches are gathered. A metrology ``eval_full`` at the
-iterate a kept order was just evaluated at reuses that call's margins. The
-batch gradient adds all rows, and an overlap gradient adds the rows that
-``plan.link`` names, so both gradients of a curvature pair are sums over
-the same index set O_k. Serial SGD is the source of one-example plans with
-empty overlaps (``sampling.SerialSource``), so it gets the same stopping
-rules, divergence check and abort strings as the batch methods. The methods
-without memory (``multibatch_gd``, ``serial_sgd``) step along -g.
+of those rows; other batches are gathered. A metrology ``eval_full`` reuses
+the margins of a kept call at the same iterate over half the rows or more.
+The batch gradient adds all rows, and an overlap gradient adds the rows that
+``plan.link`` names, so both gradients of a curvature pair are sums over the
+same index set O_k. Serial SGD is the source of one-example plans with empty
+overlaps (``sampling.SerialSource``), so it gets the same stopping rules,
+divergence check and abort strings as the batch methods. The methods without
+memory (``multibatch_gd``, ``serial_sgd``) step along -g.
 
 Epoch accounting charges |S_k|/n per batch-gradient evaluation, plus
 |O_k|/n when O_k is not made of parts of the new batch (strategy 2), where
@@ -199,10 +199,10 @@ class RunTrace:
 # ----------------------------------------------------------------------
 def take_step(w: Vector, memory: LbfgsMemory, g: Vector, alpha: float,
               identity_hessian: bool = False) -> Vector:
-    """w + alpha * p with p from the two-loop recursion (or p = -g)."""
-    p = -g if identity_hessian else memory.direction(g)
-    w_next = w + alpha * p
-    if not np.all(np.isfinite(w_next)):
+    """w + alpha * p with p from the two-loop recursion (or p = -g, taken
+    as w - alpha * g, which has the same bits)."""
+    w_next = w - alpha * g if identity_hessian else w + alpha * memory.direction(g)
+    if not np.isfinite(w_next).all():
         raise NumericError("step produced a non-finite iterate")
     return w_next
 
@@ -218,19 +218,27 @@ def form_pair(objective: Objective, w_prev: Vector, w_next: Vector,
     return w_next - w_prev, g_next - g_prev
 
 
-def _average(objective: Objective, w: Vector, G, L, count: int) -> tuple:
-    """Average gradient and loss of the summed parts (rows of ``G``/``L``)
-    over ``count`` examples, with the regularization term added once."""
+def _average(objective: Objective, w: Vector, G, L, count: int, reg,
+             parts=None) -> tuple:
+    """Average gradient and loss of the summed parts ``parts`` (rows of
+    ``G``/``L``, all by default) over ``count``, with ``w``'s terms ``reg``."""
+    if parts is not None:  # one part is read in place
+        i = parts[0]
+        G, L = (G[i:i + 1], L[i:i + 1]) if len(parts) == 1 else (G[parts], L[parts])
+    if len(G) == 1:
+        return objective.average(w, G[0], L[0], count, reg)
     # accumulate adds the parts strictly left to right, the order the golden
     # traces were recorded in; np.sum switches to pairwise summation from 8
     # terms up (for G, when d = 1), which changes the last bits
-    return objective.average(w, np.add.accumulate(G)[-1],
-                             np.add.accumulate(L)[-1], count)
+    return objective.average(w, np.add.accumulate(G)[-1], np.add.accumulate(L)[-1],
+                             count, reg)
 
 
 # ----------------------------------------------------------------------
 # the driver loop
 # ----------------------------------------------------------------------
+# the loop's own overflows are caught by the finiteness checks after them
+@np.errstate(over="ignore", invalid="ignore")
 def run(config: RunConfig, objective: Objective, eval_ledger=None,
         pair_log=None) -> RunTrace:
     """Execute one optimization run and return its trace.
@@ -275,12 +283,13 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
             if eval_ledger is not None:
                 eval_ledger.extend((k, i, plan.rows[a:b])
                                    for i, (a, b) in enumerate(plan.spans))
-            g_S, loss_S = _average(objective, w, G, L, plan.sample_size)
+            reg = objective.regularization(w)  # shared by every average at w
+            g_S, loss_S = _average(objective, w, G, L, plan.sample_size, reg)
             epoch += plan.sample_size / n
 
             pair_accepted = 0
-            overlap = plan.O_prev
-            if use_memory and np.any(s):  # a zero step forms no pair
+            overlap_size = plan.overlap_size
+            if use_memory and s.any():  # a zero step forms no pair
                 y = None
                 if config.method == "inconsistent_lbfgs":
                     # gradient difference across different samples
@@ -288,19 +297,18 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
                 elif plan.link is not None:
                     # overlap gradients at both iterates on the same index set O_k
                     prev_parts, next_parts = plan.link
-                    g_over_prev, _ = _average(objective, w_prev, G_prev[prev_parts],
-                                              L_prev[prev_parts], overlap.size)
+                    g_over_prev, _ = _average(objective, w_prev, G_prev, L_prev,
+                                              overlap_size, reg_prev, prev_parts)
+                    G_over, L_over = G, L
                     if next_parts is None:
                         # O_k is not made of parts of the new batch: one
                         # extra evaluation, charged to the epoch count
-                        G_over, L_over = objective.eval_sums(w, overlap)
+                        G_over, L_over = objective.eval_sums(w, plan.O_prev)
                         if eval_ledger is not None:
-                            eval_ledger.append((k, "O_extra", overlap))
-                        epoch += overlap.size / n
-                    else:
-                        G_over, L_over = G[next_parts], L[next_parts]
+                            eval_ledger.append((k, "O_extra", plan.O_prev))
+                        epoch += overlap_size / n
                     g_over_next, _ = _average(objective, w, G_over, L_over,
-                                              overlap.size)
+                                              overlap_size, reg, next_parts)
                     y = g_over_next - g_over_prev
                 if y is not None:
                     pair_accepted = int(memory.admit(s, y))
@@ -323,7 +331,7 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
                 k=k, epoch=epoch, grad_norm=grad_norm, subset_loss=loss_S,
                 full_loss=full_loss, train_acc=train_acc,
                 pair_accepted=pair_accepted, sample_size=int(plan.sample_size),
-                overlap_size=int(overlap.size), redraws=plan.redraws,
+                overlap_size=overlap_size, redraws=plan.redraws,
                 wallclock=time.perf_counter() - t0 if k else 0.0))
 
             if full_loss > divergence_limit:
@@ -335,7 +343,7 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
                                           and k >= config.max_iterations):
                 break
 
-            w_prev, G_prev, L_prev, g_prev = w, G, L, g_S
+            w_prev, G_prev, L_prev, g_prev, reg_prev = w, G, L, g_S, reg
             w = take_step(w, memory, g_S, config.schedule.alpha_at(k),
                           identity_hessian=not use_memory)
             s = w - w_prev

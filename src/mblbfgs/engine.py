@@ -2,9 +2,9 @@
 admission, initial scaling, the two-loop recursion, and dense oracles used
 by eigenvalue audits and tests.
 
-The hot path (``admit``, ``gamma``, ``direction``) calls ``np.dot`` and
-forms each update as one numpy expression, with no shape-checking wrappers;
-``direction`` checks finiteness once, on its result.
+The hot path (``admit``, ``gamma``, ``direction``) calls ``ndarray.dot``,
+np.dot's BLAS call without its dispatch, and no shape-checking wrappers;
+``direction`` updates a copy of ``g`` in place and checks its result once.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .linalg import Vector
+from .linalg import Vector, all_finite
 
 # admission additionally requires y's > RHO_GUARD * |s||y|, hence y's > 0, so
 # rho stays finite
@@ -67,14 +67,12 @@ class LbfgsMemory:
     def __len__(self):
         return len(self.pairs)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def admit(self, s: Vector, y: Vector) -> bool:
         """Store (s, y) if it passes the cautious test, the rho guard and
         y'y > 0; evict the oldest pair when full. Returns whether the pair was
         accepted. Overflowing inner products reject the pair."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            ys = float(np.dot(y, s))
-            ss = float(np.dot(s, s))
-            yy = float(np.dot(y, y))
+        ys, ss, yy = float(y.dot(s)), float(s.dot(s)), float(y.dot(y))
         if not _cautious(ys, ss, self.cautious_eps):
             return False
         # y'y > 0 keeps the scaling gamma = s'y / y'y finite
@@ -93,8 +91,9 @@ class LbfgsMemory:
         if not self.pairs:
             return 1.0
         newest = self.pairs[-1]
-        return float(np.dot(newest.s, newest.y)) / float(np.dot(newest.y, newest.y))
+        return float(newest.s.dot(newest.y)) / float(newest.y.dot(newest.y))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def direction(self, g: Vector) -> Vector:
         """Search direction -H g via the two-loop recursion.
 
@@ -104,22 +103,22 @@ class LbfgsMemory:
         divides, so a value that overflows stays non-finite to the end:
         one check on the result catches it.
         """
-        if not np.isfinite(g).all():
+        if not all_finite(g):
             raise NumericError("two-loop input gradient is not finite")
-        q = g
+        q, tmp = g.copy(), np.empty_like(g)
         alphas = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for pair in reversed(self.pairs):
-                a = pair.rho * float(np.dot(pair.s, q))
-                alphas.append(a)
-                q = -a * pair.y + q
-            r = self.gamma() * q
-            for pair, a in zip(self.pairs, reversed(alphas)):
-                beta = pair.rho * float(np.dot(pair.y, r))
-                r = (a - beta) * pair.s + r
-        if not np.isfinite(r).all():
+        for pair in reversed(self.pairs):
+            a = pair.rho * float(pair.s.dot(q))
+            alphas.append(a)
+            # q - a*y: the bits of -a*y + q
+            np.subtract(q, np.multiply(pair.y, a, out=tmp), out=q)
+        r = np.multiply(q, self.gamma(), out=q)
+        for pair, a in zip(self.pairs, reversed(alphas)):
+            beta = pair.rho * float(pair.y.dot(r))
+            np.add(r, np.multiply(pair.s, a - beta, out=tmp), out=r)
+        if not all_finite(r):
             raise NumericError("two-loop: non-finite value")
-        return -r
+        return np.negative(r, out=r)
 
     # ------------------------------------------------------------------
     # dense oracles (test-scale only)

@@ -1,10 +1,12 @@
-"""The vector type and the CSR dataset shared by every other module.
+"""The vector type, the CSR dataset and the array helpers every module shares.
 
-Everything is 64-bit floating point. Inner products are plain ``np.dot``
+Everything is 64-bit floating point. Inner products are plain BLAS ``dot``
 calls over contiguous arrays, which have one fixed accumulation order, so
 reruns with identical inputs are bit-identical on a given platform.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import sparse
@@ -13,6 +15,22 @@ from .errors import DataError
 
 # A parameter vector is a 1-d contiguous float64 array of length d.
 Vector = np.ndarray
+
+
+def join_ranges(values, ranges):
+    """The entries of ``values`` in the ``(start, stop)`` ``ranges``, range
+    after range: a view of ``values`` when the ranges are back to back."""
+    if all(b == a for (_, b), (a, _) in zip(ranges, ranges[1:])):
+        return values[ranges[0][0]:ranges[-1][1]]
+    return np.concatenate([values[a:b] for a, b in ranges])
+
+
+def all_finite(a) -> bool:
+    """Whether every entry of the float array ``a`` is finite. A finite sum
+    of squares, one BLAS call, says so; when it overflows, the exact test
+    decides. Call it under ``np.errstate(over="ignore", invalid="ignore")``."""
+    v = a.ravel()
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 class Dataset:

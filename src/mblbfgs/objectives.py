@@ -35,20 +35,18 @@ bytes do not depend on where the rows come from:
   rows' labels and, when ``rows`` is a permutation of all rows, its inverse.
   Parts are then row ranges of ``Xb`` itself; rows outside them (failed
   nodes, the rest of the epoch) cost nothing.
-* Any other call gathers its parts' rows back to back. A batch whose
-  expected stored entries, rows times the mean row count ``nnz / n``, are
-  at most ``_SMALL_BATCH_ENTRIES`` is read straight from ``X.indptr``,
-  ``X.indices`` and ``X.data`` with numpy; a larger one with ``X[idx]``.
-  The rule is O(1) and reads only the batch size, so rows with unusual
-  entry counts can change which branch runs but never the result.
+* Any other call gathers its parts' rows back to back with scipy's
+  compiled ``csr_row_index``, into the arrays ``X[idx]`` has; the kept
+  ``X[rows]`` is built the same way.
 
 ``eval_full`` also returns the training accuracy from the margins it
 computes anyway, so metrology reads ``X`` once per point. When the last
-call on the kept entry was at a ``w`` with the same bytes and the entry's
-rows are a permutation of all rows, it reuses that call's margins, terms
-and coefficients, computes only the other rows' in place on ``Xb``, and puts
-them back in row order. Comparing bytes, not values, keeps -0.0 apart from
-0.0 and lets a NaN match itself, so the result is exactly what a fresh
+call on the kept entry was at a ``w`` with the same bytes, covered at least
+half the rows (below that, reordering costs more than it saves) and the
+entry's rows are a permutation of all rows, it reuses that call's margins
+and terms, computes only the other rows' in place on ``Xb``, and puts them
+back in row order. Comparing bytes, not values, keeps -0.0 apart from 0.0
+and lets a NaN match itself, so the result is exactly what a fresh
 evaluation gives.
 """
 from __future__ import annotations
@@ -59,32 +57,22 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-# scipy's compiled sparse matvecs, the one place this package imports them.
+from scipy.sparse import get_index_dtype
+# scipy's compiled sparse kernels, the one place this package imports them.
 # csr_matvec(n_row, n_col, Ap, Aj, Ax, Xx, Yx) adds the CSR product A Xx to
 # Yx, each row's products left to right; csc_matvec with the same arguments
 # adds the CSC product, which for a CSR A's arrays is A.T Xx, scattered
-# column by column. The module is private, but both keep this signature
-# from the scipy>=1.10 floor in pyproject.toml onwards, and
-# tests/test_objectives.py pins their bytes against X[idx].dot(w) and
-# X[idx].T.dot(c).
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+# column by column. csr_row_index(n, rows, Ap, Aj, Ax, Bj, Bx) copies the
+# n rows ``rows`` back to back into Bj and Bx. The module is private, but
+# all three keep these signatures from the scipy>=1.10 floor in
+# pyproject.toml onwards, and tests/test_objectives.py pins their bytes
+# against X[idx], X[idx].dot(w) and X[idx].T.dot(c).
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index
 
 from .errors import NumericError, UsageError
-from .linalg import Dataset, Vector
+from .linalg import Dataset, Vector, all_finite, join_ranges
 
 KINDS = ("logistic_l2", "sigmoid_lsq", "quadratic")
-
-# Largest expected number of stored entries (batch rows * nnz / n) gathered
-# with numpy instead of scipy's X[idx]. Measured with two-part eval_sums calls
-# on writable rows, one pinned core, best of 9, numpy vs scipy gather: at
-# d=50, 10 entries a row, 8,000 entries 187-190 vs 231-250 us, 12,000 261-263
-# vs 252-266 us, 20,000 317 vs 254 us, 60,000 912 vs 692 us; at d=200, 15 a
-# row, 8,000 139-171 vs 229-241 us, 12,000 170-213 vs 164-243 us, 60,000 832
-# vs 590 us. The crossover lies near 12,000 entries on a noisy host, so the
-# bound stays where the numpy gather clearly wins. Counting a batch's exact
-# entries would take passes over its indptr that cost more than they save.
-_SMALL_BATCH_ENTRIES = 8192
-
 
 @dataclass(frozen=True)
 class _KeptOrder:
@@ -120,13 +108,6 @@ def _runs(parts) -> list:
         else:
             runs.append([a, b])
     return runs
-
-
-def _packed(values, ranges):
-    """The entries of ``values`` in ``ranges``, range after range."""
-    if len(ranges) == 1:
-        return values[ranges[0][0]:ranges[0][1]]
-    return np.concatenate([values[a:b] for a, b in ranges])
 
 
 @dataclass
@@ -168,10 +149,10 @@ class Objective:
         self.X, self.labels = dataset.X, dataset.y
         # plain attributes, not properties: every eval_sums call reads d
         self.n, self.d = dataset.n, dataset.d
-        # the csc view X.T costs a scipy constructor per call; eval_full
-        # reuses this one
-        self._XT = self.X.T
-        self._nnz = int(self.X.indptr[-1])
+        itype = get_index_dtype((self.X.indptr, self.X.indices))
+        self._csr = (self.X.indptr.astype(itype, copy=False),
+                     self.X.indices.astype(itype, copy=False), self.X.data)
+        self._row_nnz = np.diff(self._csr[0])
         # eval_sums's one _KeptOrder, and its last call as ((w dtype, w
         # bytes), runs, margins, row terms, coefficients), the arrays packed
         # run after run, for eval_full at a bitwise-equal w
@@ -195,6 +176,7 @@ class Objective:
     # per-example sums (no averaging, no regularization): the building
     # block the driver combines when a batch is evaluated in parts
     # ------------------------------------------------------------------
+    @np.errstate(over="ignore", invalid="ignore")
     def eval_sums(self, w: Vector, rows, spans=None, segments=None) -> tuple:
         """Sums of per-example gradients and losses over parts of ``rows``.
 
@@ -250,20 +232,18 @@ class Objective:
                 kept = self._keep(idx, segments, pairs)
         G = np.zeros((len(parts), self.d))
         L = np.empty(len(parts))
-        with np.errstate(over="ignore", invalid="ignore"):
-            if kept is not None:
-                memo = self._part_sums(w, kept.csr, kept.row_data, parts, G, L)
-                if kept.inv is not None and self.kind != "quadratic":
-                    self._memo = ((w.dtype, w.tobytes()), *memo)
-            else:
-                sub = idx  # parts covering all of idx are its back-to-back ranges
-                if covered < idx.size:
-                    # gather the parts' rows, which puts them back to back
-                    sub = _packed(idx, parts)
-                    ends = list(itertools.accumulate((b - a for a, b in parts), initial=0))
-                    parts = list(zip(ends, ends[1:]))
-                self._part_sums(w, self._gather(sub), self._row_data.take(sub), parts,
-                                G, L)
+        if kept is not None:
+            memo = self._part_sums(w, kept.csr, kept.row_data, parts, G, L)
+            if kept.inv is not None and self.kind != "quadratic":
+                # eval_full reuses a call that covered at least half the rows
+                wide = 2 * covered >= self.n
+                self._memo = ((w.dtype, w.tobytes()), *memo) if wide else None
+        else:
+            # gather the parts' rows back to back: a view of idx when they are
+            sub = join_ranges(idx, parts)
+            ends = list(itertools.accumulate((b - a for a, b in parts), initial=0))
+            self._part_sums(w, self._gather(sub), self._row_data.take(sub),
+                            list(zip(ends, ends[1:])), G, L)
         self._check_finite(w, idx, flat, G, L)
         return G, L
 
@@ -280,11 +260,11 @@ class Objective:
         runs = _runs(parts)
         z = coeff = None
         if self.kind == "quadratic":
-            terms = _packed(row_data, runs)
+            terms = join_ranges(row_data, runs)
             weights = np.ones(terms.size)  # each part's gradient needs its column sums
         else:
             z = self._margins(w, csr, runs)
-            terms, coeff = self._row_terms(z, _packed(row_data, runs))
+            terms, coeff = self._row_terms(z, join_ranges(row_data, runs))
             weights = coeff
         at = 0
         for k, (a, b) in enumerate(parts):
@@ -312,32 +292,25 @@ class Objective:
         """Make the read-only ``rows`` with ``segments`` the kept entry."""
         # drop the old entry first, so that two copies of X never coexist
         self._kept = self._memo = None
-        Xb, inv = self.X[rows], None
+        inv = None
         # n in-range rows are a permutation when every row occurs
         if rows.size == self.n and np.bincount(rows, minlength=self.n).all():
             inv = np.empty_like(rows)
             inv[rows] = np.arange(self.n)
-        self._kept = _KeptOrder(rows, segments, pairs,
-                                (Xb.indptr, Xb.indices, Xb.data),
+        self._kept = _KeptOrder(rows, segments, pairs, self._gather(rows),
                                 self._row_data.take(rows), inv)
         return self._kept
 
     def _gather(self, idx) -> tuple:
-        """The CSR arrays ``(indptr, indices, data)`` of the rows ``idx``."""
-        X, m = self.X, idx.size
-        if m * self._nnz > _SMALL_BATCH_ENTRIES * X.shape[0]:
-            Xs = X[idx]
-            return Xs.indptr, Xs.indices, Xs.data
-        # .take, not [...]: with int32 index arrays it is several times faster
-        lo = X.indptr.take(idx)
-        row_nnz = X.indptr.take(idx + 1) - lo
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        row_nnz.cumsum(out=indptr[1:])
-        pos = np.repeat(lo - indptr[:-1], row_nnz) + np.arange(indptr[-1])
-        indices = X.indices.take(pos)
-        if indptr[-1] <= self._nnz:  # fits X's index type, so each matvec converts nothing
-            indptr = indptr.astype(indices.dtype)
-        return indptr, indices, X.data.take(pos)
+        """``X[idx]``'s CSR arrays, byte for byte, for in-range rows ``idx``;
+        ``_csr`` is X's in the index type ``X[idx]`` picks, with row sizes."""
+        Ap, Aj, Ax = self._csr
+        idx = idx.astype(Ap.dtype, copy=False)
+        indptr = np.zeros(idx.size + 1, dtype=Ap.dtype)
+        np.add.accumulate(self._row_nnz.take(idx), out=indptr[1:])
+        indices, data = np.empty(indptr[-1], Ap.dtype), np.empty(indptr[-1], Ax.dtype)
+        csr_row_index(idx.size, idx, Ap, Aj, Ax, indices, data)
+        return indptr, indices, data
 
     def _check_length(self, w: Vector):
         # O(1): eval_sums runs it on every one-row step of serial SGD
@@ -370,7 +343,7 @@ class Objective:
         """Raise ``NumericError`` naming the first non-finite row of the first
         part whose sums are not finite; part ``k`` is ``idx[flat[2k]:flat[2k+1]]``
         and ``idx`` None stands for all rows."""
-        if np.isfinite(L).all() and np.isfinite(G).all():
+        if all_finite(G) and all_finite(L):
             return
         k = int(np.argmin(np.isfinite(L) & np.isfinite(G).all(axis=1)))
         if idx is None:
@@ -390,62 +363,62 @@ class Objective:
         G, L = self.eval_sums(w, idx)
         return SubsetGradient(*self.average(w, G[0], L[0], idx.size), idx.size)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def eval_full(self, w: Vector) -> SubsetGradient:
-        """``eval_subset`` over all rows, reading X in place, with the
+        """``eval_subset`` over all rows, read in place as one part, with the
         training accuracy (see ``accuracy``) from the same margins."""
         self._check_length(w)
-        X = self.X
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "quadratic":
-                colsum = np.asarray(X.sum(axis=0)).ravel()
-                grad_sum, loss_sum = self._quad_sums(
-                    w, self.n, colsum, np.sum(self._quad_csq))
-                acc = 0.0
-            else:
-                memo = self._memo
-                if memo is not None and memo[0] == (w.dtype, w.tobytes()):
-                    # the same margins and terms a fresh X.dot(w) would give
-                    z, terms, coeff = self._full_rows(w, *memo[1:])
-                else:
-                    z = X.dot(w)
-                    terms, coeff = self._row_terms(z, self.labels)
-                grad_sum, loss_sum = self._XT.dot(coeff), np.sum(terms)
-                acc = _sign_accuracy(z, self.labels)
-        self._check_finite(w, None, [0, self.n], grad_sum[None, :],
-                           np.array([loss_sum]))
-        return SubsetGradient(*self.average(w, grad_sum, loss_sum, self.n),
-                              self.n, acc)
+        G, L = np.zeros((1, self.d)), np.empty(1)
+        memo = self._memo
+        if memo is not None and memo[0] == (w.dtype, w.tobytes()):
+            # the values the one-part call below would give
+            acc, terms, coeff = self._full_rows(w, *memo[1:])
+            csc_matvec(self.d, self.n, *self._csr, coeff, G[0])
+            L[0] = np.add.reduce(terms)
+        else:
+            z = self._part_sums(w, self._csr, self._row_data, [(0, self.n)], G, L)[1]
+            acc = 0.0 if z is None else _sign_accuracy(z, self.labels)
+        self._check_finite(w, None, [0, self.n], G, L)
+        return SubsetGradient(*self.average(w, G[0], L[0], self.n), self.n, acc)
 
     def _full_rows(self, w: Vector, runs, *packed) -> tuple:
-        """Margins, row terms and coefficients of all rows at ``w``, in row
-        order: those of the kept entry's rows in ``runs`` are ``packed``
-        (run after run), and the other rows' are computed in place on
-        ``Xb``."""
+        """The accuracy at ``w``, and all rows' terms and coefficients in row
+        order: the kept entry's rows in ``runs`` have theirs ``packed`` run
+        after run, with margins; the others' are computed in place on ``Xb``."""
         kept, n = self._kept, self.n
         ends = [0, *itertools.chain.from_iterable(runs), n]
         gaps = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if b > a]
         pieces = [(runs, packed)]
         if gaps:
             z = self._margins(w, kept.csr, gaps)
-            pieces.append((gaps, (z, *self._row_terms(z, _packed(kept.row_data, gaps)))))
-        out = [np.empty(n) for _ in packed]
+            pieces.append((gaps, (z, *self._row_terms(z, join_ranges(kept.row_data, gaps)))))
+        z, terms, coeff = (np.empty(n) for _ in packed)
         for ranges, arrays in pieces:
             at = 0
             for a, b in ranges:
-                for dst, src in zip(out, arrays):
+                for dst, src in zip((z, terms, coeff), arrays):
                     dst[a:b] = src[at:at + b - a]
                 at += b - a
-        return tuple(a.take(kept.inv) for a in out)
+        # a count does not depend on the row order
+        return (_sign_accuracy(z, kept.row_data), terms.take(kept.inv),
+                coeff.take(kept.inv))
 
-    def average(self, w: Vector, grad_sum, loss_sum, m: int) -> tuple:
-        """Gradient and loss averaged over ``m`` examples plus the
-        sigma/2 ||w||^2 term; ``NumericError`` if either is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = grad_sum / m + self.sigma * w
-            loss = float(loss_sum / m + 0.5 * self.sigma * float(np.dot(w, w)))
-        if not (math.isfinite(loss) and np.isfinite(grad).all()):
+    @np.errstate(over="ignore", invalid="ignore")
+    def average(self, w: Vector, grad_sum, loss_sum, m: int, reg=None) -> tuple:
+        """Gradient and loss averaged over ``m`` examples plus the sigma/2
+        ||w||^2 term, of terms ``reg`` (``regularization(w)`` if not given);
+        ``NumericError`` if either is not finite."""
+        reg_grad, reg_loss = self.regularization(w) if reg is None else reg
+        grad = grad_sum / m + reg_grad
+        loss = float(loss_sum / m + reg_loss)
+        if not (math.isfinite(loss) and all_finite(grad)):
             raise NumericError("non-finite average or regularization term")
         return grad, loss
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def regularization(self, w: Vector) -> tuple:
+        """The terms ``(sigma * w, sigma/2 ||w||^2)`` that ``average`` adds."""
+        return self.sigma * w, 0.5 * self.sigma * float(w.dot(w))
 
     def accuracy(self, w: Vector) -> float:
         """Fraction of correct sign predictions; 0 for the quadratic kind."""

@@ -43,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
+from .linalg import join_ranges
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -101,28 +102,39 @@ class SamplePlan:
     is None when O_prev is empty, and otherwise a pair of position lists:
     the parts of the previous plan and the parts of this plan whose rows
     are O_prev. The second entry is None when O_prev is not made of this
-    plan's parts (strategy 2), so its gradient at the new iterate needs a
-    fresh evaluation.
+    plan's parts (strategy 2): O_prev is then ``O_extra``, and its gradient
+    at the new iterate needs a fresh evaluation.
     """
 
     rows: np.ndarray
     spans: tuple
     sample_size: int
-    O_prev: np.ndarray
     O_next: np.ndarray
     link: tuple | None = None
     segments: tuple | None = None
     responders: tuple = ()
     redraws: int = 0
+    O_extra: np.ndarray | None = None
 
     @cached_property
     def S(self) -> np.ndarray:
         """The batch: the parts' rows in part order, a view of ``rows`` when
         the parts are back to back."""
-        spans = self.spans
-        if all(b == a for (_, b), (a, _) in zip(spans, spans[1:])):
-            return self.rows[spans[0][0]:spans[-1][1]]
-        return np.concatenate([self.rows[a:b] for a, b in spans])
+        return join_ranges(self.rows, self.spans)
+
+    @cached_property
+    def O_prev(self) -> np.ndarray:
+        """Derived on first use: the linked parts' rows, or ``O_extra``."""
+        if self.link is None or self.link[1] is None:
+            return _EMPTY if self.O_extra is None else self.O_extra
+        return join_ranges(self.rows, [self.spans[i] for i in self.link[1]])
+
+    @property
+    def overlap_size(self) -> int:
+        """|O_prev|, without building O_prev from the linked parts."""
+        if self.link is None or self.link[1] is None:
+            return self.O_prev.size
+        return sum(self.spans[i][1] - self.spans[i][0] for i in self.link[1])
 
 
 def _spans(*sizes, start: int = 0) -> tuple:
@@ -136,8 +148,8 @@ def _strategy1_plan(rows, a: int, b: int, o_prev: int, o_next: int, prev,
     """Plan of S = rows[a:b] in the parts O_prev (its head), the middle and
     O_next (its tail); a non-empty O_prev is the last part of ``prev``."""
     link = ([len(prev.spans) - 1], [0]) if o_prev else None
-    return SamplePlan(rows=rows, sample_size=b - a, O_prev=rows[a:a + o_prev],
-                      O_next=rows[b - o_next:b], link=link, segments=segments,
+    return SamplePlan(rows=rows, sample_size=b - a, O_next=rows[b - o_next:b],
+                      link=link, segments=segments,
                       spans=_spans(o_prev, b - a - o_prev - o_next, o_next, start=a))
 
 
@@ -213,8 +225,8 @@ def plan_strategy2(n: int, r: float, o: float, rng: SeededRng,
     O_next = rng.choice(S, o_size)
     rest = np.setdiff1d(S, O_next, assume_unique=True)
     return SamplePlan(rows=np.concatenate([O_next, rest]), sample_size=s_size,
-                      O_prev=O_prev, O_next=O_next, spans=_spans(o_size, rest.size),
-                      link=([0], None) if O_prev.size else None)
+                      O_next=O_next, spans=_spans(o_size, rest.size),
+                      link=([0], None) if O_prev.size else None, O_extra=O_prev)
 
 
 @dataclass(frozen=True)
@@ -295,13 +307,6 @@ def reshard(layout: NodeLayout, rng: SeededRng) -> NodeLayout:
                       fail_prob=layout.fail_prob)
 
 
-def union_of_shards(layout: NodeLayout, node_ids) -> np.ndarray:
-    ids = sorted(node_ids)
-    if not ids:
-        return _EMPTY
-    return np.concatenate([layout.shards[j] for j in ids])
-
-
 def plan_fault(layout: NodeLayout, rng: SeededRng,
                prev_responders=None, *, kept: bool = True) -> tuple:
     """Draw the responding node set and the resulting batch.
@@ -334,9 +339,7 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
     offsets = layout.offsets
     spans = tuple((offsets[j], offsets[j + 1]) for j in J)
     plan = SamplePlan(rows=layout.rows, spans=spans,
-                      sample_size=sum(b - a for a, b in spans),
-                      O_prev=union_of_shards(layout, [J[i] for _, i in shared]),
-                      O_next=_EMPTY,
+                      sample_size=sum(b - a for a, b in spans), O_next=_EMPTY,
                       link=tuple(map(list, zip(*shared))) if shared else None,
                       segments=offsets if kept else None, responders=J,
                       redraws=redraws)
@@ -429,8 +432,7 @@ class SerialSource:
 
     def next_plan(self) -> SamplePlan:
         S = np.array([self.rng.integers(self.n)], dtype=np.int64)
-        return SamplePlan(rows=S, spans=((0, 1),), sample_size=1, O_prev=_EMPTY,
-                          O_next=_EMPTY)
+        return SamplePlan(rows=S, spans=((0, 1),), sample_size=1, O_next=_EMPTY)
 
     def epoch_boundary(self):
         pass

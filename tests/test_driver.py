@@ -342,20 +342,33 @@ class TestAbortSites:
 class TestEvaluationAccounting:
     def test_part_sums_add_left_to_right(self):
         # np.sum pairs the terms from 8 parts up, also the gradient rows when
-        # d = 1; reruns and the golden traces need the parts added in order
+        # d = 1; reruns and the golden traces need the parts added in order.
+        # The driver's batch and overlap averages share one iterate's
+        # regularization terms and read one part in place, and must still
+        # give the bytes of Objective.average
         objective = logistic_l2(make_synthetic(20, 1, 1, seed=0))
         rng = np.random.default_rng(0)
-        w = np.array([0.3])
+        seen = set()
         for _ in range(50):
             k = int(rng.integers(1, 17))
             G = rng.normal(size=(k, 1)) * 10.0 ** rng.integers(-8, 8, size=(k, 1))
             L = np.abs(G[:, 0]) * rng.uniform(1, 2, size=k)
-            g_seq, l_seq = G[0], float(L[0])
-            for g, loss in zip(G[1:], L[1:].tolist()):
-                g_seq, l_seq = g_seq + g, l_seq + loss
-            grad, loss = _average(objective, w, G, L, 20 * k)
-            ref_grad, ref_loss = objective.average(w, g_seq, l_seq, 20 * k)
-            assert np.array_equal(grad, ref_grad) and loss == ref_loss
+            w = rng.normal(size=1) * 10.0 ** rng.integers(-3, 3)
+            reg = objective.regularization(w)
+            positions = sorted(rng.choice(k, int(rng.integers(1, k + 1)),
+                                          replace=False).tolist())
+            for parts, count, (grad, loss) in (
+                    (range(k), 20 * k, _average(objective, w, G, L, 20 * k, reg)),
+                    (positions, 7 * len(positions),
+                     _average(objective, w, G, L, 7 * len(positions), reg, positions))):
+                g_seq, l_seq = G[parts[0]], float(L[parts[0]])
+                for i in parts[1:]:
+                    g_seq, l_seq = g_seq + G[i], l_seq + float(L[i])
+                ref_grad, ref_loss = objective.average(w, g_seq, l_seq, count)
+                assert grad.tobytes() == ref_grad.tobytes()
+                assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+                seen.add(len(parts) > 1)
+        assert seen == {False, True}  # one part and several
 
     def test_strategy1_never_evaluates_twice_per_iterate(self, small_logistic):
         ledger = []
@@ -519,7 +532,8 @@ class TestFaultModeRuns:
         assert reshard or names.index("_keep") == 1
         # metrology right after a batch on the kept layout at the same w
         # computes row terms only for the rows the batch did not cover,
-        # and none when it covered them all; after a gather, for every row
+        # and none when it covered them all; after a gather or a batch over
+        # fewer than half the rows, for every row
         fulls = [i for i, name in enumerate(names) if name == "eval_full"]
         assert len(fulls) > 2
         seen_partial = False
@@ -527,7 +541,8 @@ class TestFaultModeRuns:
             covered = next(size for name, size in reversed(events[:i])
                            if name == "eval_sums")
             terms = [size for name, size in events[i + 1:i + 2] if name == "_row_terms"]
-            expected = objective.n if reshard else objective.n - covered
+            fresh = reshard or 2 * covered < objective.n
+            expected = objective.n if fresh else objective.n - covered
             assert terms == ([expected] if expected else [])
             seen_partial |= 0 < expected < objective.n
         assert seen_partial or reshard

@@ -14,7 +14,6 @@ from mblbfgs.sampling import (
     plan_strategy1_epoch,
     plan_strategy2,
     strategy_batch_sizes,
-    union_of_shards,
 )
 
 
@@ -170,8 +169,6 @@ class TestFaultMode:
 
     def test_disjoint_responders_empty_overlap(self):
         layout = make_layout(10, 2, 0.5)
-        overlap = union_of_shards(layout, set())
-        assert overlap.size == 0
         # simulate two draws with disjoint responder sets
         _, plan = plan_fault(layout, SeededRng(1), prev_responders=(0,))
         if plan.responders == (1,):
@@ -367,6 +364,8 @@ class TestPlanInvariants:
         assume(stream is not None)
         plans = stream[1]
         assert plans[0].link is None
+        # the driver reads |O_prev| without building O_prev
+        assert all(plan.overlap_size == plan.O_prev.size for plan in plans)
         for prev, plan in zip(plans, plans[1:]):
             if plan.O_prev.size == 0:
                 assert plan.link is None
@@ -395,11 +394,10 @@ class TestPlanInvariants:
         layout, plans = _plan_stream("fault", n, r, o, min(nodes, n), p, seed)
         assert plans[0].O_prev.size == 0
         for prev, plan in zip(plans, plans[1:]):
-            both = set(prev.responders) & set(plan.responders)
-            expected = set()
-            for j in both:
-                expected.update(layout.shards[j].tolist())
-            assert set(plan.O_prev.tolist()) == expected
+            both = sorted(set(prev.responders) & set(plan.responders))
+            # the repeat responders' shards in node order
+            expected = [row for j in both for row in layout.shards[j].tolist()]
+            assert plan.O_prev.tolist() == expected
 
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
