@@ -21,13 +21,13 @@ here (none at k = 0), evaluate the full data every ``stride`` iterates,
 record, check the stopping rules, step. One handler catches a
 ``NumericError`` anywhere in the pass. The loop does not know the sampling
 mode; the plan carries the layout. One
-``Objective.eval_sums(w, plan.rows, plan.spans, plan.segments)`` call per
-batch returns the gradient and loss sums of every part (one row of
-``G``/``L`` each). A row order that serves many batches, a strategy-1
-epoch's permutation or a fault-mode layout kept for the run, comes with
-``segments``, and the objective reads its parts in place from its kept copy
-of those rows; other batches are gathered. A metrology ``eval_full`` reuses
-the margins of a kept call at the same iterate over half the rows or more.
+``Objective.eval_sums(w, plan.rows, plan.spans)`` call per batch returns the
+gradient and loss sums of every part (one row of ``G``/``L`` each). A
+strategy-1 epoch's order and a fault-mode layout are read-only, and the
+objective reads their parts in place from its kept copy of those rows;
+other batches are gathered. A metrology
+``eval_full`` reuses the margins of a kept call at the same iterate over
+half the rows or more.
 The batch gradient adds all rows, and an overlap gradient adds the rows that
 ``plan.link`` names, so both gradients of a curvature pair are sums over the
 same index set O_k. Serial SGD is the source of one-example plans with empty
@@ -279,7 +279,7 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
                 epochs_seen = math.floor(epoch)
                 source.epoch_boundary()
             plan = source.next_plan()
-            G, L = objective.eval_sums(w, plan.rows, plan.spans, plan.segments)
+            G, L = objective.eval_sums(w, plan.rows, plan.spans)
             if eval_ledger is not None:
                 eval_ledger.extend((k, i, plan.rows[a:b])
                                    for i, (a, b) in enumerate(plan.spans))

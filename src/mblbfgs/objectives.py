@@ -28,14 +28,15 @@ output. Both add each row's, and each output entry's, products left to
 right from 0.0, as ``X[idx].dot(w)`` and ``X[idx].T.dot(c)`` do, so the
 bytes do not depend on where the rows come from:
 
-* A read-only ``rows`` that comes with ``segments`` (a strategy-1 epoch's
-  permutation or a fault layout kept for the run, and the bounds every span
-  is one segment of) promises that the pair serves many calls. The
-  objective keeps one entry, for the last such pair: ``Xb = X[rows]``, the
-  rows' labels and, when ``rows`` is a permutation of all rows, its inverse.
-  Parts are then row ranges of ``Xb`` itself; rows outside them (failed
-  nodes, the rest of the epoch) cost nothing.
-* Any other call gathers its parts' rows back to back with scipy's
+* A read-only ``rows`` (a strategy-1 epoch's order or a fault layout's
+  shard order) promises that it will not change and that it serves many
+  calls. The objective keeps one entry, for the last read-only ``rows`` it
+  was given: ``Xb = X[rows]``, the rows' labels and, when ``rows`` is a
+  permutation of all rows, its inverse. Parts are then row ranges of ``Xb``
+  itself; rows outside them (failed nodes, the rest of the epoch) cost
+  nothing.
+* A writable ``rows`` (a strategy-2 or serial batch, drawn afresh each
+  time) is gathered: its parts' rows go back to back through scipy's
   compiled ``csr_row_index``, into the arrays ``X[idx]`` has; the kept
   ``X[rows]`` is built the same way.
 
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,26 +78,15 @@ KINDS = ("logistic_l2", "sigmoid_lsq", "quadratic")
 
 @dataclass(frozen=True)
 class _KeptOrder:
-    """A read-only row order ``rows`` with its ``segments``, their
-    ``(start, stop)`` pairs, the CSR arrays ``(indptr, indices, data)`` of
-    ``X[rows]``, the rows' labels (or quadratic constants) and the inverse
-    permutation when ``rows`` is a permutation of all rows, else None."""
+    """A read-only row order ``rows``, the CSR arrays ``(indptr, indices,
+    data)`` of ``X[rows]``, the rows' labels (or quadratic constants) and the
+    inverse permutation when ``rows`` is a permutation of all rows, else
+    None."""
 
     rows: np.ndarray
-    segments: object
-    pairs: set
     csr: tuple
     row_data: np.ndarray
     inv: np.ndarray | None
-
-
-def _segment_pairs(segments, size: int) -> set:
-    """The ``(start, stop)`` pairs of ``segments``, checked to ascend from 0
-    to ``size``."""
-    bounds = list(map(int, segments))
-    if not bounds or bounds[0] != 0 or bounds[-1] != size or bounds != sorted(bounds):
-        raise UsageError("segments must ascend from 0 to len(rows)")
-    return set(zip(bounds, bounds[1:]))
 
 
 def _runs(parts) -> list:
@@ -177,35 +168,37 @@ class Objective:
     # block the driver combines when a batch is evaluated in parts
     # ------------------------------------------------------------------
     @np.errstate(over="ignore", invalid="ignore")
-    def eval_sums(self, w: Vector, rows, spans=None, segments=None) -> tuple:
+    def eval_sums(self, w: Vector, rows, spans=None) -> tuple:
         """Sums of per-example gradients and losses over parts of ``rows``.
 
         ``rows`` is a 1-D sequence of integer row indices, repeats allowed;
         every entry must be a row of ``X``, evaluated or not. ``spans`` are
-        ``(start, stop)`` pairs, ascending and disjoint within ``rows``,
-        one per part (one part covering ``rows`` by default). Returns
-        ``(G, L)``: ``G[p]`` is the gradient sum and ``L[p]`` the loss sum
-        of the rows ``rows[start:stop]`` of part ``p``. Each part's sums are
-        bit-identical to a one-part call on its slice of ``rows``.
+        ``(start, stop)`` pairs of integers, ascending and disjoint within
+        ``rows``, one per part (one part covering ``rows`` by default).
+        Returns ``(G, L)``: ``G[p]`` is the gradient sum and ``L[p]`` the
+        loss sum of the rows ``rows[start:stop]`` of part ``p``. Each part's
+        sums are bit-identical to a one-part call on its slice of ``rows``.
 
-        ``segments``, when given, are the bounds ``0 = b0 <= b1 <= ... =
-        len(rows)`` of a fixed partition of ``rows``, and each span must be
-        exactly one segment ``(b_j, b_j+1)``. A read-only ``rows`` that
-        comes with ``segments`` is a promise that neither object will change
-        and that the pair serves many calls: the objective keeps ``X[rows]``
-        for the last such pair it saw and reads the parts in place. Other
-        calls gather the rows of their parts; every branch gives the same
-        bytes (see the module docstring).
+        A read-only ``rows`` is a promise that it will not change and that
+        it serves many calls: the objective keeps ``X[rows]`` for the last
+        such ``rows`` it saw (by identity) and reads the parts in place.
+        Other calls gather the rows of their parts; every branch gives the
+        same bytes (see the module docstring).
         """
         idx = np.asarray(rows)
         if spans is None:
             spans = ((0, idx.size),)
         # the spans are ascending, disjoint and inside rows when the sequence
-        # a0, b0, a1, b1, ... never decreases and stays within 0..len(rows)
-        flat = list(map(int, itertools.chain.from_iterable(spans)))
+        # a0, b0, a1, b1, ... of integers never decreases and stays within
+        # 0..len(rows)
+        try:
+            flat = list(map(operator.index, itertools.chain.from_iterable(spans)))
+        except TypeError:
+            flat = []  # a bound that is not an integer: rejected below
         if (not flat or len(flat) != 2 * len(spans) or flat[0] < 0
                 or flat[-1] > idx.size or flat != sorted(flat)):
-            raise UsageError("part spans must be ascending, disjoint and inside rows")
+            raise UsageError("part spans must be integer pairs, ascending, "
+                             "disjoint and inside rows")
         covered = sum(flat[1::2]) - sum(flat[::2])
         if covered == 0:
             raise UsageError("empty subset")
@@ -216,20 +209,14 @@ class Objective:
         parts = list(zip(flat[::2], flat[1::2]))
         read_only = not idx.flags.writeable
         kept = self._kept
-        if not (read_only and kept and idx is kept.rows and segments is kept.segments):
-            kept = None
-        if segments is not None:
-            # checked and indexed once per kept entry: O(parts) per call
-            pairs = kept.pairs if kept else _segment_pairs(segments, idx.size)
-            if not pairs.issuperset(parts):
-                raise UsageError("each part span must be exactly one segment")
-        if kept is None:
+        if not (read_only and kept and idx is kept.rows):
+            kept = None  # no reference here, so that _keep frees the old entry
             # one reduction checks both ends: a negative index viewed as
             # unsigned is at least 2**63
             if idx.view(np.uint64).max() >= self.n:
                 raise UsageError("subset index out of range")
-            if segments is not None and read_only:
-                kept = self._keep(idx, segments, pairs)
+            if read_only:
+                kept = self._keep(idx)
         G = np.zeros((len(parts), self.d))
         L = np.empty(len(parts))
         if kept is not None:
@@ -288,8 +275,8 @@ class Objective:
             at += b - a
         return z
 
-    def _keep(self, rows, segments, pairs) -> _KeptOrder:
-        """Make the read-only ``rows`` with ``segments`` the kept entry."""
+    def _keep(self, rows) -> _KeptOrder:
+        """Make the read-only ``rows`` the kept entry."""
         # drop the old entry first, so that two copies of X never coexist
         self._kept = self._memo = None
         inv = None
@@ -297,8 +284,7 @@ class Objective:
         if rows.size == self.n and np.bincount(rows, minlength=self.n).all():
             inv = np.empty_like(rows)
             inv[rows] = np.arange(self.n)
-        self._kept = _KeptOrder(rows, segments, pairs, self._gather(rows),
-                                self._row_data.take(rows), inv)
+        self._kept = _KeptOrder(rows, self._gather(rows), self._row_data.take(rows), inv)
         return self._kept
 
     def _gather(self, idx) -> tuple:

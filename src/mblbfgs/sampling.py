@@ -19,16 +19,16 @@ knowledge of the mode: the plan names a row order ``rows`` and the spans of
 it that are the batch's parts, and ``link`` names the parts whose rows are
 O_prev in the previous plan and in this one. So both gradients of a
 curvature pair are sums over the same index set. In strategy 1 ``rows`` is
-the epoch's read-only permutation, shared by every plan of the epoch, and a
-batch's parts O_prev, the middle and O_next are spans of it (the full
-batch, reordered every epoch, is S itself). In strategy 2 and serial mode
-``rows`` is S, cut into O_next and the rest. In fault mode ``rows`` is the
-layout's read-only order of all shards, kept until a reshard; each
-responding node's shard is one span and failed nodes leave gaps. An order
-that serves many batches (a strategy-1 epoch below the full batch, a fault
-layout kept for the run) names in ``segments`` the bounds every span is one
-segment of, and the objective reads its parts in place
-(``Objective.eval_sums``).
+the epoch's permutation, shared by every plan of the epoch, and a batch's
+parts O_prev, the middle and O_next are spans of it (the full batch,
+reordered every epoch, is S itself). In strategy 2 and serial mode ``rows``
+is S, cut into O_next and the rest. In fault mode ``rows`` is the layout's
+order of all shards, one object until a reshard; each responding node's
+shard is one span and failed nodes leave gaps. Strategy-1 orders (the full
+batch's included) and fault layouts (resharded or not) serve several
+evaluations and are read-only, so the objective keeps a copy of their rows
+and reads the parts in place (``Objective.eval_sums``); strategy-2 and
+serial orders are fresh writable arrays, gathered once.
 
 All draws come from a single named counter-based generator so a fixed seed
 replays the exact plan stream.
@@ -96,14 +96,13 @@ class SamplePlan:
     ``(start, stop)`` pair per non-empty part of the batch, ascending and
     disjoint within ``rows``; S is the concatenation of the parts and
     ``sample_size`` its size, which every source knows when it draws.
-    ``segments`` is None, or the bounds of the fixed partition of ``rows``
-    that every span is one segment of, one tuple for all plans on ``rows``
-    (a strategy-1 epoch's span ends, a kept fault layout's ``offsets``). ``link``
-    is None when O_prev is empty, and otherwise a pair of position lists:
-    the parts of the previous plan and the parts of this plan whose rows
-    are O_prev. The second entry is None when O_prev is not made of this
-    plan's parts (strategy 2): O_prev is then ``O_extra``, and its gradient
-    at the new iterate needs a fresh evaluation.
+    ``rows`` is read-only in strategy 1 and fault mode and writable (drawn
+    afresh) otherwise. ``link`` is None when O_prev is empty, and otherwise
+    a pair of position lists: the parts of the previous plan and the parts
+    of this plan whose rows are O_prev. The second entry is None when O_prev
+    is not made of this plan's parts (strategy 2): O_prev is then
+    ``O_extra``, and its gradient at the new iterate needs a fresh
+    evaluation.
     """
 
     rows: np.ndarray
@@ -111,7 +110,6 @@ class SamplePlan:
     sample_size: int
     O_next: np.ndarray
     link: tuple | None = None
-    segments: tuple | None = None
     responders: tuple = ()
     redraws: int = 0
     O_extra: np.ndarray | None = None
@@ -143,13 +141,11 @@ def _spans(*sizes, start: int = 0) -> tuple:
     return tuple(zip(ends, ends[1:]))
 
 
-def _strategy1_plan(rows, a: int, b: int, o_prev: int, o_next: int, prev,
-                    segments=None) -> SamplePlan:
+def _strategy1_plan(rows, a: int, b: int, o_prev: int, o_next: int, prev) -> SamplePlan:
     """Plan of S = rows[a:b] in the parts O_prev (its head), the middle and
     O_next (its tail); a non-empty O_prev is the last part of ``prev``."""
     link = ([len(prev.spans) - 1], [0]) if o_prev else None
-    return SamplePlan(rows=rows, sample_size=b - a, O_next=rows[b - o_next:b],
-                      link=link, segments=segments,
+    return SamplePlan(rows=rows, sample_size=b - a, O_next=rows[b - o_next:b], link=link,
                       spans=_spans(o_prev, b - a - o_prev - o_next, o_next, start=a))
 
 
@@ -181,8 +177,7 @@ def plan_strategy1_epoch(n: int, r: float, o: float, rng: SeededRng) -> list:
     tail block of each batch is exactly the head block of the next one. The
     final batch is truncated if needed so the epoch covers every index; the
     epoch ends without a planned overlap into the next (reshuffled) epoch.
-    Every plan's ``rows`` is the read-only permutation; below the full batch
-    its ``segments`` are the ends of all spans of the epoch.
+    Every plan's ``rows`` is the read-only permutation.
     """
     s_size, o_size = strategy_batch_sizes(n, r, o, "strategy1")
     perm = rng.permutation(n)
@@ -203,12 +198,10 @@ def plan_strategy1_epoch(n: int, r: float, o: float, rng: SeededRng) -> list:
         # to the end of the permutation so every index is used this epoch
         batches.append((coverage - o_size, n, o_size, 0))
     batches[-1] = (*batches[-1][:3], 0)  # no overlap into the next epoch
-    segments = tuple(sorted({end for a, b, o_prev, o_next in batches
-                             for end in (a, a + o_prev, b - o_next, b)}))
     plans = []
     for a, b, o_prev, o_next in batches:
         plans.append(_strategy1_plan(perm, a, b, o_prev, o_next,
-                                     plans[-1] if plans else None, segments))
+                                     plans[-1] if plans else None))
     return plans
 
 
@@ -308,8 +301,8 @@ def reshard(layout: NodeLayout, rng: SeededRng) -> NodeLayout:
 
 
 def plan_fault(layout: NodeLayout, rng: SeededRng,
-               prev_responders=None, *, kept: bool = True) -> tuple:
-    """Draw the responding node set and the resulting batch.
+               prev_responders=None) -> SamplePlan:
+    """Draw the responding node set (``responders``) and the resulting batch.
 
     Each node independently responds with probability 1 - p. An all-failed
     draw is redrawn (and counted); ``MAX_REDRAWS`` of them in a row raise
@@ -318,9 +311,7 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
     whose nodes responded both times. Each responding node's shard is one
     part of the batch, a span of the layout's ``rows``, so the positions of
     the repeat responders in both draws link O_prev to the parts of both
-    plans. ``kept`` says that the layout serves the rest of the run; only
-    then does the plan name the shard bounds in ``segments``, since keeping
-    a copy of the layout's rows pays off only over many batches.
+    plans.
     """
     p = layout.fail_prob
     redraws = 0
@@ -338,12 +329,10 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
     shared = [(prev_pos[j], i) for i, j in enumerate(J) if j in prev_pos]
     offsets = layout.offsets
     spans = tuple((offsets[j], offsets[j + 1]) for j in J)
-    plan = SamplePlan(rows=layout.rows, spans=spans,
+    return SamplePlan(rows=layout.rows, spans=spans,
                       sample_size=sum(b - a for a, b in spans), O_next=_EMPTY,
                       link=tuple(map(list, zip(*shared))) if shared else None,
-                      segments=offsets if kept else None, responders=J,
-                      redraws=redraws)
-    return J, plan
+                      responders=J, redraws=redraws)
 
 
 # ----------------------------------------------------------------------
@@ -373,8 +362,10 @@ class Strategy1Source:
                 outside = np.setdiff1d(plan.S, o_prev, assume_unique=True)
                 o_next = self.rng.choice(outside, plan.O_next.size)
                 middle = plan.S[~np.isin(plan.S, np.concatenate([o_prev, o_next]))]
-                self._queue[0] = _strategy1_plan(np.concatenate([o_prev, middle, o_next]),
-                                                 0, self.n, o_prev.size, o_next.size, last)
+                rows = np.concatenate([o_prev, middle, o_next])
+                rows.flags.writeable = False  # the epoch's order, like perm
+                self._queue[0] = _strategy1_plan(rows, 0, self.n, o_prev.size,
+                                                 o_next.size, last)
         self._last = self._queue.pop(0)
         return self._last
 
@@ -411,9 +402,8 @@ class FaultSource:
         self._prev_responders = None
 
     def next_plan(self) -> SamplePlan:
-        J, plan = plan_fault(self.layout, self.rng, self._prev_responders,
-                             kept=not self.reshard_each_epoch)
-        self._prev_responders = J
+        plan = plan_fault(self.layout, self.rng, self._prev_responders)
+        self._prev_responders = plan.responders
         return plan
 
     def epoch_boundary(self):

@@ -283,7 +283,7 @@ def test_criterion_11_sampling_statistics():
     # fault mode: mean responder count within 2% of B(1-p)
     layout = make_layout(160, 16, 0.3)
     rng2 = SeededRng(159)
-    total = sum(len(plan_fault(layout, rng2)[0]) for _ in range(draws))
+    total = sum(len(plan_fault(layout, rng2).responders) for _ in range(draws))
     mean_j = total / draws
     target = 16 * 0.7
     ok = chi2 <= critical and abs(mean_j - target) <= 0.02 * target

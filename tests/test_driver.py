@@ -390,10 +390,10 @@ class TestEvaluationAccounting:
         calls = []
         eval_sums = Objective.eval_sums
 
-        def counting(self, w, rows, spans=None, segments=None):
+        def counting(self, w, rows, spans=None):
             spans = [(0, len(rows))] if spans is None else spans
             calls.append(sum(b - a for a, b in spans))
-            return eval_sums(self, w, rows, spans, segments)
+            return eval_sums(self, w, rows, spans)
 
         monkeypatch.setattr(Objective, "eval_sums", counting)
         ledger = []
@@ -497,6 +497,18 @@ class TestFaultModeRuns:
                                                           (0.6, 20.0, True)])
     def test_fault_runs_keep_one_layout_and_reuse_its_margins(
             self, small_logistic, monkeypatch, fail_prob, epochs, reshard):
+        self._check_orders_kept_once_and_margins_reused(
+            small_logistic, monkeypatch,
+            dict(mode="fault", nodes=8, fail_prob=fail_prob, epochs=epochs,
+                 reshard_each_epoch=reshard))
+
+    def test_strategy1_full_batch_keeps_each_epoch_order_and_reuses_its_margins(
+            self, small_logistic, monkeypatch):
+        self._check_orders_kept_once_and_margins_reused(
+            small_logistic, monkeypatch, dict(mode="strategy1", batch_frac=1.0, epochs=6.0))
+
+    @staticmethod
+    def _check_orders_kept_once_and_margins_reused(small_logistic, monkeypatch, config):
         # spies on the kernel's paths, so that no change can switch the fast
         # path off silently
         events = []
@@ -506,46 +518,50 @@ class TestFaultModeRuns:
 
             def wrapper(self, *args):
                 # _row_terms is logged with its row count, eval_sums with
-                # the rows its parts cover
+                # the rows its parts cover and its row order
                 if name == "_row_terms":
-                    events.append((name, args[0].size))
+                    events.append((name, args[0].size, None))
                 elif name == "eval_sums":
-                    events.append((name, sum(b - a for a, b in args[2])))
+                    events.append((name, sum(b - a for a, b in args[2]), args[1]))
                 else:
-                    events.append((name, None))
+                    events.append((name, None, None))
                 return real(self, *args)
             return wrapper
 
         for name in ("eval_sums", "_keep", "_row_terms", "eval_full"):
             monkeypatch.setattr(Objective, name, spy(name))
-        cfg = RunConfig(method="robust_lbfgs", mode="fault", nodes=8,
-                        fail_prob=fail_prob, schedule=constant(0.1), epochs=epochs,
-                        seed=3, reshard_each_epoch=reshard)
+        cfg = RunConfig(method="robust_lbfgs", schedule=constant(0.1), seed=3, **config)
         objective = logistic_l2(small_logistic.dataset)
         trace = run(cfg, objective)
         assert trace.aborted is None
-        names = [name for name, _ in events]
+        names = [name for name, *_ in events]
         assert names.count("eval_sums") == len(trace.records)
-        # a layout kept for the run is copied once, on the first call; a
-        # layout replaced every epoch never
-        assert names.count("_keep") == (0 if reshard else 1)
-        assert reshard or names.index("_keep") == 1
-        # metrology right after a batch on the kept layout at the same w
-        # computes row terms only for the rows the batch did not cover,
-        # and none when it covered them all; after a gather or a batch over
+        # each row order (a layout, or a strategy-1 epoch's order) is copied
+        # once, right after the first call on it
+        orders, first_calls = [], []
+        for i, (name, _, rows) in enumerate(events):
+            if name == "eval_sums" and not any(rows is order for order in orders):
+                orders.append(rows)
+                first_calls.append(i)
+        assert [i for i, name in enumerate(names) if name == "_keep"] == [
+            i + 1 for i in first_calls]
+        one_order = not (config.get("reshard_each_epoch") or config["mode"] == "strategy1")
+        assert (len(orders) == 1) == one_order
+        # metrology right after a batch at the same w computes row terms
+        # only for the rows the batch did not cover, and none when it
+        # covered them all (the full batch always does); after a batch over
         # fewer than half the rows, for every row
         fulls = [i for i, name in enumerate(names) if name == "eval_full"]
         assert len(fulls) > 2
         seen_partial = False
         for i in fulls:
-            covered = next(size for name, size in reversed(events[:i])
+            covered = next(size for name, size, _ in reversed(events[:i])
                            if name == "eval_sums")
-            terms = [size for name, size in events[i + 1:i + 2] if name == "_row_terms"]
-            fresh = reshard or 2 * covered < objective.n
-            expected = objective.n if fresh else objective.n - covered
+            terms = [size for name, size, _ in events[i + 1:i + 2] if name == "_row_terms"]
+            expected = objective.n if 2 * covered < objective.n else objective.n - covered
             assert terms == ([expected] if expected else [])
             seen_partial |= 0 < expected < objective.n
-        assert seen_partial or reshard
+        assert seen_partial == (config["mode"] == "fault")
 
 
 class TestFaultEquivalence:

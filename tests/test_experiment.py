@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from mblbfgs import StepSchedule, constant, experiment, run
 from mblbfgs.experiment import (
@@ -8,6 +9,7 @@ from mblbfgs.experiment import (
     ExperimentSpec,
     cell_filename,
     run_experiment,
+    trace_csv_lines,
 )
 
 
@@ -75,12 +77,26 @@ class TestCsvContract:
         ks = rows[:, 0]
         assert np.array_equal(ks, np.arange(rows.shape[0]))
 
-    def test_rerun_byte_identical(self, tmp_path):
-        r1 = run_experiment(small_spec(tmp_path / "a"))
-        r2 = run_experiment(small_spec(tmp_path / "b"))
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(batch_fracs=[1.0], methods=["robust_lbfgs", "multibatch_gd"], epochs=4.0),
+        dict(mode="fault", fail_probs=[0.1, 0.5], nodes=4, reshard_each_epoch=True,
+             epochs=4.0),
+    ], ids=["strategy1", "strategy1_full", "fault_reshard"])
+    def test_rerun_byte_identical(self, tmp_path, overrides):
+        spec = small_spec(tmp_path / "a", **overrides)
+        r1 = run_experiment(spec)
+        r2 = run_experiment(replace(spec, out_dir=str(tmp_path / "b")))
+        cells = list(spec.cells())
+        assert len(r1.csv_paths) == len(r2.csv_paths) == len(cells) > 1
         for p1, p2 in zip(r1.csv_paths, r2.csv_paths):
             assert p1.read_bytes() == p2.read_bytes()
         assert r1.manifest_path.read_bytes() == r2.manifest_path.read_bytes()
+        # the grid shares one objective, whose kept rows and margins outlive
+        # a cell; each cell still reads as a run on a fresh objective
+        for config, path in zip(cells, r1.csv_paths):
+            trace = run(config, spec.load_objective())
+            assert path.read_text() == "".join(f"{line}\n" for line in trace_csv_lines(trace))
 
     def test_aborted_cell_recorded_and_others_continue(self, tmp_path):
         spec = small_spec(

@@ -1,4 +1,4 @@
-"""Golden digests of generated data, its LIBSVM text and eight run traces.
+"""Golden digests of generated data, its LIBSVM text and nine run traces.
 
 The digests pin the byte-identical rerun guarantee across refactors of the
 data path and the driver: any change to the synthetic generator's stream,
@@ -7,7 +7,6 @@ in a run shows up here. They were recorded once and must not be re-recorded
 to make a change pass.
 """
 import hashlib
-import itertools
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ DATA_SHA256 = "388d376e38140f1f47cbd99163a4395136256b86907fd6284284cb95290b38ab"
 LIBSVM_SHA256 = "015dbe5e3eda24068bf86e9eb9a7dc5338d7aeba1f8295d052ef94492114fb37"
 TRACE_SHA256 = {
     "strategy1": "38af1d8367e35fa6ffba175d242ea689babb033e7de17d4c0a8750b7c2071164",
+    # the full batch, reordered every epoch
+    "strategy1_full": "5dc5058c93cd1acadfce4f6f8ebc9cf5607349abd215c2899e5f73cfff79eccf",
     "strategy2": "20cce47c8e35bb445c905bde385e7d39329d2c9efe72d5c336fd8bcae0b72b96",
     "fault": "a3a8082c425dab8e8fa3329fbffffaadfefe8a4400e0b2ab37a4e453f9b80b43",
     "serial_sgd": "b44471733089ecf267d92a42ca2991f5279767090811099b18082d5c86aad453",
@@ -34,6 +35,7 @@ TRACE_SHA256 = {
 }
 CONFIGS = {
     "strategy1": RunConfig(mode="strategy1", batch_frac=0.1, epochs=3, seed=0),
+    "strategy1_full": RunConfig(mode="strategy1", batch_frac=1.0, epochs=10, seed=0),
     "strategy2": RunConfig(mode="strategy2", batch_frac=0.1, epochs=3, seed=0),
     "fault": RunConfig(mode="fault", fail_prob=0.3, epochs=3, seed=0),
     "serial_sgd": RunConfig(method="serial_sgd", schedule=constant(0.05),
@@ -83,30 +85,20 @@ def test_trace_digest(name):
 def _gathered(eval_sums):
     """eval_sums on a writable copy of ``rows``: nothing is kept, every
     batch is gathered."""
-    def wrapper(self, w, rows, spans=None, segments=None):
-        return eval_sums(self, w, np.array(rows), spans, segments)
+    def wrapper(self, w, rows, spans=None):
+        return eval_sums(self, w, np.array(rows), spans)
     return wrapper
 
 
-def _kept(eval_sums):
-    """eval_sums with segments named for every read-only ``rows`` that comes
-    without them (a layout resharded every epoch): every such batch is read
-    in place from a kept entry, a new one on each call."""
-    def wrapper(self, w, rows, spans=None, segments=None):
-        if segments is None and not rows.flags.writeable:
-            segments = tuple(sorted({0, rows.size, *itertools.chain(*spans)}))
-        return eval_sums(self, w, rows, spans, segments)
-    return wrapper
-
-
-# eval_sums wrappers that send every batch of a strategy-1 or fault run
-# down one branch: in place on the kept row order, or a gather of the parts
-KERNEL_BRANCHES = {"kept": _kept, "gather": _gathered}
+# eval_sums as it is, or wrapped, for every batch of a strategy-1 or fault
+# run: all their row orders are read-only, so a plain run reads each batch
+# in place from the kept copy, and the wrapper gathers each one instead
+KERNEL_BRANCHES = {"kept": lambda eval_sums: eval_sums, "gather": _gathered}
 
 
 @pytest.mark.parametrize("branch", sorted(KERNEL_BRANCHES))
 @pytest.mark.parametrize("name", sorted(n for n in CONFIGS
-                                        if n.startswith("fault") or n == "strategy1"))
+                                        if n.startswith(("fault", "strategy1"))))
 def test_trace_digest_on_each_kernel_branch(name, branch, monkeypatch):
     Objective = objectives.Objective
     monkeypatch.setattr(Objective, "eval_sums",

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from mblbfgs import (
     quadratic,
     sigmoid_lsq,
 )
-from mblbfgs import objectives
 from mblbfgs.objectives import KINDS, Objective, make_objective
 
 
@@ -121,6 +121,21 @@ class TestGradientOracle:
             assert np.linalg.norm(analytic - fd) / denom <= 1e-6
 
 
+# spans that no call on four rows may take
+BAD_SPANS = [
+    [],                     # no part
+    [(0, 5)],               # past the end of rows
+    [(-1, 2)],              # before its start
+    [(2, 1)],               # reversed
+    [(0, 3), (2, 4)],       # overlapping
+    [(2, 4), (0, 1)],       # not ascending
+    [(0, 1, 2)],            # not a pair
+    [(0, 2.7)],             # not integers: int() made these rows[0:2],
+    [("1", 3)],             # rows[1:3]
+    [(0, np.float64(3.5))], # and rows[0:3]
+]
+
+
 class TestSubsetSemantics:
     def test_full_equals_subset_bitwise(self, small_logistic):
         w = np.linspace(-1, 1, small_logistic.d)
@@ -186,15 +201,7 @@ class TestSubsetSemantics:
         with pytest.raises(UsageError, match="1-D array of length"):
             getattr(small_logistic, method)(w, *args)
 
-    @pytest.mark.parametrize("spans", [
-        [],                     # no part
-        [(0, 5)],               # past the end of rows
-        [(-1, 2)],              # before its start
-        [(2, 1)],               # reversed
-        [(0, 3), (2, 4)],       # overlapping
-        [(2, 4), (0, 1)],       # not ascending
-        [(0, 1, 2)],            # not a pair
-    ])
+    @pytest.mark.parametrize("spans", BAD_SPANS)
     def test_eval_sums_rejects_bad_part_spans(self, small_logistic, spans):
         with pytest.raises(UsageError, match="part spans"):
             small_logistic.eval_sums(np.zeros(small_logistic.d), [0, 1, 2, 3], spans)
@@ -275,18 +282,17 @@ def _random_problem(kind, data):
     return make_objective(kind, Dataset(X, labels), sigma=0.01), _random_values(rng, d)
 
 
-def _sums_or_error(obj, w, rows, spans, segments=None):
+def _sums_or_error(obj, w, rows, spans):
     try:
-        G, L = obj.eval_sums(w, rows, spans, segments)
+        G, L = obj.eval_sums(w, rows, spans)
     except NumericError as exc:
         return str(exc)
     return G.tobytes(), L.tobytes()
 
 
-def _segmented(n, data):
-    """Read-only rows (a permutation of range(n) or any rows), bounds of a
-    random segmentation of them, and spans that are a subset of its
-    segments, with gaps."""
+def _read_only_spans(n, data):
+    """Read-only rows (a permutation of range(n) or any rows) and non-empty
+    spans of them, ascending, with gaps."""
     if data.draw(st.booleans(), label="permutation"):
         rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                                label="perm_seed")).permutation(n)
@@ -295,12 +301,11 @@ def _segmented(n, data):
                                            max_size=40), label="rows"), dtype=np.int64)
     rows.flags.writeable = False
     cuts = data.draw(st.lists(st.integers(0, rows.size), max_size=10), label="cuts")
-    bounds = tuple([0] + sorted(cuts) + [rows.size])
-    segments = list(zip(bounds, bounds[1:]))
-    spans = [seg for seg in segments
-             if seg[1] > seg[0] and data.draw(st.booleans(), label="kept")]
+    bounds = [0] + sorted(cuts) + [rows.size]
+    spans = [span for span in zip(bounds, bounds[1:])
+             if span[1] > span[0] and data.draw(st.booleans(), label="kept")]
     assume(spans)
-    return rows, bounds, spans
+    return rows, spans
 
 
 def _with_index_dtype(obj, dtype):
@@ -330,7 +335,7 @@ class TestGather:
         gathered = obj._gather(rows)
         kept_rows = rows.astype(np.int64)  # eval_sums keeps read-only int64 rows
         kept_rows.flags.writeable = False
-        obj.eval_sums(np.zeros(obj.d), kept_rows, None, (0, rows.size))
+        obj.eval_sums(np.zeros(obj.d), kept_rows)
         assert obj._kept.rows is kept_rows
         for csr in (gathered, obj._kept.csr):
             assert [a.dtype for a in csr] == [a.dtype for a in expected]
@@ -349,7 +354,7 @@ class TestCompiledKernels:
         # changes its private kernels fails here
         obj, w = _random_problem(kind, data)
         obj = _with_index_dtype(obj, index_dtype)
-        rows, _, parts = _segmented(obj.n, data)
+        rows, parts = _read_only_spans(obj.n, data)
         rows = rows.astype(rows_dtype)
         Xb = obj.X[rows]
         sub = np.concatenate([rows[a:b] for a, b in parts]).astype(np.int64)
@@ -383,7 +388,7 @@ class TestKeptOrder:
     @settings(max_examples=150, deadline=None)
     def test_kept_and_gathered_match_one_part_calls_bytewise(self, kind, data):
         obj, w = _random_problem(kind, data)
-        rows, bounds, spans = _segmented(obj.n, data)
+        rows, spans = _read_only_spans(obj.n, data)
         # one-part calls on copies of the slices: writable, so gathered
         expected = []
         for a, b in spans:
@@ -395,82 +400,66 @@ class TestKeptOrder:
         if not isinstance(expected, str):
             expected = tuple(b"".join(col) for col in zip(*expected))
         _fresh(obj)
-        first = _sums_or_error(obj, w, rows, spans, bounds)   # keeps X[rows]
+        first = _sums_or_error(obj, w, rows, spans)   # keeps X[rows]
         assert obj._kept is not None and obj._kept.rows is rows
-        second = _sums_or_error(obj, w, rows, spans, bounds)  # reads it again
+        second = _sums_or_error(obj, w, rows, spans)  # reads it again
         _fresh(obj)
-        gathered = _sums_or_error(obj, w, rows.copy(), spans, bounds)
+        gathered = _sums_or_error(obj, w, rows.copy(), spans)
         assert obj._kept is None
         assert first == second == gathered == expected
 
-    @pytest.mark.parametrize("spans,segments", [
-        ([(0, 4)], (0, 2, 4)),            # two segments in one span
-        ([(0, 1)], (0, 2, 4)),            # part of a segment
-        ([(1, 3)], (0, 2, 4)),            # straddles a bound
-        ([(0, 2)], (0, 2)),               # bounds stop short of rows
-        ([(0, 2)], (1, 2, 4)),            # bounds do not start at 0
-        ([(0, 2)], (0, 3, 2, 4)),         # bounds descend
-        ([(0, 2)], ()),                   # no bounds
-    ])
-    @pytest.mark.parametrize("read_only", [False, True])
-    def test_span_that_is_not_one_segment_raises(self, small_logistic, spans,
-                                                 segments, read_only):
-        rows = np.arange(4)
-        rows.flags.writeable = not read_only
-        with pytest.raises(UsageError, match="segment"):
-            small_logistic.eval_sums(np.zeros(small_logistic.d), rows, spans, segments)
-
-    def test_span_outside_the_kept_segments_raises(self, small_logistic):
+    @pytest.mark.parametrize("spans", BAD_SPANS)
+    def test_bad_part_spans_on_the_kept_rows_raise_and_leave_the_entry(
+            self, small_logistic, spans):
+        # the kept branch reads parts in place from X[rows], so a span it
+        # accepted wrongly would read past or across the kept rows
         obj = logistic_l2(small_logistic.dataset)
-        rows = np.arange(obj.n)
+        w = np.linspace(-1, 1, obj.d)
+        rows = np.arange(4)
         rows.flags.writeable = False
-        bounds = (0, 100, obj.n)
-        obj.eval_sums(np.zeros(obj.d), rows, [(0, 100)], bounds)
-        with pytest.raises(UsageError, match="segment"):
-            obj.eval_sums(np.zeros(obj.d), rows, [(0, 50)], bounds)
+        expected = obj.eval_sums(w, rows, [(0, 2), (3, 4)])
+        kept = obj._kept
+        assert kept.rows is rows
+        with pytest.raises(UsageError, match="part spans"):
+            obj.eval_sums(w, rows, spans)
+        assert obj._kept is kept
+        result = obj.eval_sums(w, rows, [(0, 2), (3, 4)])
+        assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
 
-    def test_the_entry_follows_the_last_read_only_pair(self, small_logistic,
-                                                       monkeypatch):
+    def test_the_entry_follows_the_last_read_only_rows(self, small_logistic):
         obj = logistic_l2(small_logistic.dataset)
         w = np.linspace(-1, 1, obj.d)
         rows = np.arange(obj.n)[::-1].copy()
-        bounds = (0, 100, 150, 300)
         wide, narrow = [(0, 100), (150, 300)], [(100, 150)]
-        # each X[rows] of a new entry is built after the old one is dropped
-        built, gather = [], obj._gather
+        # each X[rows] of a new entry is built after the old one is freed,
+        # so that two copies of X never coexist
+        built, gather, old = [], obj._gather, None
 
         def spy(idx):
             built.append(obj._kept)
+            assert old is None or old() is None
             return gather(idx)
         obj._gather = spy
-        validated = []
-        segment_pairs = objectives._segment_pairs
-        monkeypatch.setattr(objectives, "_segment_pairs",
-                            lambda *args: validated.append(1) or segment_pairs(*args))
 
-        obj.eval_sums(w, rows, wide, bounds)
+        expected = obj.eval_sums(w, rows, wide)
         assert obj._kept is None  # writable rows are never kept
+        built.clear()  # the call above gathered its parts
         rows.flags.writeable = False
-        obj.eval_sums(w, rows, wide)
-        assert obj._kept is None  # nor are rows without segments
-        expected = obj.eval_sums(w, rows.copy(), wide)
-        built.clear()  # the three calls above gathered their parts
-        obj.eval_sums(w, rows, narrow, bounds)  # any coverage keeps X[rows]
+        obj.eval_sums(w, rows, narrow)  # any coverage keeps X[rows]
         kept = obj._kept
         assert kept.rows is rows and built == [None]
-        validated.clear()
-        result = obj.eval_sums(w, rows, wide, bounds)  # the same pair: the same entry
+        result = obj.eval_sums(w, rows, wide)  # the same rows, any spans: the same entry
         assert obj._kept is kept and built == [None]
-        # the bounds are checked once per entry, not once per call
-        assert validated == []
         assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
-        obj.eval_sums(w, rows, wide, list(bounds))  # another segments object
-        assert obj._kept.rows is rows and obj._kept is not kept
+        obj.eval_sums(w, rows.copy(), wide)  # a writable copy is gathered
+        assert obj._kept is kept
+        built.clear()
+        old = weakref.ref(kept)
+        del kept
         other = rows.copy()
         other.flags.writeable = False
-        obj.eval_sums(w, other, wide, bounds)
-        assert obj._kept.rows is other
-        assert built == [None] * 3
+        obj.eval_sums(w, other, narrow)  # equal rows, another object
+        assert obj._kept.rows is other and built == [None]
 
 
 def _full_or_error(obj, w):
@@ -483,7 +472,8 @@ def _full_or_error(obj, w):
 
 class TestMetrologyMemo:
     @given(kind=st.sampled_from(KINDS), data=st.data(),
-           case=st.sampled_from(["same", "ulp", "signed_zero", "nan", "reshard"]))
+           case=st.sampled_from(["same", "ulp", "signed_zero", "nan", "gather",
+                                 "reshard"]))
     @settings(max_examples=150, deadline=None)
     def test_eval_full_after_a_kept_call_matches_a_fresh_objective(self, kind, data,
                                                                   case):
@@ -494,11 +484,11 @@ class TestMetrologyMemo:
         rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
                                                label="perm_seed")).permutation(obj.n)
         rows.flags.writeable = False
-        # spans of a random segmentation, with gaps
+        # spans of a random cut of the rows, with gaps
         cuts = data.draw(st.lists(st.integers(0, obj.n), max_size=6), label="cuts")
-        bounds = tuple([0] + sorted(cuts) + [obj.n])
-        spans = [seg for seg in zip(bounds, bounds[1:])
-                 if seg[1] > seg[0] and data.draw(st.booleans(), label="kept")]
+        bounds = [0] + sorted(cuts) + [obj.n]
+        spans = [span for span in zip(bounds, bounds[1:])
+                 if span[1] > span[0] and data.draw(st.booleans(), label="kept")]
         assume(spans)
         covered = sum(b - a for a, b in spans)
         row_terms = []
@@ -509,14 +499,19 @@ class TestMetrologyMemo:
             return real_row_terms(self, z, y)
 
         with pytest.MonkeyPatch.context() as mp:
-            _sums_or_error(obj, w, rows, spans, bounds)
+            _sums_or_error(obj, w, rows, spans)
             assert obj._kept is not None
-            if case == "reshard":
-                # a layout replaced every epoch comes without segments and
-                # is gathered; the old memo stays valid
+            if case in ("gather", "reshard"):
+                # a writable order (a strategy-2 batch) is gathered and the
+                # memo stays; a new read-only one (a layout resharded every
+                # epoch) is kept in place of the old, with the memo of its
+                # call over all rows
                 other = np.random.default_rng(0).permutation(obj.n)
-                other.flags.writeable = False
+                other.flags.writeable = case == "gather"
                 _sums_or_error(obj, w, other, [(0, obj.n)])
+                assert (obj._kept.rows is other) == (case == "reshard")
+                if case == "reshard":
+                    covered = obj.n
             point = w.copy()
             if case == "ulp":
                 point[j] = np.nextafter(point[j], np.inf)
@@ -542,7 +537,7 @@ class TestMetrologyMemo:
         rows = np.arange(obj.n)
         rows[0] = 1  # n rows, one repeated: not a permutation
         rows.flags.writeable = False
-        obj.eval_sums(w, rows, None, (0, obj.n))
+        obj.eval_sums(w, rows)
         assert obj._kept is not None and obj._memo is None
         assert _full_or_error(obj, w) == _full_or_error(logistic_l2(obj.dataset), w)
 

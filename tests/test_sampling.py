@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mblbfgs import ConfigurationError, SeededRng, make_layout, plan_fault, reshard
@@ -161,16 +161,16 @@ class TestFaultMode:
 
     def test_p_zero_all_respond(self):
         layout = make_layout(20, 4, 0.0)
-        J, plan = plan_fault(layout, SeededRng(0))
-        assert J == (0, 1, 2, 3)
+        plan = plan_fault(layout, SeededRng(0))
+        assert plan.responders == (0, 1, 2, 3)
         assert np.array_equal(np.sort(plan.S), np.arange(20))
-        J2, plan2 = plan_fault(layout, SeededRng(0), prev_responders=J)
+        plan2 = plan_fault(layout, SeededRng(0), prev_responders=plan.responders)
         assert np.array_equal(np.sort(plan2.O_prev), np.arange(20))
 
     def test_disjoint_responders_empty_overlap(self):
         layout = make_layout(10, 2, 0.5)
         # simulate two draws with disjoint responder sets
-        _, plan = plan_fault(layout, SeededRng(1), prev_responders=(0,))
+        plan = plan_fault(layout, SeededRng(1), prev_responders=(0,))
         if plan.responders == (1,):
             assert plan.O_prev.size == 0
 
@@ -179,7 +179,7 @@ class TestFaultMode:
         seen_redraw = False
         rng = SeededRng(3)
         for _ in range(200):
-            _, plan = plan_fault(layout, rng)
+            plan = plan_fault(layout, rng)
             assert len(plan.responders) >= 1
             seen_redraw = seen_redraw or plan.redraws > 0
         assert seen_redraw
@@ -197,16 +197,15 @@ class TestFaultMode:
         total = 0
         draws = 10_000
         for _ in range(draws):
-            J, _ = plan_fault(layout, rng)
-            total += len(J)
+            total += len(plan_fault(layout, rng).responders)
         mean = total / draws
         assert abs(mean - 16 * 0.7) <= 0.02 * 16 * 0.7
 
     def test_overlap_is_set_intersection_of_batches(self):
         layout = make_layout(40, 5, 0.4)
         rng = SeededRng(11)
-        Jp, prev = plan_fault(layout, rng)
-        J, plan = plan_fault(layout, rng, prev_responders=Jp)
+        prev = plan_fault(layout, rng)
+        plan = plan_fault(layout, rng, prev_responders=prev.responders)
         expected = np.intersect1d(prev.S, plan.S)
         assert np.array_equal(np.sort(plan.O_prev), expected)
 
@@ -285,6 +284,7 @@ _plan_params = dict(
 
 class TestPlanInvariants:
     @given(mode=st.sampled_from(_ALL_SOURCES), **_plan_params)
+    @example(mode="strategy1", n=50, r=1.0, o=0.2, nodes=1, p=0.0, seed=0)  # full batch
     @settings(max_examples=60, deadline=None)
     def test_parts_partition_the_batch(self, mode, n, r, o, nodes, p, seed):
         stream = _plan_stream(mode, n, r, o, min(nodes, n), p, seed)
@@ -301,37 +301,34 @@ class TestPlanInvariants:
             assert plan.sample_size == plan.S.size
             assert np.unique(plan.S).size == plan.S.size
             if mode == "fault":
-                # each part is one shard, a segment of the layout's rows
-                assert plan.rows is stream[0].rows
-                assert plan.segments is stream[0].offsets
-            elif plan.segments is not None:
-                # strategy 1 below the full batch: rows is the epoch's
-                # read-only permutation and S a back-to-back view of it
-                assert mode == "strategy1" and plan.sample_size < n
-                assert not plan.rows.flags.writeable
+                # each part is the shard of one responding node
+                layout = stream[0]
+                assert plan.rows is layout.rows
+                assert plan.spans == tuple((layout.offsets[j], layout.offsets[j + 1])
+                                           for j in plan.responders)
+            elif mode == "strategy1":
+                # rows is the epoch's order of all rows (the full batch
+                # included) and S a back-to-back view of it
                 assert np.array_equal(np.sort(plan.rows), np.arange(n))
                 assert np.shares_memory(plan.S, plan.rows)
                 assert np.array_equal(plan.S, plan.rows[flat[0]:flat[-1]])
             else:  # the parts cover rows, which is S
                 assert plan.rows.size == plan.S.size
-            if plan.segments is not None:
-                # each span is one segment of a partition of rows
-                assert plan.segments[0] == 0 and plan.segments[-1] == plan.rows.size
-                bounds = list(zip(plan.segments, plan.segments[1:]))
-                assert all(span in bounds for span in plan.spans)
+            # the objective keeps the rows of a read-only order: strategy-1
+            # orders and fault layouts serve several evaluations, while
+            # strategy-2 and serial rows are drawn afresh, to be gathered
+            assert plan.rows.flags.writeable == (mode in ("strategy2", "serial"))
             if mode == "strategy2":
                 assert np.array_equal(plan.S[:plan.O_next.size], plan.O_next)
         plans = stream[1]
         if mode == "strategy1" and plans[0].sample_size == n:
-            # the full batch, reordered every epoch, names no segments
-            assert all(plan.segments is None for plan in plans)
+            # the full batch is reordered every epoch, so each plan has its own
+            assert all(plan.rows is not prev.rows for prev, plan in zip(plans, plans[1:]))
         elif mode == "strategy1":
-            # one permutation and one segments tuple per epoch, shared by
-            # every plan of it; a new epoch starts without O_prev
+            # one order per epoch, shared by every plan of it; a new epoch
+            # starts without O_prev
             for prev, plan in zip(plans, plans[1:]):
-                same_epoch = plan.link is not None
-                assert (plan.rows is prev.rows) == same_epoch
-                assert (plan.segments is prev.segments) == same_epoch
+                assert (plan.rows is prev.rows) == (plan.link is not None)
 
     @given(epochs=st.lists(st.booleans(), min_size=1, max_size=30),
            n=_plan_params["n"], nodes=_plan_params["nodes"], p=_plan_params["p"],
@@ -350,8 +347,6 @@ class TestPlanInvariants:
             plan = src.next_plan()
             assert not plan.rows.flags.writeable
             assert (plan.rows is rows) != boundary
-            # a layout that lives one epoch is not worth a block
-            assert plan.segments is None
             assert np.array_equal(plan.rows, np.concatenate(src.layout.shards))
             rows = plan.rows
 
