@@ -23,15 +23,17 @@ record, check the stopping rules, step. One handler catches a
 mode; the plan carries the layout. One
 ``Objective.eval_sums(w, plan.rows, plan.spans)`` call per batch returns the
 gradient and loss sums of every part (one row of ``G``/``L`` each). A
-strategy-1 epoch's order and a fault-mode layout are read-only, and the
-objective reads their parts in place from its kept copy of those rows;
-other batches are gathered. A metrology
+strategy-1 epoch's order, a fault-mode layout and serial SGD's identity
+order are read-only, and the objective reads their parts in place from its
+kept entry (a copy of the shuffled orders' rows, X itself for the identity
+order); strategy-2 batches are gathered. A metrology
 ``eval_full`` reuses the margins of a kept call at the same iterate over
 half the rows or more.
 The batch gradient adds all rows, and an overlap gradient adds the rows that
 ``plan.link`` names, so both gradients of a curvature pair are sums over the
 same index set O_k. Serial SGD is the source of one-example plans with empty
-overlaps (``sampling.SerialSource``), so it gets the same stopping rules,
+overlaps, each a one-row span of the identity order
+(``sampling.SerialSource``), so it gets the same stopping rules,
 divergence check and abort strings as the batch methods. The methods without
 memory (``multibatch_gd``, ``serial_sgd``) step along -g.
 

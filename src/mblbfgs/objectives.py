@@ -28,17 +28,19 @@ output. Both add each row's, and each output entry's, products left to
 right from 0.0, as ``X[idx].dot(w)`` and ``X[idx].T.dot(c)`` do, so the
 bytes do not depend on where the rows come from:
 
-* A read-only ``rows`` (a strategy-1 epoch's order or a fault layout's
-  shard order) promises that it will not change and that it serves many
-  calls. The objective keeps one entry, for the last read-only ``rows`` it
-  was given: ``Xb = X[rows]``, the rows' labels and, when ``rows`` is a
-  permutation of all rows, its inverse. Parts are then row ranges of ``Xb``
-  itself; rows outside them (failed nodes, the rest of the epoch) cost
-  nothing.
-* A writable ``rows`` (a strategy-2 or serial batch, drawn afresh each
-  time) is gathered: its parts' rows go back to back through scipy's
-  compiled ``csr_row_index``, into the arrays ``X[idx]`` has; the kept
-  ``X[rows]`` is built the same way.
+* A read-only ``rows`` (a strategy-1 epoch's order, a fault layout's
+  shard order or serial SGD's identity order) promises that it will not
+  change and that it serves many calls. The objective keeps one entry, for
+  the last read-only ``rows`` it was given: ``Xb = X[rows]``, the rows'
+  labels and, when ``rows`` is a permutation of all rows, its inverse.
+  Parts are then row ranges of ``Xb`` itself; rows outside them (failed
+  nodes, the rest of the epoch, every example serial SGD did not draw) cost
+  nothing. For the identity order 0..n-1, ``Xb`` is X's own arrays and
+  nothing is copied.
+* A writable ``rows`` (a strategy-2 batch, drawn afresh each time) is
+  gathered: its parts' rows go back to back through scipy's compiled
+  ``csr_row_index``, into the arrays ``X[idx]`` has; the kept ``X[rows]``
+  of a shuffled order is built the same way.
 
 ``eval_full`` also returns the training accuracy from the margins it
 computes anyway, so metrology reads ``X`` once per point. When the last
@@ -181,9 +183,9 @@ class Objective:
 
         A read-only ``rows`` is a promise that it will not change and that
         it serves many calls: the objective keeps ``X[rows]`` for the last
-        such ``rows`` it saw (by identity) and reads the parts in place.
-        Other calls gather the rows of their parts; every branch gives the
-        same bytes (see the module docstring).
+        such ``rows`` it saw (by identity; X itself when ``rows`` is 0..n-1)
+        and reads the parts in place. Other calls gather the rows of their
+        parts; every branch gives the same bytes (see the module docstring).
         """
         idx = np.asarray(rows)
         if spans is None:
@@ -276,14 +278,22 @@ class Objective:
         return z
 
     def _keep(self, rows) -> _KeptOrder:
-        """Make the read-only ``rows`` the kept entry."""
+        """Make the read-only ``rows`` the kept entry; for the identity
+        order 0..n-1 that is X itself, with no copy."""
         # drop the old entry first, so that two copies of X never coexist
         self._kept = self._memo = None
+        n = self.n
+        # a shuffled order fails at its first row, before any O(n) test; an
+        # involution (its own inverse) is not the identity, so compare with
+        # 0..n-1, not with the inverse
+        if rows.size == n and rows[0] == 0 and np.array_equal(rows, np.arange(n)):
+            self._kept = _KeptOrder(rows, self._csr, self._row_data, rows)
+            return self._kept
         inv = None
         # n in-range rows are a permutation when every row occurs
-        if rows.size == self.n and np.bincount(rows, minlength=self.n).all():
+        if rows.size == n and np.bincount(rows, minlength=n).all():
             inv = np.empty_like(rows)
-            inv[rows] = np.arange(self.n)
+            inv[rows] = np.arange(n)
         self._kept = _KeptOrder(rows, self._gather(rows), self._row_data.take(rows), inv)
         return self._kept
 

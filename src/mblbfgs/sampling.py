@@ -21,14 +21,17 @@ O_prev in the previous plan and in this one. So both gradients of a
 curvature pair are sums over the same index set. In strategy 1 ``rows`` is
 the epoch's permutation, shared by every plan of the epoch, and a batch's
 parts O_prev, the middle and O_next are spans of it (the full batch,
-reordered every epoch, is S itself). In strategy 2 and serial mode ``rows``
-is S, cut into O_next and the rest. In fault mode ``rows`` is the layout's
-order of all shards, one object until a reshard; each responding node's
-shard is one span and failed nodes leave gaps. Strategy-1 orders (the full
-batch's included) and fault layouts (resharded or not) serve several
-evaluations and are read-only, so the objective keeps a copy of their rows
-and reads the parts in place (``Objective.eval_sums``); strategy-2 and
-serial orders are fresh writable arrays, gathered once.
+reordered every epoch, is S itself). In strategy 2 ``rows`` is S, cut into
+O_next and the rest. In fault mode ``rows`` is the layout's order of all
+shards, one object until a reshard; each responding node's shard is one
+span and failed nodes leave gaps. In serial mode ``rows`` is the identity
+order 0..n-1, one object per source, and the drawn example i is the span
+(i, i + 1). Strategy-1 orders (the full batch's included), fault layouts
+(resharded or not) and the serial identity order serve several evaluations
+and are read-only, so the objective keeps their rows (the identity order as
+X itself, the others as a copy) and reads the parts in place
+(``Objective.eval_sums``); strategy-2 orders are fresh writable arrays,
+gathered once.
 
 All draws come from a single named counter-based generator so a fixed seed
 replays the exact plan stream.
@@ -96,13 +99,13 @@ class SamplePlan:
     ``(start, stop)`` pair per non-empty part of the batch, ascending and
     disjoint within ``rows``; S is the concatenation of the parts and
     ``sample_size`` its size, which every source knows when it draws.
-    ``rows`` is read-only in strategy 1 and fault mode and writable (drawn
-    afresh) otherwise. ``link`` is None when O_prev is empty, and otherwise
-    a pair of position lists: the parts of the previous plan and the parts
-    of this plan whose rows are O_prev. The second entry is None when O_prev
-    is not made of this plan's parts (strategy 2): O_prev is then
-    ``O_extra``, and its gradient at the new iterate needs a fresh
-    evaluation.
+    ``rows`` is read-only in strategy 1, fault mode and serial mode (the
+    identity order, S a one-row view of it) and writable (drawn afresh) in
+    strategy 2. ``link`` is None when O_prev is empty, and otherwise a pair
+    of position lists: the parts of the previous plan and the parts of this
+    plan whose rows are O_prev. The second entry is None when O_prev is not
+    made of this plan's parts (strategy 2): O_prev is then ``O_extra``, and
+    its gradient at the new iterate needs a fresh evaluation.
     """
 
     rows: np.ndarray
@@ -129,9 +132,9 @@ class SamplePlan:
 
     @property
     def overlap_size(self) -> int:
-        """|O_prev|, without building O_prev from the linked parts."""
+        """|O_prev|, without building O_prev."""
         if self.link is None or self.link[1] is None:
-            return self.O_prev.size
+            return 0 if self.O_extra is None else self.O_extra.size
         return sum(self.spans[i][1] - self.spans[i][0] for i in self.link[1])
 
 
@@ -415,14 +418,19 @@ class FaultSource:
 
 class SerialSource:
     """Streams one uniformly drawn example per plan, for serial SGD; the
-    plans have no overlaps, so no curvature pair is ever formed."""
+    plans have no overlaps, so no curvature pair is ever formed. Every plan
+    names the source's one read-only identity order 0..n-1 as ``rows``, and
+    example i as its span (i, i + 1)."""
 
     def __init__(self, n: int, rng: SeededRng):
         self.n, self.rng = n, rng
+        self._rows = np.arange(n, dtype=np.int64)
+        self._rows.flags.writeable = False
 
     def next_plan(self) -> SamplePlan:
-        S = np.array([self.rng.integers(self.n)], dtype=np.int64)
-        return SamplePlan(rows=S, spans=((0, 1),), sample_size=1, O_next=_EMPTY)
+        i = int(self.rng.integers(self.n))
+        return SamplePlan(rows=self._rows, spans=((i, i + 1),), sample_size=1,
+                          O_next=_EMPTY)
 
     def epoch_boundary(self):
         pass

@@ -426,6 +426,31 @@ class TestKeptOrder:
         result = obj.eval_sums(w, rows, [(0, 2), (3, 4)])
         assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
 
+    @pytest.mark.parametrize("order", ["identity", "reversed", "one_swap"])
+    def test_only_the_identity_order_is_read_from_x_itself(self, small_logistic, order):
+        # serial SGD's order 0..n-1 is X's own arrays; a reversed order and a
+        # single swap are their own inverses but not the identity, so each
+        # is a copy of X's rows
+        obj = logistic_l2(small_logistic.dataset)
+        w = np.linspace(-1, 1, obj.d)
+        rows = np.arange(obj.n)  # not the object any source hands out
+        if order == "reversed":
+            rows = rows[::-1].copy()
+        elif order == "one_swap":
+            rows[[3, 7]] = rows[[7, 3]]
+        rows.flags.writeable = False
+        spans = [(0, 5), (9, obj.n)]
+        gathered = obj.eval_sums(w, rows.copy(), spans)
+        result = obj.eval_sums(w, rows, spans)
+        kept = obj._kept
+        assert kept.rows is rows and np.array_equal(kept.inv, np.argsort(rows))
+        in_place = [np.shares_memory(a, b) for a, b in zip(kept.csr, obj._csr)]
+        assert in_place == [order == "identity"] * 3
+        assert [a.tobytes() for a in result] == [a.tobytes() for a in gathered]
+        # metrology reuses the call's margins over most rows
+        assert obj._memo is not None
+        assert _full_or_error(obj, w) == _full_or_error(logistic_l2(obj.dataset), w)
+
     def test_the_entry_follows_the_last_read_only_rows(self, small_logistic):
         obj = logistic_l2(small_logistic.dataset)
         w = np.linspace(-1, 1, obj.d)

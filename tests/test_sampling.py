@@ -312,16 +312,23 @@ class TestPlanInvariants:
                 assert np.array_equal(np.sort(plan.rows), np.arange(n))
                 assert np.shares_memory(plan.S, plan.rows)
                 assert np.array_equal(plan.S, plan.rows[flat[0]:flat[-1]])
+            elif mode == "serial":
+                # rows is the identity order and S a one-row view of it
+                assert np.array_equal(plan.rows, np.arange(n))
+                assert np.shares_memory(plan.S, plan.rows)
             else:  # the parts cover rows, which is S
                 assert plan.rows.size == plan.S.size
             # the objective keeps the rows of a read-only order: strategy-1
-            # orders and fault layouts serve several evaluations, while
-            # strategy-2 and serial rows are drawn afresh, to be gathered
-            assert plan.rows.flags.writeable == (mode in ("strategy2", "serial"))
+            # orders, fault layouts and serial SGD's identity order serve
+            # several evaluations, while strategy-2 rows are drawn afresh,
+            # to be gathered
+            assert plan.rows.flags.writeable == (mode == "strategy2")
             if mode == "strategy2":
                 assert np.array_equal(plan.S[:plan.O_next.size], plan.O_next)
         plans = stream[1]
-        if mode == "strategy1" and plans[0].sample_size == n:
+        if mode == "serial":
+            assert all(plan.rows is plans[0].rows for plan in plans)
+        elif mode == "strategy1" and plans[0].sample_size == n:
             # the full batch is reordered every epoch, so each plan has its own
             assert all(plan.rows is not prev.rows for prev, plan in zip(plans, plans[1:]))
         elif mode == "strategy1":
@@ -397,10 +404,18 @@ class TestPlanInvariants:
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_serial_plans_hold_one_index_and_no_overlap(self, n, seed):
-        src = SerialSource(n, SeededRng(seed))
+        src, draws = SerialSource(n, SeededRng(seed)), SeededRng(seed)
+        rows = src.next_plan().rows
+        draws.integers(n)
+        # one read-only identity order per source, which the objective keeps
+        assert not rows.flags.writeable and np.array_equal(rows, np.arange(n))
         for _ in range(40):
             plan = src.next_plan()
             src.epoch_boundary()
+            assert plan.rows is rows
             assert plan.S.shape == (1,) and 0 <= plan.S[0] < n
+            (i, stop), = plan.spans
+            assert i == draws.integers(n) and stop == i + 1
+            assert plan.S[0] == i and np.shares_memory(plan.S, rows)
             assert plan.O_prev.size == 0 and plan.O_next.size == 0
-            assert plan.spans == ((0, 1),) and plan.link is None
+            assert plan.overlap_size == 0 and plan.link is None
