@@ -21,25 +21,26 @@ here (none at k = 0), evaluate the full data every ``stride`` iterates,
 record, check the stopping rules, step. One handler catches a
 ``NumericError`` anywhere in the pass. The loop does not know the sampling
 mode; the plan carries the layout. One
-``Objective.eval_sums(w, plan.rows, plan.spans)`` call per batch returns the
-gradient and loss sums of every part (one row of ``G``/``L`` each). A
-strategy-1 epoch's order, a fault-mode layout and serial SGD's identity
-order are read-only, and the objective reads their parts in place from its
-kept entry (a copy of the shuffled orders' rows, X itself for the identity
-order); strategy-2 batches are gathered. A metrology
+``Objective.eval_sums(w, plan.rows, spans)`` call per iterate returns the
+gradient and loss sums of every part (one row of ``G``/``L`` each): the
+batch parts, and strategy 2's trailing extra part O_k when it forms a
+``robust_lbfgs`` pair. A strategy-1 epoch's order, a fault-mode layout and
+serial SGD's identity order are read-only, and the objective reads their
+parts in place from its kept entry (a copy of the shuffled orders' rows, X
+itself for the identity order); strategy-2 rows are gathered. A metrology
 ``eval_full`` reuses the margins of a kept call at the same iterate over
-half the rows or more.
-The batch gradient adds all rows, and an overlap gradient adds the rows that
-``plan.link`` names, so both gradients of a curvature pair are sums over the
-same index set O_k. Serial SGD is the source of one-example plans with empty
-overlaps, each a one-row span of the identity order
+half the rows or more. The batch gradient adds the batch parts' rows, and
+an overlap gradient adds the rows that ``plan.link`` names, so both
+gradients of a curvature pair are sums over the same index set O_k. Serial
+SGD is the source of one-example plans with empty overlaps, each a one-row
+span of the identity order
 (``sampling.SerialSource``), so it gets the same stopping rules,
 divergence check and abort strings as the batch methods. The methods without
 memory (``multibatch_gd``, ``serial_sgd``) step along -g.
 
 Epoch accounting charges |S_k|/n per batch-gradient evaluation, plus
-|O_k|/n when O_k is not made of parts of the new batch (strategy 2), where
-the overlap gradient at the new iterate is an extra evaluation. Otherwise
+|O_k|/n when O_k is the plan's extra part (strategy 2), where the overlap
+gradient at the new iterate is an extra evaluation. Otherwise
 the overlap gradients are recombinations of per-part sums that were already
 evaluated, so they are free. Full-gradient trace evaluation is metrology
 and is never charged.
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import LbfgsMemory
+from .engine import LbfgsMemory, memory_settings
 from .errors import ConfigurationError, NumericError, UsageError
 from .linalg import Vector
 from .objectives import Objective
@@ -135,8 +136,8 @@ class RunConfig:
 
     def validate(self, n: int):
         """Raise ``ConfigurationError`` unless this run can start on ``n``
-        rows; the sizes are checked with the plan sources' own rules, before
-        anything is drawn."""
+        rows; the memory parameters and the sizes are checked with the
+        memory's and the plan sources' own rules, before anything is drawn."""
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.mode not in MODES:
@@ -151,6 +152,7 @@ class RunConfig:
         if stride is not None and not (isinstance(stride, numbers.Integral)
                                        and stride >= 1):
             raise ConfigurationError(f"trace stride {stride!r} is not an integer >= 1")
+        memory_settings(self.memory, self.scaling, self.cautious_eps)
         if self.method == "serial_sgd":
             return
         if self.mode == "fault":
@@ -247,7 +249,7 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
 
     ``eval_ledger``, when a list, collects (iterate, part, indices) for every
     algorithmic gradient evaluation; ``part`` is the part's position in its
-    plan, or "O_extra" for the extra overlap evaluation of strategy 2. ``pair_log`` collects
+    plan, or "O_extra" for strategy 2's extra overlap part. ``pair_log`` collects
     (k, y's, s's, y'y, accepted) for every candidate curvature pair, k being
     the step the pair measures.
     """
@@ -265,6 +267,7 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
         )
     memory = LbfgsMemory(config.memory, config.scaling, config.cautious_eps)
     use_memory = config.method in ("robust_lbfgs", "inconsistent_lbfgs")
+    robust = config.method == "robust_lbfgs"
     w = np.zeros(d) if config.w0 is None else np.asarray(config.w0, dtype=np.float64).copy()
     # the iterate the trace ends at if this pass fails: the previous one
     # until the new one's batch and pair are evaluated
@@ -281,43 +284,42 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
                 epochs_seen = math.floor(epoch)
                 source.epoch_boundary()
             plan = source.next_plan()
-            G, L = objective.eval_sums(w, plan.rows, plan.spans)
+            pair = use_memory and s.any()  # a zero step forms no pair
+            overlap_pair = pair and robust and plan.link is not None
+            spans, batch = plan.spans, len(plan.spans) - plan.extra
+            if plan.extra and not overlap_pair:
+                spans = spans[:batch]  # the extra part serves only the pair
+            G, L = objective.eval_sums(w, plan.rows, spans)
             if eval_ledger is not None:
-                eval_ledger.extend((k, i, plan.rows[a:b])
-                                   for i, (a, b) in enumerate(plan.spans))
+                eval_ledger.extend((k, i if i < batch else "O_extra", plan.rows[a:b])
+                                   for i, (a, b) in enumerate(spans))
             reg = objective.regularization(w)  # shared by every average at w
-            g_S, loss_S = _average(objective, w, G, L, plan.sample_size, reg)
+            G_S, L_S = (G[:batch], L[:batch]) if plan.extra else (G, L)
+            g_S, loss_S = _average(objective, w, G_S, L_S, plan.sample_size, reg)
             epoch += plan.sample_size / n
 
             pair_accepted = 0
             overlap_size = plan.overlap_size
-            if use_memory and s.any():  # a zero step forms no pair
-                y = None
-                if config.method == "inconsistent_lbfgs":
-                    # gradient difference across different samples
-                    y = g_S - g_prev
-                elif plan.link is not None:
-                    # overlap gradients at both iterates on the same index set O_k
-                    prev_parts, next_parts = plan.link
-                    g_over_prev, _ = _average(objective, w_prev, G_prev, L_prev,
-                                              overlap_size, reg_prev, prev_parts)
-                    G_over, L_over = G, L
-                    if next_parts is None:
-                        # O_k is not made of parts of the new batch: one
-                        # extra evaluation, charged to the epoch count
-                        G_over, L_over = objective.eval_sums(w, plan.O_prev)
-                        if eval_ledger is not None:
-                            eval_ledger.append((k, "O_extra", plan.O_prev))
-                        epoch += overlap_size / n
-                    g_over_next, _ = _average(objective, w, G_over, L_over,
-                                              overlap_size, reg, next_parts)
-                    y = g_over_next - g_over_prev
-                if y is not None:
-                    pair_accepted = int(memory.admit(s, y))
-                    if pair_log is not None:
-                        pair_log.append((k - 1, float(np.dot(y, s)),
-                                         float(np.dot(s, s)), float(np.dot(y, y)),
-                                         bool(pair_accepted)))
+            y = None
+            if overlap_pair:
+                # overlap gradients at both iterates on the same index set O_k
+                prev_parts, next_parts = plan.link
+                g_over_prev, _ = _average(objective, w_prev, G_prev, L_prev,
+                                          overlap_size, reg_prev, prev_parts)
+                if plan.extra:  # O_k is outside the batch: its evaluation is charged
+                    epoch += overlap_size / n
+                g_over_next, _ = _average(objective, w, G, L, overlap_size, reg,
+                                          next_parts)
+                y = g_over_next - g_over_prev
+            elif pair and not robust:
+                # inconsistent: gradient difference across different samples
+                y = g_S - g_prev
+            if y is not None:
+                pair_accepted = int(memory.admit(s, y))
+                if pair_log is not None:
+                    pair_log.append((k - 1, float(np.dot(y, s)),
+                                     float(np.dot(s, s)), float(np.dot(y, y)),
+                                     bool(pair_accepted)))
             final_w = w
 
             # a blown-up batch loss forces a confirming full evaluation so

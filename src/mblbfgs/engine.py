@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import ConfigurationError, NumericError, UsageError
 from .linalg import Vector, all_finite
 
 # admission additionally requires y's > RHO_GUARD * |s||y|, hence y's > 0, so
@@ -34,6 +34,20 @@ def cautious_accept(s: Vector, y: Vector, eps: float) -> bool:
     return _cautious(float(np.dot(y, s)), float(np.dot(s, s)), eps)
 
 
+def memory_settings(capacity: int, scaling="bb", cautious_eps: float = 1e-4) -> tuple:
+    """The ``(capacity, scaling, cautious_eps)`` an ``LbfgsMemory`` keeps, or
+    ``ConfigurationError`` (a ``UsageError``); NaN fails every rule."""
+    if not capacity >= 1:
+        raise ConfigurationError("memory capacity must be >= 1")
+    if not 0 <= cautious_eps < math.inf:
+        raise ConfigurationError("cautious eps must be finite and >= 0")
+    if scaling != "bb":
+        scaling = float(scaling)
+        if not 0 < scaling < math.inf:
+            raise ConfigurationError("fixed scaling gamma must be finite and positive")
+    return int(capacity), scaling, float(cautious_eps)
+
+
 @dataclass
 class CurvaturePair:
     """Displacement s, overlap gradient difference y, and rho = 1/(y's)."""
@@ -51,17 +65,8 @@ class LbfgsMemory:
     """
 
     def __init__(self, capacity: int, scaling="bb", cautious_eps: float = 1e-4):
-        if capacity < 1:
-            raise UsageError("memory capacity must be >= 1")
-        if cautious_eps < 0:
-            raise UsageError("cautious eps must be >= 0")
-        if scaling != "bb":
-            scaling = float(scaling)
-            if scaling <= 0:
-                raise UsageError("fixed scaling gamma must be positive")
-        self.capacity = int(capacity)
-        self.scaling = scaling
-        self.cautious_eps = float(cautious_eps)
+        self.capacity, self.scaling, self.cautious_eps = memory_settings(
+            capacity, scaling, cautious_eps)
         self.pairs: list[CurvaturePair] = []  # oldest first
 
     def __len__(self):

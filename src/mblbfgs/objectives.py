@@ -290,10 +290,10 @@ class Objective:
             self._kept = _KeptOrder(rows, self._csr, self._row_data, rows)
             return self._kept
         inv = None
-        # n in-range rows are a permutation when every row occurs
-        if rows.size == n and np.bincount(rows, minlength=n).all():
-            inv = np.empty_like(rows)
+        if rows.size == n:  # n in-range rows are a permutation when inv keeps no -1
+            inv = np.full(n, -1, dtype=np.int64)
             inv[rows] = np.arange(n)
+            inv = inv if inv.min() >= 0 else None
         self._kept = _KeptOrder(rows, self._gather(rows), self._row_data.take(rows), inv)
         return self._kept
 

@@ -16,22 +16,23 @@ plans have empty overlaps.
 
 Every plan also carries its evaluation layout, so the driver needs no
 knowledge of the mode: the plan names a row order ``rows`` and the spans of
-it that are the batch's parts, and ``link`` names the parts whose rows are
+it that are the plan's parts, and ``link`` names the parts whose rows are
 O_prev in the previous plan and in this one. So both gradients of a
-curvature pair are sums over the same index set. In strategy 1 ``rows`` is
-the epoch's permutation, shared by every plan of the epoch, and a batch's
-parts O_prev, the middle and O_next are spans of it (the full batch,
-reordered every epoch, is S itself). In strategy 2 ``rows`` is S, cut into
-O_next and the rest. In fault mode ``rows`` is the layout's order of all
-shards, one object until a reshard; each responding node's shard is one
-span and failed nodes leave gaps. In serial mode ``rows`` is the identity
-order 0..n-1, one object per source, and the drawn example i is the span
-(i, i + 1). Strategy-1 orders (the full batch's included), fault layouts
-(resharded or not) and the serial identity order serve several evaluations
-and are read-only, so the objective keeps their rows (the identity order as
-X itself, the others as a copy) and reads the parts in place
-(``Objective.eval_sums``); strategy-2 orders are fresh writable arrays,
-gathered once.
+curvature pair are sums over the same index set, from one evaluation call
+per plan. In strategy 1 ``rows`` is the epoch's permutation, shared by
+every plan of the epoch, and a batch's parts O_prev, the middle and O_next
+are spans of it (the full batch, reordered every epoch, is S itself). In
+strategy 2 ``rows`` is S, cut into O_next and the rest, then O_prev: drawn
+apart from S, it is a trailing ``extra`` part outside the batch. In fault
+mode ``rows`` is the layout's order of all shards, one object until a
+reshard; each responding node's shard is one span and failed nodes leave
+gaps. In serial mode ``rows`` is the identity order 0..n-1, one object per
+source, and the drawn example i is the span (i, i + 1). Strategy-1 orders
+(the full batch's included), fault layouts (resharded or not) and the
+serial identity order serve several evaluations and are read-only, so the
+objective keeps their rows (the identity order as X itself, the others as a
+copy) and reads the parts in place (``Objective.eval_sums``); strategy-2
+orders are fresh writable arrays, gathered once.
 
 All draws come from a single named counter-based generator so a fixed seed
 replays the exact plan stream.
@@ -55,35 +56,24 @@ MAX_REDRAWS = 10_000
 
 
 class SeededRng:
-    """Deterministic random stream (Philox 4x64 counter-based generator).
-
-    ``draws`` counts how many draw calls have been made; together with the
-    seed it identifies the stream position for replay and bug reports.
-    """
-
-    algorithm = "philox4x64"
+    """Deterministic random stream (Philox 4x64 counter-based generator)."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self.draws = 0
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def permutation(self, n: int) -> np.ndarray:
-        self.draws += 1
         return self._gen.permutation(n).astype(np.int64)
 
     def choice(self, pool, size: int) -> np.ndarray:
         """Uniform draw of ``size`` elements without replacement."""
-        self.draws += 1
         out = self._gen.choice(pool, size=size, replace=False)
         return np.ascontiguousarray(out, dtype=np.int64)
 
     def uniform(self, size=None):
-        self.draws += 1
         return self._gen.random(size)
 
     def integers(self, high: int, size=None):
-        self.draws += 1
         return self._gen.integers(0, high, size=size)
 
 
@@ -96,16 +86,17 @@ class SamplePlan:
     reserved for the pair with the next batch, when known at draw time.
 
     ``rows`` is the source's row order and ``spans`` holds one
-    ``(start, stop)`` pair per non-empty part of the batch, ascending and
-    disjoint within ``rows``; S is the concatenation of the parts and
-    ``sample_size`` its size, which every source knows when it draws.
-    ``rows`` is read-only in strategy 1, fault mode and serial mode (the
-    identity order, S a one-row view of it) and writable (drawn afresh) in
-    strategy 2. ``link`` is None when O_prev is empty, and otherwise a pair
-    of position lists: the parts of the previous plan and the parts of this
-    plan whose rows are O_prev. The second entry is None when O_prev is not
-    made of this plan's parts (strategy 2): O_prev is then ``O_extra``, and
-    its gradient at the new iterate needs a fresh evaluation.
+    ``(start, stop)`` pair per non-empty part, ascending and disjoint within
+    ``rows``. The last ``extra`` parts (one in strategy 2 after its first
+    plan, else none) lie outside the batch; S is the concatenation of the
+    others and ``sample_size`` its size, which every source knows when it
+    draws. ``rows`` is read-only in strategy 1, fault mode and serial mode
+    (the identity order, S a one-row view of it) and writable (drawn
+    afresh) in strategy 2. ``link`` is None when O_prev is empty, and
+    otherwise a pair of position lists: the parts of the previous plan and
+    the parts of this plan whose rows are O_prev. In strategy 2 the second
+    list names the extra part, whose gradient at the new iterate is a
+    fresh evaluation.
     """
 
     rows: np.ndarray
@@ -115,27 +106,25 @@ class SamplePlan:
     link: tuple | None = None
     responders: tuple = ()
     redraws: int = 0
-    O_extra: np.ndarray | None = None
+    extra: int = 0
 
     @cached_property
     def S(self) -> np.ndarray:
-        """The batch: the parts' rows in part order, a view of ``rows`` when
-        the parts are back to back."""
-        return join_ranges(self.rows, self.spans)
+        """The batch: the batch parts' rows in part order, a view of
+        ``rows`` when those parts are back to back."""
+        return join_ranges(self.rows, self.spans[:len(self.spans) - self.extra])
 
     @cached_property
     def O_prev(self) -> np.ndarray:
-        """Derived on first use: the linked parts' rows, or ``O_extra``."""
-        if self.link is None or self.link[1] is None:
-            return _EMPTY if self.O_extra is None else self.O_extra
-        return join_ranges(self.rows, [self.spans[i] for i in self.link[1]])
+        """Derived on first use: the linked parts' rows."""
+        return (join_ranges(self.rows, [self.spans[i] for i in self.link[1]])
+                if self.link else _EMPTY)
 
     @property
     def overlap_size(self) -> int:
         """|O_prev|, without building O_prev."""
-        if self.link is None or self.link[1] is None:
-            return 0 if self.O_extra is None else self.O_extra.size
-        return sum(self.spans[i][1] - self.spans[i][0] for i in self.link[1])
+        return (sum(self.spans[i][1] - self.spans[i][0] for i in self.link[1])
+                if self.link else 0)
 
 
 def _spans(*sizes, start: int = 0) -> tuple:
@@ -212,17 +201,20 @@ def plan_strategy2(n: int, r: float, o: float, rng: SeededRng,
                    O_prev: np.ndarray = _EMPTY) -> SamplePlan:
     """Independent uniform batch with a subsampled overlap block.
 
-    S is stored as O_next followed by the rest of the batch, its two parts.
-    ``O_prev``, the previous plan's O_next, is that plan's first part; it is
-    drawn independently of this batch, so it has no part here.
+    ``rows`` is O_next, the rest of the batch, then ``O_prev``, the previous
+    plan's O_next (its first part), each one part unless empty. S is the
+    batch parts; O_prev, drawn independently of this batch, is the extra
+    part, always the last one, since the rest can be empty.
     """
     s_size, o_size = strategy_batch_sizes(n, r, o)
     S = rng.choice(n, s_size)
     O_next = rng.choice(S, o_size)
     rest = np.setdiff1d(S, O_next, assume_unique=True)
-    return SamplePlan(rows=np.concatenate([O_next, rest]), sample_size=s_size,
-                      O_next=O_next, spans=_spans(o_size, rest.size),
-                      link=([0], None) if O_prev.size else None, O_extra=O_prev)
+    spans = _spans(o_size, rest.size, O_prev.size)
+    extra = 1 if O_prev.size else 0
+    return SamplePlan(rows=np.concatenate([O_next, rest, O_prev]), sample_size=s_size,
+                      O_next=O_next, spans=spans, extra=extra,
+                      link=([0], [len(spans) - 1]) if extra else None)
 
 
 @dataclass(frozen=True)

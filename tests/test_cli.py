@@ -156,6 +156,27 @@ def test_bad_grid_value_exits_one_before_any_output(tmp_path, capsys, flags):
     assert "usage error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [
+    # rejected inside the run, after the output directory was made
+    ["--memory", "0"],
+    ["--memory", "-3"],
+    ["--cautious-eps", "-1"],
+    ["--scaling", "fixed:0"],
+    ["--cautious-eps", "nan"],                # every pair rejected: plain gradient steps
+    ["--cautious-eps", "inf"],
+    ["--scaling", "fixed:nan"],               # every cell aborted as numeric
+    ["--scaling", "fixed:inf"],
+])
+def test_bad_memory_parameter_exits_one_before_any_output(tmp_path, capsys, flags):
+    out = tmp_path / "runs"
+    code = main(["--synthetic", "100,8,4,0.5", "--epochs", "1", "--out", str(out),
+                 *flags])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
+
+
 def test_trace_stride_below_one_exits_one_before_any_output(tmp_path, capsys):
     out = tmp_path / "runs"
     code = main(["--synthetic", "500,8,4,0.5", "--trace-stride", "-5",

@@ -281,15 +281,16 @@ class TestRunLoop:
 class TestAbortSites:
     # the calls each site makes, in order, at trace_stride=2:
     #   eval_sums (strategy 1): batch 0, batch 1, batch 2, ...
-    #   eval_sums (strategy 2): batch 0, batch 1, extra overlap 1, batch 2,
-    #                           extra overlap 2, ...
+    #   eval_sums (strategy 2): batch 0, then batch k with its extra overlap
+    #                           part O_k in one call: 1, 2, ...
     #   eval_full: iterate 0, iterate 2, iterate 4, ...
     #   take_step: the step from iterate 0, 1, 2, ...
     @pytest.mark.parametrize("site,owner,name,mode,nth,records,j", [
         # iterate 2's batch fails: the trace ends at iterate 1
         ("batch", Objective, "eval_sums", "strategy1", 3, 2, 1),
-        # iterate 2's extra overlap evaluation fails: back to iterate 1
-        ("extra overlap", Objective, "eval_sums", "strategy2", 5, 2, 1),
+        # iterate 2's one call, which also evaluates its extra overlap
+        # part, fails: back to iterate 1
+        ("extra overlap", Objective, "eval_sums", "strategy2", 3, 2, 1),
         # iterate 2's full evaluation fails: the run keeps iterate 2 but
         # has no record of it
         ("metrology", Objective, "eval_full", "strategy1", 2, 2, 2),
@@ -383,10 +384,12 @@ class TestEvaluationAccounting:
             joined = np.concatenate(parts)
             assert np.unique(joined).size == joined.size, f"iterate {tag}"
 
-    @pytest.mark.parametrize("mode,extra", [("strategy1", 0), ("strategy2", 1),
-                                            ("fault", 0)])
+    @pytest.mark.parametrize("method,mode", [
+        ("robust_lbfgs", "strategy1"), ("robust_lbfgs", "strategy2"),
+        ("inconsistent_lbfgs", "strategy2"), ("robust_lbfgs", "fault"),
+        ("serial_sgd", "strategy1")])
     def test_one_eval_sums_call_per_batch(self, small_logistic, monkeypatch,
-                                          mode, extra):
+                                          method, mode):
         calls = []
         eval_sums = Objective.eval_sums
 
@@ -397,20 +400,22 @@ class TestEvaluationAccounting:
 
         monkeypatch.setattr(Objective, "eval_sums", counting)
         ledger = []
-        cfg = RunConfig(method="robust_lbfgs", mode=mode, batch_frac=0.1,
+        cfg = RunConfig(method=method, mode=mode, batch_frac=0.1,
                         overlap_frac=0.2, nodes=4, fail_prob=0.25,
                         schedule=constant(0.2), epochs=2.0, seed=1)
         trace = run(cfg, small_logistic, eval_ledger=ledger)
-        # strategy 2 makes one more call per pair, on the overlap
-        pairs = sum(1 for tag, key, _ in ledger if key == "O_extra")
-        assert len(calls) == len(trace.records) + extra * pairs
-        # each batch call covers every row of the batch's ledger parts
+        # strategy 2's extra overlap part is evaluated at every iterate after
+        # the first, only for robust pairs, and in the iterate's one call
+        extra = {tag for tag, key, _ in ledger if key == "O_extra"}
+        pairs_on_extra = method == "robust_lbfgs" and mode == "strategy2"
+        assert extra == (set(range(1, len(trace.records))) if pairs_on_extra else set())
+        assert calls == [r.sample_size + (r.overlap_size if r.k in extra else 0)
+                         for r in trace.records]
+        # each call covers every row of its iterate's ledger parts
         rows = {}
-        for tag, key, idx in ledger:
-            if key != "O_extra":
-                rows[tag] = rows.get(tag, 0) + idx.size
-        assert sorted(calls) == sorted(list(rows.values()) + [
-            idx.size for _, key, idx in ledger if key == "O_extra"])
+        for tag, _, idx in ledger:
+            rows[tag] = rows.get(tag, 0) + idx.size
+        assert calls == [rows[r.k] for r in trace.records]
 
     def test_strategy2_charges_overlap_extra(self, small_logistic):
         n = small_logistic.n

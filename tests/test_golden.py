@@ -1,4 +1,4 @@
-"""Golden digests of generated data, its LIBSVM text and nine run traces.
+"""Golden digests of generated data, its LIBSVM text and ten run traces.
 
 The digests pin the byte-identical rerun guarantee across refactors of the
 data path and the driver: any change to the synthetic generator's stream,
@@ -30,6 +30,9 @@ TRACE_SHA256 = {
         # the full batch, reordered every epoch
         "strategy1_full": "5dc5058c93cd1acadfce4f6f8ebc9cf5607349abd215c2899e5f73cfff79eccf",
         "strategy2": "20cce47c8e35bb445c905bde385e7d39329d2c9efe72d5c336fd8bcae0b72b96",
+        # strategy 2 without the extra overlap evaluation: inconsistent
+        # pairs difference the batch gradients
+        "strategy2_inconsistent": "57430bf20651ae2174c22ac5ad3b3989f00980bf826dc1acfc81226ca3b80240",
         "fault": "a3a8082c425dab8e8fa3329fbffffaadfefe8a4400e0b2ab37a4e453f9b80b43",
         "serial_sgd": "b44471733089ecf267d92a42ca2991f5279767090811099b18082d5c86aad453",
         # fault-mode paths the four above miss: a new shard layout every
@@ -46,6 +49,7 @@ TRACE_SHA256 = {
         "strategy1": "3d2dadf7b628cab0b83910b545d007d80aecf65be87bc35723cc35d0bac014eb",
         "strategy1_full": "5dc5058c93cd1acadfce4f6f8ebc9cf5607349abd215c2899e5f73cfff79eccf",
         "strategy2": "fd9f1c2c368128e871dc9c745248104118345e1be68da6f6413fd66839a2e620",
+        "strategy2_inconsistent": "0b526a79a3f01a963c5581b0f4fa70dea1fb2a0d97f966276b170ee3f3ec9761",
         "fault": "5898b60fd9990150be935ce217d911463d804d0c31b738e36c0912c1f91dbcf1",
         "serial_sgd": "3fe3df635638865c4c389e85b3352d1a6cdcc5b423490ab38b56554a4f2d2886",
         "fault_reshard": "840a0397e0bc5f66e45d5278c89a0a099a29c30dcf5cb116c4e03b8c8170cbdd",
@@ -58,6 +62,8 @@ CONFIGS = {
     "strategy1": RunConfig(mode="strategy1", batch_frac=0.1, epochs=3, seed=0),
     "strategy1_full": RunConfig(mode="strategy1", batch_frac=1.0, epochs=10, seed=0),
     "strategy2": RunConfig(mode="strategy2", batch_frac=0.1, epochs=3, seed=0),
+    "strategy2_inconsistent": RunConfig(method="inconsistent_lbfgs", mode="strategy2",
+                                        batch_frac=0.1, epochs=3, seed=0),
     "fault": RunConfig(mode="fault", fail_prob=0.3, epochs=3, seed=0),
     "serial_sgd": RunConfig(method="serial_sgd", schedule=constant(0.05),
                             epochs=1, trace_stride=30, seed=0),
@@ -129,14 +135,16 @@ def _gathered(eval_sums):
 
 
 # eval_sums as it is, or wrapped, for every batch of a run outside strategy
-# 2: all their row orders (a strategy-1 epoch's, a fault layout's, serial
-# SGD's identity order) are read-only, so a plain run reads each batch in
-# place from the kept entry, and the wrapper gathers each one instead
+# 2 (whose rows are drawn afresh, writable, and always gathered): all their
+# row orders (a strategy-1 epoch's, a fault layout's, serial SGD's identity
+# order) are read-only, so a plain run reads each batch in place from the
+# kept entry, and the wrapper gathers each one instead
 KERNEL_BRANCHES = {"kept": lambda eval_sums: eval_sums, "gather": _gathered}
 
 
 @pytest.mark.parametrize("branch", sorted(KERNEL_BRANCHES))
-@pytest.mark.parametrize("name", sorted(n for n in CONFIGS if n != "strategy2"))
+@pytest.mark.parametrize("name", sorted(n for n in CONFIGS
+                                        if CONFIGS[n].mode != "strategy2"))
 def test_trace_digest_on_each_kernel_branch(name, branch, monkeypatch):
     Objective = objectives.Objective
     monkeypatch.setattr(Objective, "eval_sums",

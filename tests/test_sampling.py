@@ -249,13 +249,6 @@ class TestDeterminism:
             assert np.array_equal(a.O_next, b.O_next)
             assert a.responders == b.responders
 
-    def test_draw_counter_advances(self):
-        rng = SeededRng(0)
-        before = rng.draws
-        rng.permutation(5)
-        rng.uniform()
-        assert rng.draws == before + 2
-
 
 def _plan_stream(mode, n, r, o, nodes, p, seed, count=40):
     """The source's layout (fault mode) and its first ``count`` plans, or
@@ -291,13 +284,16 @@ class TestPlanInvariants:
         assume(stream is not None)
         for plan in stream[1]:
             # the parts are non-empty spans of rows, ascending, disjoint and
-            # inside rows; S is their rows in order, no index twice
+            # inside rows; S is the batch parts' rows in order, no index
+            # twice, and only strategy 2 has an extra part after them
             flat = [i for span in plan.spans for i in span]
             assert all(b > a for a, b in plan.spans)
             assert flat[0] >= 0 and flat[-1] <= plan.rows.size
             assert all(stop <= start for stop, start in zip(flat[1::2], flat[2::2]))
+            assert plan.extra == (mode == "strategy2" and plan.link is not None)
+            batch = plan.spans[:len(plan.spans) - plan.extra]
             assert np.array_equal(
-                plan.S, np.concatenate([plan.rows[a:b] for a, b in plan.spans]))
+                plan.S, np.concatenate([plan.rows[a:b] for a, b in batch]))
             assert plan.sample_size == plan.S.size
             assert np.unique(plan.S).size == plan.S.size
             if mode == "fault":
@@ -316,8 +312,9 @@ class TestPlanInvariants:
                 # rows is the identity order and S a one-row view of it
                 assert np.array_equal(plan.rows, np.arange(n))
                 assert np.shares_memory(plan.S, plan.rows)
-            else:  # the parts cover rows, which is S
-                assert plan.rows.size == plan.S.size
+            else:  # the parts cover rows: S, then the extra part O_prev
+                assert np.shares_memory(plan.S, plan.rows)
+                assert np.array_equal(plan.rows, np.concatenate([plan.S, plan.O_prev]))
             # the objective keeps the rows of a read-only order: strategy-1
             # orders, fault layouts and serial SGD's identity order serve
             # several evaluations, while strategy-2 rows are drawn afresh,
@@ -375,10 +372,14 @@ class TestPlanInvariants:
             prev_parts, parts = plan.link
             overlap = set(plan.O_prev.tolist())
             assert _part_rows(prev, prev_parts) == overlap
-            # only strategy 2 draws O_prev apart from the new batch
-            assert (parts is None) == (mode == "strategy2")
-            if parts is not None:
-                assert _part_rows(plan, parts) == overlap
+            assert _part_rows(plan, parts) == overlap
+            # the previous plan's parts are batch parts; only strategy 2
+            # draws O_prev apart from the new batch, as its last, extra part
+            assert max(prev_parts) < len(prev.spans) - prev.extra
+            if mode == "strategy2":
+                assert plan.extra == 1 and parts == [len(plan.spans) - 1]
+            else:
+                assert plan.extra == 0
 
     @given(mode=st.sampled_from(["strategy1", "strategy2"]), **_plan_params)
     @settings(max_examples=60, deadline=None)
