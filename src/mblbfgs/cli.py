@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .driver import METHODS, StepSchedule
+from .driver import METHODS, RunConfig, StepSchedule
 from .errors import ConfigurationError, DataError, MblbfgsError, UsageError
 from .experiment import ExperimentSpec, run_experiment
 
@@ -18,6 +19,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+STRATEGIES = {"1": "strategy1", "2": "strategy2", "fault": "fault"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,6 +55,13 @@ def parse_scaling(text: str):
     raise UsageError(f"bad --scaling value {text!r}: expected bb or fixed:<g>")
 
 
+def parse_synthetic(text: str) -> tuple:
+    parts = _float_list(text)
+    if len(parts) != 4:
+        raise UsageError("--synthetic expects n,d,nnz,margin")
+    return tuple(parts)
+
+
 def _float_list(text: str) -> list:
     try:
         return [float(tok) for tok in text.split(",") if tok]
@@ -67,32 +77,35 @@ def _int_list(text: str) -> list:
 
 
 def build_parser() -> _Parser:
-    p = _Parser(prog="mblbfgs", description="Multi-batch L-BFGS experiment runner")
+    """Every flag defaults to ``None``, "not given"; its ``dest`` names the
+    ``ExperimentSpec`` or ``RunConfig`` field it sets, ``--strategy`` aside."""
+    p = _Parser(prog="mblbfgs", description="Multi-batch L-BFGS experiment runner. "
+                "r, o, p and seed values are comma lists; a flag left out takes "
+                "the default of ExperimentSpec or RunConfig.")
     p.add_argument("--config", help="key=value file; flags override it")
-    p.add_argument("--dataset", help="LIBSVM file with the training data")
-    p.add_argument("--synthetic", help="n,d,nnz,margin for generated data")
-    p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--objective", default="logistic_l2",
-                   choices=["logistic_l2", "sigmoid_lsq", "quadratic"])
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--dataset", dest="dataset_path", help="LIBSVM training data file")
+    p.add_argument("--synthetic", type=parse_synthetic, help="n,d,nnz,margin to generate")
+    p.add_argument("--data-seed", type=int)
+    p.add_argument("--objective", choices=["logistic_l2", "sigmoid_lsq", "quadratic"])
+    p.add_argument("--sigma", type=float,
                    help="regularization; defaults to 1/n for logistic_l2")
-    p.add_argument("--method", action="append", default=None,
+    p.add_argument("--method", dest="methods", action="append",
                    help=f"one of {', '.join(METHODS)}; repeatable")
-    p.add_argument("--strategy", default="1", choices=["1", "2", "fault"])
-    p.add_argument("--batch-frac", default="0.05", help="comma list of r values")
-    p.add_argument("--overlap-frac", default="0.2", help="comma list of o values")
-    p.add_argument("--nodes", type=int, default=16)
-    p.add_argument("--fail-prob", default="0.0", help="comma list of p values")
-    p.add_argument("--memory", type=int, default=10)
-    p.add_argument("--cautious-eps", type=float, default=1e-4)
-    p.add_argument("--scaling", default="bb", help="bb or fixed:<g>")
-    p.add_argument("--step", action="append", default=None,
+    p.add_argument("--strategy", choices=STRATEGIES, help="sets RunConfig.mode")
+    p.add_argument("--batch-frac", dest="batch_fracs", type=_float_list, help="r values")
+    p.add_argument("--overlap-frac", dest="overlap_fracs", type=_float_list, help="o values")
+    p.add_argument("--nodes", type=int)
+    p.add_argument("--fail-prob", dest="fail_probs", type=_float_list, help="p values")
+    p.add_argument("--memory", type=int)
+    p.add_argument("--cautious-eps", type=float)
+    p.add_argument("--scaling", type=parse_scaling, help="bb or fixed:<g>")
+    p.add_argument("--step", dest="schedules", type=parse_step, action="append",
                    help="constant:<a>, diminishing:<b> or sqrt:<c>,<tau>; repeatable")
-    p.add_argument("--epochs", type=float, default=10.0)
-    p.add_argument("--seed", default="0", help="comma list of seeds")
-    p.add_argument("--trace-stride", type=int, default=None)
-    p.add_argument("--reshard-each-epoch", action="store_true")
-    p.add_argument("--out", default="runs",
+    p.add_argument("--epochs", type=float)
+    p.add_argument("--seed", dest="seeds", type=_int_list)
+    p.add_argument("--trace-stride", type=int)
+    p.add_argument("--reshard-each-epoch", action="store_true", default=None)
+    p.add_argument("--out", dest="out_dir",
                    help="output directory (env MBLBFGS_OUT overrides)")
     return p
 
@@ -120,41 +133,14 @@ def _read_config_file(path) -> list:
 
 
 def build_spec(args) -> ExperimentSpec:
-    if args.synthetic is not None:
-        parts = _float_list(args.synthetic)
-        if len(parts) != 4:
-            raise UsageError("--synthetic expects n,d,nnz,margin")
-        synthetic = tuple(parts)
-    else:
-        synthetic = None
-    methods = args.method or ["robust_lbfgs"]
-    for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}")
-    schedules = [parse_step(s) for s in (args.step or ["constant:0.1"])]
-    mode = {"1": "strategy1", "2": "strategy2", "fault": "fault"}[args.strategy]
-    return ExperimentSpec(
-        dataset_path=args.dataset,
-        synthetic=synthetic,
-        data_seed=args.data_seed,
-        objective=args.objective,
-        sigma=args.sigma,
-        mode=mode,
-        methods=methods,
-        batch_fracs=_float_list(args.batch_frac),
-        overlap_fracs=_float_list(args.overlap_frac),
-        schedules=schedules,
-        fail_probs=_float_list(args.fail_prob),
-        seeds=_int_list(args.seed),
-        nodes=args.nodes,
-        memory=args.memory,
-        cautious_eps=args.cautious_eps,
-        scaling=parse_scaling(args.scaling),
-        epochs=args.epochs,
-        trace_stride=args.trace_stride,
-        reshard_each_epoch=args.reshard_each_epoch,
-        out_dir=args.out,
-    )
+    """The spec of the flags given; a flag left out keeps the default of
+    ``ExperimentSpec`` or, for a run parameter, of ``RunConfig``."""
+    given = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
+    if "strategy" in given:
+        given["mode"] = STRATEGIES[given.pop("strategy")]
+    run_fields = {f.name for f in fields(RunConfig)}
+    base = RunConfig(**{k: given.pop(k) for k in list(given) if k in run_fields})
+    return ExperimentSpec(base=base, **given)
 
 
 def main(argv=None) -> int:

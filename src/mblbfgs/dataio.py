@@ -116,8 +116,16 @@ def make_synthetic(n: int, d: int, nnz_per_row: int, seed: int,
     many decades, producing the ill-conditioned geometry typical of raw
     (unnormalized) data; 0 keeps all features at unit scale.
     """
-    if not 1 <= nnz_per_row <= d:
+    for name, value in (("n", n), ("d", d), ("nnz_per_row", nnz_per_row)):
+        if not (value >= 1 and value % 1 == 0):  # NaN and infinity too
+            raise DataError(f"{name}={value!r} is not an integer >= 1")
+    n, d, nnz_per_row = int(n), int(d), int(nnz_per_row)
+    if not nnz_per_row <= d:
         raise DataError(f"nnz_per_row={nnz_per_row} outside [1, d={d}]")
+    if not 0 <= separable_margin < math.inf:  # NaN too
+        raise DataError(f"separable margin {separable_margin!r} is not finite and >= 0")
+    if not math.isfinite(feature_decades):
+        raise DataError(f"feature_decades {feature_decades!r} is not finite")
     rng = SeededRng(seed)
     normal = rng._gen.standard_normal  # single stream keeps replay exact
     scales = np.logspace(-feature_decades / 2.0, feature_decades / 2.0, d)

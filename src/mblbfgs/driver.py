@@ -59,7 +59,7 @@ from .errors import ConfigurationError, NumericError, UsageError
 from .linalg import Vector
 from .objectives import Objective
 from .sampling import (SeededRng, SerialSource, check_node_count, make_plan_source,
-                       strategy_batch_sizes)
+                       philox_key, strategy_batch_sizes)
 
 METHODS = ("robust_lbfgs", "inconsistent_lbfgs", "multibatch_gd", "serial_sgd")
 MODES = ("strategy1", "strategy2", "fault")
@@ -80,8 +80,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "diminishing", "sqrt_horizon"):
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
-        if not self.value > 0:  # NaN too
-            raise ConfigurationError("schedule parameter must be positive")
+        if not 0 < self.value < math.inf:  # NaN too
+            raise ConfigurationError("schedule parameter must be finite and positive")
         if self.kind == "sqrt_horizon" and (self.tau is None or self.tau < 1):
             raise ConfigurationError("sqrt_horizon schedule needs tau >= 1")
 
@@ -114,7 +114,7 @@ def sqrt_horizon(c: float, tau: int) -> StepSchedule:
 
 @dataclass
 class RunConfig:
-    """Everything that pins down one optimization run."""
+    """Everything that pins down one optimization run; the home of every run default."""
 
     method: str = "robust_lbfgs"
     mode: str = "strategy1"
@@ -136,16 +136,18 @@ class RunConfig:
 
     def validate(self, n: int):
         """Raise ``ConfigurationError`` unless this run can start on ``n``
-        rows; the memory parameters and the sizes are checked with the
-        memory's and the plan sources' own rules, before anything is drawn."""
+        rows; the seed, the memory parameters and the sizes are checked with
+        the rules of ``SeededRng``, the memory and the plan sources, before
+        anything is drawn."""
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown sampling mode {self.mode!r}")
-        if not self.epochs >= 0:  # NaN too
-            raise ConfigurationError("epochs must be >= 0")
-        if not 0 <= self.seed < 2**128:  # the range of a Philox key
-            raise ConfigurationError(f"seed {self.seed} outside [0, 2**128)")
+        # NaN too; an infinite budget ends only at max_iterations
+        if not (0 <= self.epochs < math.inf
+                or self.epochs == math.inf and self.max_iterations is not None):
+            raise ConfigurationError("epochs must be >= 0, and finite without max_iterations")
+        philox_key(self.seed)
         if self.mode == "fault" and not 0 <= self.fail_prob < 1:
             raise ConfigurationError("failure probability must be in [0, 1)")
         stride = self.trace_stride

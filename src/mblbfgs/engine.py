@@ -9,6 +9,7 @@ np.dot's BLAS call without its dispatch, and no shape-checking wrappers;
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +35,17 @@ def cautious_accept(s: Vector, y: Vector, eps: float) -> bool:
     return _cautious(float(np.dot(y, s)), float(np.dot(s, s)), eps)
 
 
-def memory_settings(capacity: int, scaling="bb", cautious_eps: float = 1e-4) -> tuple:
+def memory_settings(capacity: int, scaling, cautious_eps: float) -> tuple:
     """The ``(capacity, scaling, cautious_eps)`` an ``LbfgsMemory`` keeps, or
-    ``ConfigurationError`` (a ``UsageError``); NaN fails every rule."""
-    if not capacity >= 1:
-        raise ConfigurationError("memory capacity must be >= 1")
-    if not 0 <= cautious_eps < math.inf:
+    ``ConfigurationError`` (a ``UsageError``); NaN and non-numbers fail every rule."""
+    if not (isinstance(capacity, numbers.Integral) and capacity >= 1):
+        raise ConfigurationError(f"memory capacity {capacity!r} is not an integer >= 1")
+    if not (isinstance(cautious_eps, numbers.Real) and 0 <= cautious_eps < math.inf):
         raise ConfigurationError("cautious eps must be finite and >= 0")
     if scaling != "bb":
+        if not (isinstance(scaling, numbers.Real) and 0 < scaling < math.inf):
+            raise ConfigurationError("scaling must be 'bb' or a finite positive gamma")
         scaling = float(scaling)
-        if not 0 < scaling < math.inf:
-            raise ConfigurationError("fixed scaling gamma must be finite and positive")
     return int(capacity), scaling, float(cautious_eps)
 
 

@@ -1,15 +1,16 @@
-"""Experiment grids: run every (method, config, seed) cell, write one CSV
-trace per cell plus a manifest, deterministically."""
+"""Experiment grids: an ``ExperimentSpec`` sweeps grid lists over one base
+``RunConfig``, the one home of every run parameter and its default; run
+every cell, write one CSV trace per cell plus a manifest, deterministically."""
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
 from .dataio import make_synthetic, parse_libsvm
-from .driver import RunConfig, RunTrace, StepSchedule, run
+from .driver import RunConfig, RunTrace, run
 from .errors import ConfigurationError
 from .objectives import make_objective
 
@@ -23,52 +24,52 @@ def version_string() -> str:
     return f"mblbfgs-v{__version__}"
 
 
+GRID = ("method", "batch_frac", "overlap_frac", "schedule", "fail_prob", "seed")
+
+
 @dataclass
 class ExperimentSpec:
-    """A flat parameter sweep over methods, batch/overlap sizes, step
-    lengths, failure probabilities and seeds."""
+    """A sweep of one grid list per ``GRID`` field of ``base``, which holds
+    every other run parameter. A list left as ``None`` sweeps the one value
+    ``base`` holds; an empty list is a ``ConfigurationError``."""
 
     dataset_path: str | None = None
     synthetic: tuple | None = None  # (n, d, nnz, margin), seeded by data_seed
     data_seed: int = 0
     objective: str = "logistic_l2"
     sigma: float | None = None
-    mode: str = "strategy1"
-    methods: list = field(default_factory=lambda: ["robust_lbfgs"])
-    batch_fracs: list = field(default_factory=lambda: [0.05])
-    overlap_fracs: list = field(default_factory=lambda: [0.2])
-    schedules: list = field(default_factory=lambda: [StepSchedule("constant", 0.1)])
-    fail_probs: list = field(default_factory=lambda: [0.0])
-    seeds: list = field(default_factory=lambda: [0])
-    nodes: int = 16
-    memory: int = 10
-    cautious_eps: float = 1e-4
-    scaling: object = "bb"
-    epochs: float = 10.0
-    trace_stride: int | None = None
-    reshard_each_epoch: bool = False
+    base: RunConfig = field(default_factory=RunConfig)
+    methods: list | None = None
+    batch_fracs: list | None = None
+    overlap_fracs: list | None = None
+    schedules: list | None = None
+    fail_probs: list | None = None
+    seeds: list | None = None
     out_dir: str = "runs"
+
+    def _sweep(self, name: str) -> list:
+        """The values of the grid list ``name + "s"`` of RunConfig field ``name``."""
+        values = getattr(self, name + "s")
+        return [getattr(self.base, name)] if values is None else list(values)
 
     def validate(self):
         if self.dataset_path is None and self.synthetic is None:
             raise ConfigurationError("either a dataset path or synthetic parameters are required")
-        for name in ("methods", "batch_fracs", "overlap_fracs", "schedules",
-                     "fail_probs", "seeds"):
-            if not getattr(self, name):
-                raise ConfigurationError(f"grid list {name} is empty")
+        for name in GRID:
+            if not self._sweep(name):
+                raise ConfigurationError(f"grid list {name}s is empty")
 
     def load_objective(self):
         if self.dataset_path is not None:
             dataset = parse_libsvm(self.dataset_path)
         else:
             n, d, nnz, margin = self.synthetic
-            dataset = make_synthetic(int(n), int(d), int(nnz),
-                                     seed=self.data_seed,
-                                     separable_margin=float(margin))
+            dataset = make_synthetic(n, d, nnz, seed=self.data_seed,
+                                     separable_margin=margin)
         return make_objective(self.objective, dataset, self.sigma)
 
     def cells(self):
-        """The grid product, in a fixed order.
+        """The grid product, in a fixed order, as copies of ``base``.
 
         Fault mode reads neither r nor o, so it takes only the first of each
         instead of rerunning identical cells under other names; the other
@@ -76,25 +77,19 @@ class ExperimentSpec:
         per (step, seed) with the first of each.
         """
         self.validate()
-        if self.mode == "fault":
-            r_list, o_list, p_list = (self.batch_fracs[:1], self.overlap_fracs[:1],
-                                      self.fail_probs)
+        methods, r_list, o_list, schedules, p_list, seeds = map(self._sweep, GRID)
+        if self.base.mode == "fault":
+            r_list, o_list = r_list[:1], o_list[:1]
         else:
-            r_list, o_list, p_list = self.batch_fracs, self.overlap_fracs, [0.0]
-        for method in self.methods:
+            p_list = [0.0]
+        for method in methods:
             if method == "serial_sgd":
-                sweep = (r_list[:1], o_list[:1], self.schedules, p_list[:1], self.seeds)
+                axes = (r_list[:1], o_list[:1], schedules, p_list[:1], seeds)
             else:
-                sweep = (r_list, o_list, self.schedules, p_list, self.seeds)
-            for r, o, sched, p, seed in itertools.product(*sweep):
-                yield RunConfig(
-                    method=method, mode=self.mode, batch_frac=r, overlap_frac=o,
-                    nodes=self.nodes, fail_prob=p, schedule=sched,
-                    memory=self.memory, cautious_eps=self.cautious_eps,
-                    scaling=self.scaling, epochs=self.epochs, seed=seed,
-                    reshard_each_epoch=self.reshard_each_epoch,
-                    trace_stride=self.trace_stride,
-                )
+                axes = (r_list, o_list, schedules, p_list, seeds)
+            for r, o, sched, p, seed in itertools.product(*axes):
+                yield replace(self.base, method=method, batch_frac=r, overlap_frac=o,
+                              schedule=sched, fail_prob=p, seed=seed)
 
 
 def cell_filename(config: RunConfig) -> str:

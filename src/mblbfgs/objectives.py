@@ -134,8 +134,8 @@ class Objective:
                  quad_weights=None):
         if kind not in KINDS:
             raise UsageError(f"unknown objective kind {kind!r}")
-        if sigma < 0:
-            raise UsageError("regularization sigma must be >= 0")
+        if not 0 <= sigma < math.inf:  # NaN too
+            raise UsageError("regularization sigma must be finite and >= 0")
         self.kind = kind
         self.dataset = dataset
         self.sigma = float(sigma)

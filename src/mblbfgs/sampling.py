@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -55,11 +56,18 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 MAX_REDRAWS = 10_000
 
 
+def philox_key(seed) -> int:
+    """``seed`` as a Philox key, or ``ConfigurationError``."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**128):
+        raise ConfigurationError(f"seed {seed!r} is not an integer in [0, 2**128)")
+    return int(seed)
+
+
 class SeededRng:
     """Deterministic random stream (Philox 4x64 counter-based generator)."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = philox_key(seed)
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def permutation(self, n: int) -> np.ndarray:

@@ -1,6 +1,14 @@
-import pytest
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
-from mblbfgs.cli import main, parse_scaling, parse_step
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mblbfgs import RunConfig, experiment
+from mblbfgs.cli import build_parser, build_spec, main, parse_scaling, parse_step
 from mblbfgs.experiment import MANIFEST_NAME
 
 
@@ -145,8 +153,17 @@ def test_fault_strategy_via_cli(tmp_path):
     ["--seed", "0,-1"],                       # raised numpy's ValueError
     ["--epochs", "nan"],                      # ran no iteration and read ok
     ["--step", "constant:nan"],
+    ["--sigma", "nan"],                       # every cell aborted as numeric
+    ["--sigma", "inf"],
+    ["--step", "constant:inf"],
+    ["--epochs", "inf"],                      # never ended
+    ["--data-seed", "-1"],                    # raised numpy's ValueError
 ])
-def test_bad_grid_value_exits_one_before_any_output(tmp_path, capsys, flags):
+def test_bad_grid_value_exits_one_before_any_output(tmp_path, capsys, monkeypatch, flags):
+    def no_run(config, objective):
+        raise AssertionError(f"a run started for {config}")
+
+    monkeypatch.setattr(experiment, "run", no_run)
     out = tmp_path / "runs"
     code = main(["--synthetic", "100,8,4,0.5", "--epochs", "1", "--seed", "0",
                  "--out", str(out), *flags])
@@ -203,3 +220,71 @@ def test_grid_cells_sharing_a_file_name_exit_one_before_any_output(
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"usage error: two grid cells share the file name {name}" in err
+
+
+@pytest.mark.parametrize("synthetic", [
+    "100,8,4,nan",                            # silent coin-flip labels
+    "100,8,4,-1",
+    "100.7,8,4,0.5",                          # ran on 100 rows
+    "100,8,4.5,0.5",                          # ran on 4 entries per row
+])
+def test_bad_synthetic_parameter_exits_two_before_any_output(tmp_path, capsys, synthetic):
+    out = tmp_path / "runs"
+    code = main(["--synthetic", synthetic, "--epochs", "1", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+
+
+def test_flags_left_out_take_the_run_config_defaults():
+    args = build_parser().parse_args(["--synthetic", "100,8,4,0.5"])
+    assert list(build_spec(args).cells()) == [RunConfig()]
+
+
+# each numeric flag: how a value is spelled on it, and one valid value
+_NUMERIC_FLAGS = {
+    "--sigma": ("{}", "0.01"),
+    "--step": ("constant:{}", "0.2"),
+    "--epochs": ("{}", None),
+    "--batch-frac": ("{}", "0.1"),
+    "--overlap-frac": ("{}", "0.3"),
+    "--fail-prob": ("{}", "0.3"),
+    "--nodes": ("{}", "4"),
+    "--memory": ("{}", "5"),
+    "--cautious-eps": ("{}", "0.001"),
+    "--scaling": ("fixed:{}", "0.5"),
+    "--trace-stride": ("{}", "2"),
+    "--seed": ("{}", "3"),
+    "--data-seed": ("{}", "3"),
+    "--synthetic": ("200,8,4,{}", "0.5"),
+}
+_BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "-0.0"]
+
+
+@st.composite
+def _flag_and_value(draw):
+    flag = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    spelling, valid = _NUMERIC_FLAGS[flag]
+    # a finite epoch count is valid however large, and the CLI sets no
+    # iteration cap, so --epochs draws only values that must be refused
+    values = _BAD_VALUES if valid is None else [*_BAD_VALUES, "1e308", valid]
+    return flag, spelling.format(draw(st.sampled_from(values)))
+
+
+@given(flag_value=_flag_and_value())
+@settings(max_examples=150, deadline=None)
+def test_numeric_flag_values_never_escape_as_tracebacks(flag_value):
+    flag, value = flag_value
+    argv = ["--synthetic", "200,8,4,0.5", "--epochs", "0.05", f"{flag}={value}"]
+    if flag == "--fail-prob":
+        argv += ["--strategy", "fault"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "runs"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--out", str(out)])
+        assert "Traceback" not in err.getvalue()
+        assert code in (0, 1, 2, 3)
+        if code in (1, 2):
+            assert not out.exists()

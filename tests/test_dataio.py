@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mblbfgs import (
+    ConfigurationError,
     DataError,
     RunConfig,
     constant,
@@ -139,6 +140,35 @@ class TestMakeSynthetic:
     def test_bad_nnz(self):
         with pytest.raises(DataError):
             make_synthetic(5, 3, 4, seed=0)
+
+    @pytest.mark.parametrize("changes", [
+        dict(separable_margin=float("nan")),  # silent coin-flip labels
+        dict(separable_margin=-1.0),
+        dict(separable_margin=float("inf")),
+        dict(feature_decades=float("nan")),
+        dict(feature_decades=float("inf")),
+        dict(n=20.5),                         # was truncated by the caller
+        dict(d=8.5),
+        dict(nnz_per_row=4.5),
+        dict(n=0),
+        dict(n=float("inf")),
+    ], ids=repr)
+    def test_bad_parameters_are_data_errors(self, changes):
+        args = dict(n=20, d=8, nnz_per_row=4, seed=0, separable_margin=0.5)
+        with pytest.raises(DataError):
+            make_synthetic(**{**args, **changes})
+
+    def test_integral_floats_build_the_same_data(self):
+        a = make_synthetic(25, 9, 4, seed=13, separable_margin=0.5)
+        b = make_synthetic(25.0, 9.0, 4.0, seed=13, separable_margin=0.5)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a.X, name), getattr(b.X, name))
+        assert np.array_equal(a.y, b.y)
+
+    def test_seed_outside_the_philox_key_range_is_a_configuration_error(self):
+        for seed in (-1, 2**128, 1.5):
+            with pytest.raises(ConfigurationError):
+                make_synthetic(20, 8, 4, seed=seed)
 
     def test_feature_decades_spread(self):
         ds = make_synthetic(300, 10, 5, seed=3, feature_decades=2.0,

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mblbfgs import LbfgsMemory, NumericError, UsageError, cautious_accept
+from mblbfgs import (
+    ConfigurationError,
+    LbfgsMemory,
+    NumericError,
+    RunConfig,
+    UsageError,
+    cautious_accept,
+)
 from conftest import random_admitted_memory
 
 
@@ -34,6 +41,31 @@ def reference_direction(mem, g):
         beta = pair.rho * float(np.dot(pair.y, r))
         r = (alphas[i] - beta) * pair.s + r
     return -r
+
+
+class TestMemorySettings:
+    @pytest.mark.parametrize("changes", [
+        dict(memory=2.5),                 # was truncated to 2
+        dict(memory=float("inf")),        # raised OverflowError
+        dict(memory="10"),                # raised TypeError
+        dict(scaling="bad"),              # raised a bare ValueError
+        dict(scaling="2"),                # was read as gamma 2.0
+        dict(cautious_eps="0.1"),         # raised TypeError
+    ], ids=repr)
+    def test_non_numbers_and_fractional_capacity_are_configuration_errors(self, changes):
+        with pytest.raises(ConfigurationError):
+            RunConfig(**changes).validate(100)
+        settings = dict(capacity=changes.get("memory", 10),
+                        scaling=changes.get("scaling", "bb"),
+                        cautious_eps=changes.get("cautious_eps", 1e-4))
+        with pytest.raises(ConfigurationError):
+            LbfgsMemory(**settings)
+
+    def test_numpy_numbers_are_kept_as_python_numbers(self):
+        mem = LbfgsMemory(np.int64(3), scaling=np.float64(0.5), cautious_eps=np.float32(0))
+        assert (mem.capacity, mem.scaling, mem.cautious_eps) == (3, 0.5, 0.0)
+        assert type(mem.capacity) is int and type(mem.scaling) is float
+        assert type(mem.cautious_eps) is float
 
 
 class TestCautiousAccept:

@@ -1,11 +1,12 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from mblbfgs import StepSchedule, constant, experiment, run
+from mblbfgs import ConfigurationError, RunConfig, StepSchedule, constant, experiment, run
 from mblbfgs.experiment import (
     CSV_HEADER,
+    GRID,
     ExperimentSpec,
     cell_filename,
     run_experiment,
@@ -14,17 +15,33 @@ from mblbfgs.experiment import (
 
 
 def small_spec(out_dir, **overrides):
-    base = dict(
+    """A small spec; the overrides that name a ``RunConfig`` field go to its
+    base."""
+    kwargs = dict(
         synthetic=(120, 8, 4, 0.5), data_seed=3, objective="logistic_l2",
         mode="strategy1", methods=["robust_lbfgs"], batch_fracs=[0.1],
         overlap_fracs=[0.2], schedules=[constant(0.2)], seeds=[0, 1],
         epochs=2.0, out_dir=str(out_dir),
     )
-    base.update(overrides)
-    return ExperimentSpec(**base)
+    kwargs.update(overrides)
+    run_fields = {f.name for f in fields(RunConfig)}
+    base = RunConfig(**{k: kwargs.pop(k) for k in list(kwargs) if k in run_fields})
+    return ExperimentSpec(base=base, **kwargs)
 
 
 class TestGrid:
+    def test_grid_lists_left_out_sweep_the_base_values(self):
+        base = RunConfig(method="multibatch_gd", batch_frac=0.1, schedule=constant(0.3),
+                         seed=7, memory=4)
+        spec = ExperimentSpec(synthetic=(120, 8, 4, 0.5), base=base, seeds=[7, 8])
+        assert list(spec.cells()) == [base, replace(base, seed=8)]
+
+    @pytest.mark.parametrize("name", GRID)
+    def test_an_empty_grid_list_is_refused(self, name):
+        spec = ExperimentSpec(synthetic=(120, 8, 4, 0.5), **{name + "s": []})
+        with pytest.raises(ConfigurationError, match=f"grid list {name}s is empty"):
+            list(spec.cells())
+
     def test_two_seeds_two_csvs_plus_manifest(self, tmp_path):
         result = run_experiment(small_spec(tmp_path / "out"))
         assert len(result.csv_paths) == 2
@@ -163,7 +180,7 @@ class TestNaming:
         spec = small_spec(tmp_path / "out", mode="fault",
                           fail_probs=[0.1, 0.4], seeds=[0], epochs=1.0,
                           batch_fracs=[0.1])
-        spec.nodes = 4
+        spec.base.nodes = 4
         result = run_experiment(spec)
         names = sorted(p.name for p in result.csv_paths)
         assert names == [
