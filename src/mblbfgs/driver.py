@@ -58,7 +58,7 @@ from .engine import LbfgsMemory, memory_settings
 from .errors import ConfigurationError, NumericError, UsageError
 from .linalg import Vector
 from .objectives import Objective
-from .sampling import (SeededRng, SerialSource, check_node_count, make_plan_source,
+from .sampling import (SeededRng, check_fail_prob, check_node_count, make_plan_source,
                        philox_key, strategy_batch_sizes)
 
 METHODS = ("robust_lbfgs", "inconsistent_lbfgs", "multibatch_gd", "serial_sgd")
@@ -82,8 +82,9 @@ class StepSchedule:
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
         if not 0 < self.value < math.inf:  # NaN too
             raise ConfigurationError("schedule parameter must be finite and positive")
-        if self.kind == "sqrt_horizon" and (self.tau is None or self.tau < 1):
-            raise ConfigurationError("sqrt_horizon schedule needs tau >= 1")
+        if self.kind == "sqrt_horizon" and not (isinstance(self.tau, numbers.Integral)
+                                                and self.tau >= 1):
+            raise ConfigurationError(f"sqrt_horizon tau {self.tau!r} is not an integer >= 1")
 
     def alpha_at(self, k: int) -> float:
         if self.kind == "constant":
@@ -148,12 +149,16 @@ class RunConfig:
                 or self.epochs == math.inf and self.max_iterations is not None):
             raise ConfigurationError("epochs must be >= 0, and finite without max_iterations")
         philox_key(self.seed)
-        if self.mode == "fault" and not 0 <= self.fail_prob < 1:
-            raise ConfigurationError("failure probability must be in [0, 1)")
-        stride = self.trace_stride
-        if stride is not None and not (isinstance(stride, numbers.Integral)
-                                       and stride >= 1):
-            raise ConfigurationError(f"trace stride {stride!r} is not an integer >= 1")
+        if self.mode == "fault":
+            check_fail_prob(self.fail_prob)
+        for name, value, low in (("trace stride", self.trace_stride, 1),
+                                 ("max_iterations", self.max_iterations, 0)):
+            if value is not None and not (isinstance(value, numbers.Integral)
+                                          and value >= low):
+                raise ConfigurationError(f"{name} {value!r} is not an integer >= {low}")
+        tol = self.grad_tol
+        if tol is not None and not (isinstance(tol, numbers.Real) and tol >= 0):
+            raise ConfigurationError(f"grad_tol {tol!r} is not a number >= 0")
         memory_settings(self.memory, self.scaling, self.cautious_eps)
         if self.method == "serial_sgd":
             return
@@ -258,15 +263,7 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
     n, d = objective.n, objective.d
     config.validate(n)
     stride = config.effective_stride(n)
-    rng = SeededRng(config.seed)
-    if config.method == "serial_sgd":
-        source = SerialSource(n, rng)
-    else:
-        source = make_plan_source(
-            config.mode, n, rng, r=config.batch_frac, o=config.overlap_frac,
-            nodes=config.nodes, fail_prob=config.fail_prob,
-            reshard_each_epoch=config.reshard_each_epoch,
-        )
+    source = make_plan_source(config, n, SeededRng(config.seed))
     memory = LbfgsMemory(config.memory, config.scaling, config.cautious_eps)
     use_memory = config.method in ("robust_lbfgs", "inconsistent_lbfgs")
     robust = config.method == "robust_lbfgs"

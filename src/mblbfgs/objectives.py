@@ -60,18 +60,24 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.special import expit
 from scipy.sparse import get_index_dtype
+
 # scipy's compiled sparse kernels, the one place this package imports them.
 # csr_matvec(n_row, n_col, Ap, Aj, Ax, Xx, Yx) adds the CSR product A Xx to
 # Yx, each row's products left to right; csc_matvec with the same arguments
 # adds the CSC product, which for a CSR A's arrays is A.T Xx, scattered
 # column by column. csr_row_index(n, rows, Ap, Aj, Ax, Bj, Bx) copies the
-# n rows ``rows`` back to back into Bj and Bx. The module is private, but
-# all three keep these signatures from the scipy>=1.10 floor in
-# pyproject.toml onwards, and tests/test_objectives.py pins their bytes
-# against X[idx], X[idx].dot(w) and X[idx].T.dot(c).
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index
+# n rows ``rows`` back to back into Bj and Bx. The module is private and
+# these signatures have been run only with scipy 1.17.1 (numpy 2.4.6);
+# tests/test_objectives.py pins their bytes against X[idx], X[idx].dot(w)
+# and X[idx].T.dot(c). A scipy without one of them fails here, by name.
+try:
+    from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index
+except ImportError as exc:
+    raise ImportError(f"scipy {scipy.__version__} lacks a compiled kernel ({exc}); "
+                      f"this package has been run only with scipy 1.17.1") from exc
 
 from .errors import NumericError, UsageError
 from .linalg import Dataset, Vector, all_finite, join_ranges
@@ -362,7 +368,7 @@ class Objective:
     @np.errstate(over="ignore", invalid="ignore")
     def eval_full(self, w: Vector) -> SubsetGradient:
         """``eval_subset`` over all rows, read in place as one part, with the
-        training accuracy (see ``accuracy``) from the same margins."""
+        training accuracy (0 for the quadratic kind) from the same margins."""
         self._check_length(w)
         G, L = np.zeros((1, self.d)), np.empty(1)
         memo = self._memo
@@ -415,12 +421,6 @@ class Objective:
     def regularization(self, w: Vector) -> tuple:
         """The terms ``(sigma * w, sigma/2 ||w||^2)`` that ``average`` adds."""
         return self.sigma * w, 0.5 * self.sigma * float(w.dot(w))
-
-    def accuracy(self, w: Vector) -> float:
-        """Fraction of correct sign predictions; 0 for the quadratic kind."""
-        if self.kind == "quadratic":
-            return 0.0
-        return _sign_accuracy(self.X.dot(w), self.labels)
 
 
 def logistic_l2(dataset: Dataset, sigma: float | None = None) -> Objective:

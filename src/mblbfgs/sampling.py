@@ -10,9 +10,12 @@ Two multi-batch strategies are provided plus a simulated distributed mode:
 * fault mode: the dataset is sharded across B nodes; each node responds with
   probability 1-p, the batch is the union of responding shards, and the
   overlap is the union of shards responding in two consecutive iterations.
+  A layout (``NodeLayout``) is one permutation of the rows cut at balanced
+  offsets, each node's shard a span of it.
 
 Serial SGD is driven by the same loop through a batch-of-one source whose
-plans have empty overlaps.
+plans have empty overlaps. ``make_plan_source`` builds the source of every
+run, serial SGD's included, from its ``RunConfig``.
 
 Every plan also carries its evaluation layout, so the driver needs no
 knowledge of the mode: the plan names a row order ``rows`` and the spans of
@@ -24,10 +27,10 @@ every plan of the epoch, and a batch's parts O_prev, the middle and O_next
 are spans of it (the full batch, reordered every epoch, is S itself). In
 strategy 2 ``rows`` is S, cut into O_next and the rest, then O_prev: drawn
 apart from S, it is a trailing ``extra`` part outside the batch. In fault
-mode ``rows`` is the layout's order of all shards, one object until a
-reshard; each responding node's shard is one span and failed nodes leave
-gaps. In serial mode ``rows`` is the identity order 0..n-1, one object per
-source, and the drawn example i is the span (i, i + 1). Strategy-1 orders
+mode ``rows`` is the layout's permutation, one object until a reshard;
+each responding node's shard is one span and failed nodes leave gaps. In
+serial mode ``rows`` is the identity order 0..n-1, one object per source,
+and the drawn example i is the span (i, i + 1). Strategy-1 orders
 (the full batch's included), fault layouts (resharded or not) and the
 serial identity order serve several evaluations and are read-only, so the
 objective keeps their rows (the identity order as X itself, the others as a
@@ -71,7 +74,7 @@ class SeededRng:
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n).astype(np.int64)
+        return self._gen.permutation(n).astype(np.int64, copy=False)
 
     def choice(self, pool, size: int) -> np.ndarray:
         """Uniform draw of ``size`` elements without replacement."""
@@ -153,10 +156,10 @@ def strategy_batch_sizes(n: int, r: float, o: float,
                          mode: str = "strategy2") -> tuple:
     """Validated (|S|, |O|) for the multi-batch strategies; strategy 1 also
     needs a batch longer than its two overlap blocks together."""
-    if not 0 < r <= 1:
-        raise ConfigurationError(f"batch fraction r={r} outside (0, 1]")
-    if not 0 < o < 1:
-        raise ConfigurationError(f"overlap fraction o={o} outside (0, 1)")
+    if not (isinstance(r, numbers.Real) and 0 < r <= 1):
+        raise ConfigurationError(f"batch fraction r={r!r} is not a number in (0, 1]")
+    if not (isinstance(o, numbers.Real) and 0 < o < 1):
+        raise ConfigurationError(f"overlap fraction o={o!r} is not a number in (0, 1)")
     if o * r * n < 1:
         raise ConfigurationError(
             f"overlap empty: o*r*n = {o * r * n:.3g} < 1 (n={n}, r={r}, o={o})"
@@ -170,38 +173,45 @@ def strategy_batch_sizes(n: int, r: float, o: float,
     return s_size, o_size
 
 
-def plan_strategy1_epoch(n: int, r: float, o: float, rng: SeededRng) -> list:
+def plan_strategy1_epoch(n: int, r: float, o: float, rng: SeededRng,
+                         prev: SamplePlan | None = None) -> list:
     """One epoch of forced-overlap batches cut from a fresh permutation.
 
     Batches advance through the permutation with stride |S| - |O|, so the
     tail block of each batch is exactly the head block of the next one. The
     final batch is truncated if needed so the epoch covers every index; the
     epoch ends without a planned overlap into the next (reshuffled) epoch.
-    Every plan's ``rows`` is the read-only permutation.
+    The full batch is the exception: its one batch per epoch is the whole
+    dataset, so ``prev``, the previous epoch's plan, has its O_next inside
+    it and the pair chain goes on across the reshuffle. O_next is then
+    redrawn apart from ``prev.O_next``, and the permutation reordered to
+    O_prev, the middle and O_next. Every plan's ``rows`` is the read-only
+    permutation.
     """
     s_size, o_size = strategy_batch_sizes(n, r, o, "strategy1")
     perm = rng.permutation(n)
-    perm.flags.writeable = False
-
     if s_size == n:
-        # full-batch special case: every batch is the whole (re)shuffled
-        # dataset, so any designated overlap block is shared with the next
-        # batch; one full batch per epoch
-        return [_strategy1_plan(perm, 0, n, 0, o_size, None)]
-
-    # (start, stop, |O_prev|, |O_next|) of each batch in the permutation
-    starts = range(0, n - s_size + 1, s_size - o_size)
-    batches = [(a, a + s_size, o_size if a else 0, o_size) for a in starts]
-    coverage = starts[-1] + s_size
-    if coverage < n:
-        # truncated final batch: reuses the pending overlap block and runs
-        # to the end of the permutation so every index is used this epoch
-        batches.append((coverage - o_size, n, o_size, 0))
-    batches[-1] = (*batches[-1][:3], 0)  # no overlap into the next epoch
+        o_prev = _EMPTY if prev is None else prev.O_next
+        if o_prev.size:
+            o_next = rng.choice(np.setdiff1d(perm, o_prev, assume_unique=True), o_size)
+            middle = perm[~np.isin(perm, np.concatenate([o_prev, o_next]))]
+            perm = np.concatenate([o_prev, middle, o_next])
+        batches = [(0, n, o_prev.size, o_size)]
+    else:
+        # (start, stop, |O_prev|, |O_next|) of each batch in the permutation
+        starts = range(0, n - s_size + 1, s_size - o_size)
+        batches = [(a, a + s_size, o_size if a else 0, o_size) for a in starts]
+        coverage = starts[-1] + s_size
+        if coverage < n:
+            # truncated final batch: reuses the pending overlap block and
+            # runs to the end of the permutation so every index is used
+            batches.append((coverage - o_size, n, o_size, 0))
+        batches[-1] = (*batches[-1][:3], 0)  # no overlap into the next epoch
+    perm.flags.writeable = False
     plans = []
     for a, b, o_prev, o_next in batches:
         plans.append(_strategy1_plan(perm, a, b, o_prev, o_next,
-                                     plans[-1] if plans else None))
+                                     plans[-1] if plans else prev))
     return plans
 
 
@@ -225,82 +235,76 @@ def plan_strategy2(n: int, r: float, o: float, rng: SeededRng,
                       link=([0], [len(spans) - 1]) if extra else None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeLayout:
-    """Balanced partition of the example indices across B nodes.
+    """The example indices sharded across B nodes: one row order cut at
+    balanced offsets.
 
-    The shards must partition 0..n-1, n being their total size. ``rows``
-    holds all shards back to back, read-only; shard ``j`` is
-    ``rows[offsets[j]:offsets[j + 1]]``.
+    ``rows`` must be a permutation of 0..n-1; the layout keeps a read-only
+    copy of it, so the caller's array stays as it was. Shard ``j`` is
+    ``rows[offsets[j]:offsets[j + 1]]``; the first n % B shards are one row
+    longer than the others.
     """
 
-    shards: tuple
+    rows: np.ndarray = field(repr=False)
+    node_count: int
     fail_prob: float
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: tuple = field(init=False, repr=False, compare=False)
+    offsets: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 <= self.fail_prob < 1:
-            raise ConfigurationError(f"failure probability {self.fail_prob} outside [0, 1)")
-        sizes = [s.size for s in self.shards]
-        if not sizes or max(sizes) == 0:
-            raise ConfigurationError("shards hold no rows")
-        if max(sizes) - min(sizes) > 1:
-            raise ConfigurationError("shard sizes differ by more than 1")
-        total = np.concatenate(self.shards)
-        if total.dtype.kind not in "iu":
-            raise ConfigurationError("shard rows must be integers")
-        total = total.astype(np.int64, copy=False)
-        n = total.size
+        check_fail_prob(self.fail_prob)
+        rows = np.asarray(self.rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ConfigurationError("layout rows must be a 1-D integer array")
+        n = rows.size
+        if n == 0:
+            raise ConfigurationError("layout holds no rows")
+        check_node_count(n, self.node_count)
+        rows = rows.astype(np.int64)
         # n rows inside 0..n-1 with none repeated are all of them, once each;
         # a negative row viewed as unsigned is at least 2**63
-        if total.view(np.uint64).max() >= n:
-            raise ConfigurationError(f"shard rows outside 0..{n - 1}")
-        if np.bincount(total, minlength=n).max() > 1:
-            raise ConfigurationError("shards are not disjoint")
-        total.flags.writeable = False
-        object.__setattr__(self, "rows", total)
-        object.__setattr__(self, "offsets",
-                           tuple(itertools.accumulate(sizes, initial=0)))
+        if rows.view(np.uint64).max() >= n:
+            raise ConfigurationError(f"layout rows outside 0..{n - 1}")
+        if np.bincount(rows, minlength=n).max() > 1:
+            raise ConfigurationError("layout rows are repeated")
+        rows.flags.writeable = False
+        nodes = int(self.node_count)  # True is one node; rng.uniform takes no bool
+        base, extra = divmod(n, nodes)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "node_count", nodes)
+        object.__setattr__(self, "offsets", tuple(
+            j * base + min(j, extra) for j in range(nodes + 1)))
 
     @property
-    def node_count(self) -> int:
-        return len(self.shards)
+    def shards(self) -> tuple:
+        """Each node's rows, a view of ``rows``."""
+        return tuple(self.rows[a:b] for a, b in zip(self.offsets, self.offsets[1:]))
 
     @property
     def n(self) -> int:
         return self.rows.size
 
 
-def _split_balanced(order: np.ndarray, nodes: int) -> tuple:
-    n = order.size
-    base, extra = divmod(n, nodes)
-    shards, pos = [], 0
-    for i in range(nodes):
-        size = base + (1 if i < extra else 0)
-        shards.append(np.ascontiguousarray(order[pos:pos + size], dtype=np.int64))
-        pos += size
-    return tuple(shards)
-
-
 def check_node_count(n: int, nodes: int):
-    if nodes < 1 or nodes > n:
-        raise ConfigurationError(f"node count {nodes} outside [1, n={n}]")
+    if not (isinstance(nodes, numbers.Integral) and 1 <= nodes <= n):
+        raise ConfigurationError(f"node count {nodes!r} is not an integer in [1, n={n}]")
+
+
+def check_fail_prob(p: float):
+    if not (isinstance(p, numbers.Real) and 0 <= p < 1):
+        raise ConfigurationError(f"failure probability {p!r} is not a number in [0, 1)")
 
 
 def make_layout(n: int, nodes: int, fail_prob: float,
                 rng: SeededRng | None = None) -> NodeLayout:
     """Shard {0..n-1} across ``nodes``; random assignment when rng is given."""
-    check_node_count(n, nodes)
     order = rng.permutation(n) if rng is not None else np.arange(n, dtype=np.int64)
-    return NodeLayout(shards=_split_balanced(order, nodes), fail_prob=fail_prob)
+    return NodeLayout(order, nodes, fail_prob)
 
 
 def reshard(layout: NodeLayout, rng: SeededRng) -> NodeLayout:
     """Shuffle and redistribute the data across the same number of nodes."""
-    order = rng.permutation(layout.n)
-    return NodeLayout(shards=_split_balanced(order, layout.node_count),
-                      fail_prob=layout.fail_prob)
+    return NodeLayout(rng.permutation(layout.n), layout.node_count, layout.fail_prob)
 
 
 def plan_fault(layout: NodeLayout, rng: SeededRng,
@@ -348,27 +352,12 @@ class Strategy1Source:
         strategy_batch_sizes(n, r, o, "strategy1")  # validate eagerly
         self.n, self.r, self.o, self.rng = n, r, o, rng
         self._queue = []
-        self._full_batch = math.ceil(r * n) == n
         self._last = None
 
     def next_plan(self) -> SamplePlan:
-        last = self._last
         if not self._queue:
-            self._queue = plan_strategy1_epoch(self.n, self.r, self.o, self.rng)
-            if self._full_batch and last is not None:
-                # with S = whole dataset the previous overlap block is still
-                # inside the new batch, so the pair chain continues across
-                # the reshuffle; redraw O_next disjoint from it, and reorder
-                # S so that O_prev is its head block and O_next its tail
-                plan = self._queue[0]
-                o_prev = last.O_next
-                outside = np.setdiff1d(plan.S, o_prev, assume_unique=True)
-                o_next = self.rng.choice(outside, plan.O_next.size)
-                middle = plan.S[~np.isin(plan.S, np.concatenate([o_prev, o_next]))]
-                rows = np.concatenate([o_prev, middle, o_next])
-                rows.flags.writeable = False  # the epoch's order, like perm
-                self._queue[0] = _strategy1_plan(rows, 0, self.n, o_prev.size,
-                                                 o_next.size, last)
+            self._queue = plan_strategy1_epoch(self.n, self.r, self.o, self.rng,
+                                               self._last)
         self._last = self._queue.pop(0)
         return self._last
 
@@ -436,14 +425,17 @@ class SerialSource:
         pass
 
 
-def make_plan_source(mode: str, n: int, rng: SeededRng, *, r: float = 0.0,
-                     o: float = 0.0, nodes: int = 0, fail_prob: float = 0.0,
-                     reshard_each_epoch: bool = False):
-    if mode == "strategy1":
+def make_plan_source(config, n: int, rng: SeededRng):
+    """The plan source of a run of ``config``, a validated ``RunConfig``, on
+    ``n`` rows: serial SGD's for its method, else its sampling mode's."""
+    if config.method == "serial_sgd":
+        return SerialSource(n, rng)
+    r, o = config.batch_frac, config.overlap_frac
+    if config.mode == "strategy1":
         return Strategy1Source(n, r, o, rng)
-    if mode == "strategy2":
+    if config.mode == "strategy2":
         return Strategy2Source(n, r, o, rng)
-    if mode == "fault":
-        layout = make_layout(n, nodes, fail_prob, rng)
-        return FaultSource(layout, rng, reshard_each_epoch)
-    raise UsageError(f"unknown sampling mode {mode!r}")
+    if config.mode == "fault":
+        layout = make_layout(n, config.nodes, config.fail_prob, rng)
+        return FaultSource(layout, rng, config.reshard_each_epoch)
+    raise UsageError(f"unknown sampling mode {config.mode!r}")

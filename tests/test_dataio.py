@@ -123,7 +123,7 @@ class TestMakeSynthetic:
                         schedule=constant(1.0), epochs=float("inf"),
                         max_iterations=300, trace_stride=1, seed=0)
         trace = run(cfg, obj)
-        assert obj.accuracy(trace.final_w) == 1.0
+        assert obj.eval_full(trace.final_w).accuracy == 1.0
 
     def test_margin_zero_labels_random(self):
         ds = make_synthetic(500, 10, 5, seed=5, separable_margin=0.0)

@@ -51,6 +51,12 @@ class TestSchedules:
         with pytest.raises(ConfigurationError):
             StepSchedule("linear", 1.0)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 2.5, 0])
+    def test_sqrt_horizon_tau_is_an_integer_of_at_least_one(self, tau):
+        # NaN and infinity passed the tau < 1 test: alpha NaN, or 0 forever
+        with pytest.raises(ConfigurationError, match="tau"):
+            sqrt_horizon(1.0, tau)
+
 
 class TestTakeStep:
     def test_empty_memory_is_gradient_descent(self):
@@ -131,6 +137,24 @@ class TestRunLoop:
         # the trace stride divided by it first and raised ZeroDivisionError
         with pytest.raises(ConfigurationError, match="batch fraction"):
             run(RunConfig(mode=mode, batch_frac=0.0), small_logistic)
+
+    @pytest.mark.parametrize("fields,match", [
+        (dict(batch_frac="0.1"), "batch fraction"),
+        (dict(overlap_frac="0.2"), "overlap fraction"),
+        (dict(mode="strategy2", batch_frac=None), "batch fraction"),
+        (dict(mode="fault", fail_prob="0.1"), "failure probability"),
+        (dict(mode="fault", nodes=2.5), "node count"),
+        (dict(mode="fault", nodes="4"), "node count"),
+        (dict(max_iterations=-1), "max_iterations"),
+        (dict(max_iterations=2.5), "max_iterations"),
+        (dict(grad_tol=float("nan")), "grad_tol"),
+        (dict(grad_tol=-1.0), "grad_tol"),
+        (dict(grad_tol="0"), "grad_tol"),
+    ])
+    def test_bad_typed_run_fields_raise_a_configuration_error(self, fields, match):
+        # these raised a bare TypeError, or passed and misbehaved in the run
+        with pytest.raises(ConfigurationError, match=match):
+            RunConfig(**fields).validate(100)
 
     @pytest.mark.parametrize("method", ["robust_lbfgs", "serial_sgd"])
     @pytest.mark.parametrize("stride", [0, -5])

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 import weakref
 
@@ -6,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy
 from scipy import sparse
 
+import mblbfgs
 from mblbfgs import (
     Dataset,
     NumericError,
@@ -223,14 +228,14 @@ class TestSubsetSemantics:
             # the sign rule: a margin >= 0 predicts +1
             pred = np.where(obj.X.dot(w) >= 0, 1.0, -1.0)
             expected = 0.0 if kind == "quadratic" else float(np.mean(pred == obj.labels))
-            assert obj.eval_full(w).accuracy == obj.accuracy(w) == expected
+            assert obj.eval_full(w).accuracy == expected
         assert obj.eval_subset(np.zeros(obj.d), [0]).accuracy is None
 
     def test_accuracy_perfect_on_plant(self, sep_logistic):
         # a separable dataset admits a perfect classifier; after training,
         # accuracy should be 1 (checked indirectly in driver tests); here
         # just check the metric is within [0, 1]
-        acc = sep_logistic.accuracy(np.zeros(sep_logistic.d))
+        acc = sep_logistic.eval_full(np.zeros(sep_logistic.d)).accuracy
         assert 0.0 <= acc <= 1.0
 
 
@@ -377,6 +382,21 @@ class TestCompiledKernels:
                         expected = Xs.T.dot(coeff[at:at + m])
                     assert expected.tobytes() == G[k].tobytes()
                     at += m
+
+    @pytest.mark.parametrize("name", ["csc_matvec", "csr_matvec", "csr_row_index"])
+    def test_a_missing_kernel_fails_the_import_by_name(self, name):
+        # a scipy without one of the private kernels fails at import, naming
+        # the kernel and the scipy version, not at the first evaluation
+        code = ("import scipy.sparse._sparsetools as kernels\n"
+                f"del kernels.{name}\n"
+                "import mblbfgs.objectives\n")
+        src = os.path.dirname(os.path.dirname(mblbfgs.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 1
+        last = done.stderr.strip().splitlines()[-1]
+        assert last.startswith(f"ImportError: scipy {scipy.__version__} lacks a "
+                               f"compiled kernel (cannot import name '{name}' ")
 
 
 def _fresh(obj):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mblbfgs import ConfigurationError, SeededRng, make_layout, plan_fault, reshard
+from mblbfgs import ConfigurationError, RunConfig, SeededRng, make_layout, plan_fault, reshard
 from mblbfgs.sampling import (
     FaultSource,
     NodeLayout,
@@ -143,21 +143,46 @@ class TestFaultMode:
         with pytest.raises(ConfigurationError):
             make_layout(10, 2, 1.0)
 
-    @pytest.mark.parametrize("shards,match", [
-        ((np.array([0, 7]), np.array([-1, 3])), "outside 0..3"),
-        ((np.array([0, 4]), np.array([1, 2])), "outside 0..3"),
-        ((np.array([0, 1]), np.array([1, 2])), "not disjoint"),
-        ((np.array([3, 3]), np.array([0, 1])), "not disjoint"),
-        ((np.array([0.5, 1.7]), np.array([2.2, 3.0])), "integers"),  # were truncated
-        ((np.array([True, False]),), "integers"),                   # were rows 1 and 0
-        ((np.zeros(0, dtype=np.int64),), "no rows"),
-        ((), "no rows"),                                            # raised ValueError
+    @pytest.mark.parametrize("rows,nodes,match", [
+        (np.array([0, 7, -1, 3]), 2, "outside 0..3"),
+        (np.array([0, 4, 1, 2]), 2, "outside 0..3"),
+        (np.array([0, 1, 1, 2]), 2, "repeated"),
+        (np.array([3, 3, 0, 1]), 2, "repeated"),
+        (np.array([0.5, 1.7, 2.2, 3.0]), 2, "integer array"),
+        (np.array([True, False]), 1, "integer array"),
+        (np.zeros(0, dtype=np.int64), 1, "no rows"),
+        (np.array([3, 0, 1, 2]), 0, r"node count 0 is not an integer in \[1, n=4\]"),
+        (np.array([3, 0, 1, 2]), 5, r"node count 5 is not an integer in \[1, n=4\]"),
+        (np.array([3, 0, 1, 2]), 2.5, r"node count 2\.5 is not an integer"),
     ])
-    def test_shards_must_partition_the_rows(self, shards, match):
-        # out-of-range rows used to pass and fail only at evaluation
+    def test_layout_rows_must_be_a_permutation(self, rows, nodes, match):
         with pytest.raises(ConfigurationError, match=match):
-            NodeLayout(shards=shards, fail_prob=0.0)
-        NodeLayout(shards=(np.array([3, 0]), np.array([1, 2])), fail_prob=0.0)
+            NodeLayout(rows, nodes, 0.0)
+        NodeLayout(np.array([3, 0, 1, 2]), 2, 0.0)
+        # a bool node count is an integer, as in the other count rules
+        assert plan_fault(NodeLayout(np.arange(4), True, 0.0), SeededRng(0)).responders == (0,)
+
+    @given(data=st.data(), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_layout_cuts_its_rows_at_balanced_offsets(self, data, n, seed):
+        nodes = data.draw(st.integers(1, n), label="nodes")
+        order = SeededRng(seed).permutation(n)
+        given_rows = order.copy()
+        layout = NodeLayout(order, nodes, 0.0)
+        # the layout keeps its own read-only copy; the caller's array is
+        # left writable and unchanged
+        assert order.flags.writeable and np.array_equal(order, given_rows)
+        assert not layout.rows.flags.writeable
+        assert not np.shares_memory(layout.rows, order)
+        assert np.array_equal(layout.rows, order)
+        assert layout.node_count == nodes and layout.n == n
+        # shards are views of rows, the longer ones first, and together
+        # they are rows in order
+        sizes = [shard.size for shard in layout.shards]
+        assert len(sizes) == nodes and max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+        assert all(np.shares_memory(shard, layout.rows) for shard in layout.shards)
+        assert np.array_equal(np.concatenate(layout.shards), layout.rows)
 
     def test_p_zero_all_respond(self):
         layout = make_layout(20, 4, 0.0)
@@ -255,8 +280,10 @@ def _plan_stream(mode, n, r, o, nodes, p, seed, count=40):
     None when the sizes are not a valid configuration."""
     rng = SeededRng(seed)
     try:
-        src = (SerialSource(n, rng) if mode == "serial" else
-               make_plan_source(mode, n, rng, r=r, o=o, nodes=nodes, fail_prob=p))
+        config = (RunConfig(method="serial_sgd") if mode == "serial" else
+                  RunConfig(mode=mode, batch_frac=r, overlap_frac=o, nodes=nodes,
+                            fail_prob=p))
+        src = make_plan_source(config, n, rng)
         plans = [src.next_plan() for _ in range(count)]
     except ConfigurationError:
         return None
@@ -342,8 +369,9 @@ class TestPlanInvariants:
         # the objective keeps the rows of the last read-only order it saw,
         # so that order must stay one unchanged object between reshards
         rng = SeededRng(seed)
-        src = make_plan_source("fault", n, rng, nodes=min(nodes, n), fail_prob=p,
-                               reshard_each_epoch=True)
+        config = RunConfig(mode="fault", nodes=min(nodes, n), fail_prob=p,
+                           reshard_each_epoch=True)
+        src = make_plan_source(config, n, rng)
         rows = src.next_plan().rows
         for boundary in epochs:
             if boundary:
