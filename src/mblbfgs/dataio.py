@@ -10,6 +10,10 @@ from .errors import DataError
 from .linalg import Dataset
 from .sampling import SeededRng
 
+# rows drawn between two vectorised passes of make_synthetic; bounds the
+# memory of its temporaries
+_CHUNK_ROWS = 2048
+
 _LABEL_MAP = {"1": 1, "+1": 1, "-1": -1, "0": -1,
               "1.0": 1, "+1.0": 1, "-1.0": -1, "0.0": -1}
 
@@ -127,32 +131,58 @@ def make_synthetic(n: int, d: int, nnz_per_row: int, seed: int,
     if not math.isfinite(feature_decades):
         raise DataError(f"feature_decades {feature_decades!r} is not finite")
     rng = SeededRng(seed)
-    normal = rng._gen.standard_normal  # single stream keeps replay exact
+    # a single stream keeps replay exact
+    choice, normal, coin = rng._gen.choice, rng._gen.standard_normal, rng._gen.random
     scales = np.logspace(-feature_decades / 2.0, feature_decades / 2.0, d)
     plant_raw = normal(d) / scales  # keeps every scaled feature informative
     plant = plant_raw / np.sqrt(np.dot(plant_raw, plant_raw))
+    # a support where the plant nearly vanishes (uu < 1e-6) cannot carry a
+    # margin and is redrawn. A rounded sum of non-negative terms is at least
+    # its largest term, so a support with one feature of plant**2 >= 1e-6
+    # passes; only supports of weak features alone need their exact uu
+    weak = ~(plant * plant >= 1e-6)
+    weak_supports = separable_margin > 0 and np.count_nonzero(weak) >= nnz_per_row
     indices = np.empty((n, nnz_per_row), dtype=np.int64)
     values = np.empty((n, nnz_per_row), dtype=np.float64)
     labels = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        while True:
-            idx = np.sort(rng.choice(d, nnz_per_row))
-            vals = normal(nnz_per_row) * scales[idx]
-            u = plant[idx]
-            uu = float(np.dot(u, u))
-            # a support where the plant nearly vanishes cannot carry a margin
-            if separable_margin == 0 or uu >= 1e-6:
-                break
+    coins = np.empty(_CHUNK_ROWS)
+    for lo in range(0, n, _CHUNK_ROWS):
+        idx, vals = indices[lo:lo + _CHUNK_ROWS], values[lo:lo + _CHUNK_ROWS]
+        # the draws, one row after another in the stream's order; the rest
+        # is done a chunk at a time, with each row's own arithmetic
+        for i in range(len(idx)):
+            while True:
+                idx[i] = choice(d, nnz_per_row, replace=False)
+                vals[i] = normal(nnz_per_row)
+                if (not (weak_supports and weak[idx[i]].all())
+                        or _plant_norm2(plant, idx[i]) >= 1e-6):
+                    break
+            if separable_margin == 0:
+                coins[i] = coin()
+        idx.sort(axis=1)
+        vals *= scales[idx]
         if separable_margin > 0:
-            z = float(np.dot(vals, u))
-            if abs(z) < separable_margin:
-                target = separable_margin if z >= 0 else -separable_margin
-                vals = vals + ((target - z) / uu) * u
-                z = target
-            label = 1 if z > 0 else -1
+            u = plant[idx]
+            # stacked one-by-one products: each row's np.dot(a, b)
+            uu = np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0]
+            z = np.matmul(vals[:, None, :], u[:, :, None])[:, 0, 0]
+            # rows inside the margin band are nudged along the plant
+            inside = np.flatnonzero(np.abs(z) < separable_margin)
+            target = np.where(z[inside] >= 0, separable_margin, -separable_margin)
+            with np.errstate(over="ignore"):  # as the float scalars it replaces
+                step = (target - z[inside]) / uu[inside]
+            vals[inside] += step[:, None] * u[inside]
+            z[inside] = target
+            labels[lo:lo + len(idx)] = np.where(z > 0, 1.0, -1.0)
         else:
-            label = 1 if rng.uniform() < 0.5 else -1
-        indices[i], values[i], labels[i] = idx, vals, label
+            labels[lo:lo + len(idx)] = np.where(coins[:len(idx)] < 0.5, 1.0, -1.0)
     indptr = np.arange(0, n * nnz_per_row + 1, nnz_per_row, dtype=np.int64)
     X = sparse.csr_matrix((values.ravel(), indices.ravel(), indptr), shape=(n, d))
     return Dataset(X, labels)
+
+
+def _plant_norm2(plant, support) -> float:
+    """uu, the squared norm of the plant on ``support``, summed over the
+    sorted support as the generator has always summed it."""
+    u = plant[np.sort(support)]
+    return float(np.dot(u, u))

@@ -145,9 +145,14 @@ class RunConfig:
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown sampling mode {self.mode!r}")
         # NaN too; an infinite budget ends only at max_iterations
-        if not (0 <= self.epochs < math.inf
-                or self.epochs == math.inf and self.max_iterations is not None):
-            raise ConfigurationError("epochs must be >= 0, and finite without max_iterations")
+        epochs = self.epochs
+        if not (isinstance(epochs, numbers.Real)
+                and (0 <= epochs < math.inf
+                     or epochs == math.inf and self.max_iterations is not None)):
+            raise ConfigurationError(f"epochs {epochs!r} is not a number >= 0, "
+                                     f"finite without max_iterations")
+        if not isinstance(self.schedule, StepSchedule):
+            raise ConfigurationError(f"schedule {self.schedule!r} is not a StepSchedule")
         philox_key(self.seed)
         if self.mode == "fault":
             check_fail_prob(self.fail_prob)

@@ -20,6 +20,11 @@ gradient and loss sums of each part, which the driver recombines into batch
 and overlap gradients. ``average`` adds the averaging and the
 regularization term and raises ``NumericError`` when either is not finite.
 
+Every call checks its spans in one pass over its parts (each bound an
+integer, each start at or after the previous stop, the last stop inside
+``rows``) and range-checks the entries of a ``rows`` that is not the kept
+one, so no input makes a compiled kernel read outside ``X``.
+
 Every call reads its parts as row ranges of one CSR matrix. The margins of
 each run of adjacent parts come from one compiled ``csr_matvec`` over its
 rows, the row terms of all runs from one ``_row_terms`` call, and each
@@ -109,6 +114,35 @@ def _runs(parts) -> list:
     return runs
 
 
+def _checked_spans(spans, size: int) -> tuple:
+    """The spans as a list of ``(start, stop)`` pairs and the number of rows
+    they cover, or ``UsageError`` unless they are integer pairs, ascending,
+    disjoint, inside ``rows`` of length ``size`` and cover at least one
+    row."""
+    if spans is None:
+        spans = ((0, size),)
+    # one pass: each part starts at or after the previous stop, so the parts
+    # are ascending and disjoint, and the last stop bounds them all
+    parts = []
+    stop = covered = 0
+    try:
+        for a, b in spans:
+            a, b = operator.index(a), operator.index(b)
+            if not stop <= a <= b:
+                raise ValueError
+            parts.append((a, b))
+            stop = b
+            covered += b - a
+    except (TypeError, ValueError):
+        parts = []  # not a pair, a bound that is not an integer, or out of order
+    if not parts or stop > size:
+        raise UsageError("part spans must be integer pairs, ascending, "
+                         "disjoint and inside rows")
+    if not covered:
+        raise UsageError("empty subset")
+    return parts, covered
+
+
 @dataclass
 class SubsetGradient:
     """Gradient and loss of a subset-restricted objective; ``accuracy``, the
@@ -182,7 +216,8 @@ class Objective:
         ``rows`` is a 1-D sequence of integer row indices, repeats allowed;
         every entry must be a row of ``X``, evaluated or not. ``spans`` are
         ``(start, stop)`` pairs of integers, ascending and disjoint within
-        ``rows``, one per part (one part covering ``rows`` by default).
+        ``rows``, one per part (one part covering ``rows`` by default), that
+        cover at least one row; every part is checked on every call.
         Returns ``(G, L)``: ``G[p]`` is the gradient sum and ``L[p]`` the
         loss sum of the rows ``rows[start:stop]`` of part ``p``. Each part's
         sums are bit-identical to a one-part call on its slice of ``rows``.
@@ -194,27 +229,11 @@ class Objective:
         parts; every branch gives the same bytes (see the module docstring).
         """
         idx = np.asarray(rows)
-        if spans is None:
-            spans = ((0, idx.size),)
-        # the spans are ascending, disjoint and inside rows when the sequence
-        # a0, b0, a1, b1, ... of integers never decreases and stays within
-        # 0..len(rows)
-        try:
-            flat = list(map(operator.index, itertools.chain.from_iterable(spans)))
-        except TypeError:
-            flat = []  # a bound that is not an integer: rejected below
-        if (not flat or len(flat) != 2 * len(spans) or flat[0] < 0
-                or flat[-1] > idx.size or flat != sorted(flat)):
-            raise UsageError("part spans must be integer pairs, ascending, "
-                             "disjoint and inside rows")
-        covered = sum(flat[1::2]) - sum(flat[::2])
-        if covered == 0:
-            raise UsageError("empty subset")
+        parts, covered = _checked_spans(spans, idx.size)
         if idx.ndim != 1 or idx.dtype.kind not in "iu":
             raise UsageError("rows must be a 1-D sequence of integer row indices")
         idx = idx.astype(np.int64, copy=False)
         self._check_length(w)
-        parts = list(zip(flat[::2], flat[1::2]))
         read_only = not idx.flags.writeable
         kept = self._kept
         if not (read_only and kept and idx is kept.rows):
@@ -239,7 +258,7 @@ class Objective:
             ends = list(itertools.accumulate((b - a for a, b in parts), initial=0))
             self._part_sums(w, self._gather(sub), self._row_data.take(sub),
                             list(zip(ends, ends[1:])), G, L)
-        self._check_finite(w, idx, flat, G, L)
+        self._check_finite(w, idx, parts, G, L)
         return G, L
 
     def _part_sums(self, w: Vector, csr, row_data, parts, G, L) -> tuple:
@@ -341,16 +360,17 @@ class Objective:
         )
         return grad_sum, loss_sum
 
-    def _check_finite(self, w: Vector, idx, flat, G, L):
+    def _check_finite(self, w: Vector, idx, parts, G, L):
         """Raise ``NumericError`` naming the first non-finite row of the first
-        part whose sums are not finite; part ``k`` is ``idx[flat[2k]:flat[2k+1]]``
-        and ``idx`` None stands for all rows."""
+        part whose sums are not finite; part ``k`` is ``idx[a:b]`` for
+        ``(a, b) = parts[k]``, and ``idx`` None stands for all rows."""
         if all_finite(G) and all_finite(L):
             return
         k = int(np.argmin(np.isfinite(L) & np.isfinite(G).all(axis=1)))
         if idx is None:
             idx = np.arange(self.n)
-        rows = idx[flat[2 * k]:flat[2 * k + 1]]
+        a, b = parts[k]
+        rows = idx[a:b]
         z = self.X[rows].dot(w)
         bad = np.nonzero(~np.isfinite(_softplus(np.abs(z))) | ~np.isfinite(z))[0]
         first = rows[bad[0]] if bad.size else rows[0]
@@ -380,7 +400,7 @@ class Objective:
         else:
             z = self._part_sums(w, self._csr, self._row_data, [(0, self.n)], G, L)[1]
             acc = 0.0 if z is None else _sign_accuracy(z, self.labels)
-        self._check_finite(w, None, [0, self.n], G, L)
+        self._check_finite(w, None, [(0, self.n)], G, L)
         return SubsetGradient(*self.average(w, G[0], L[0], self.n), self.n, acc)
 
     def _full_rows(self, w: Vector, runs, *packed) -> tuple:

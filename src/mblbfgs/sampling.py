@@ -57,6 +57,8 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 
 # consecutive all-failed fault draws after which plan_fault gives up
 MAX_REDRAWS = 10_000
+# examples SerialSource draws in one call
+SERIAL_BLOCK = 1024
 
 
 def philox_key(seed) -> int:
@@ -409,15 +411,24 @@ class SerialSource:
     """Streams one uniformly drawn example per plan, for serial SGD; the
     plans have no overlaps, so no curvature pair is ever formed. Every plan
     names the source's one read-only identity order 0..n-1 as ``rows``, and
-    example i as its span (i, i + 1)."""
+    example i as its span (i, i + 1).
+
+    The examples are drawn ``SERIAL_BLOCK`` at a time: numpy's
+    ``integers(0, n, size=B)`` gives the values of B single draws, in order,
+    so the stream is the one single draws give, at a fraction of the cost
+    per example."""
 
     def __init__(self, n: int, rng: SeededRng):
         self.n, self.rng = n, rng
         self._rows = np.arange(n, dtype=np.int64)
         self._rows.flags.writeable = False
+        self._draws = iter(())
 
     def next_plan(self) -> SamplePlan:
-        i = int(self.rng.integers(self.n))
+        i = next(self._draws, None)
+        if i is None:
+            self._draws = iter(self.rng.integers(self.n, size=SERIAL_BLOCK).tolist())
+            i = next(self._draws)
         return SamplePlan(rows=self._rows, spans=((i, i + 1),), sample_size=1,
                           O_next=_EMPTY)
 

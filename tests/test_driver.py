@@ -150,6 +150,11 @@ class TestRunLoop:
         (dict(grad_tol=float("nan")), "grad_tol"),
         (dict(grad_tol=-1.0), "grad_tol"),
         (dict(grad_tol="0"), "grad_tol"),
+        (dict(epochs="10"), "epochs"),
+        (dict(epochs=None), "epochs"),
+        # a bare step length raised AttributeError at step 0
+        (dict(schedule=0.1), "StepSchedule"),
+        (dict(schedule="constant:0.1"), "StepSchedule"),
     ])
     def test_bad_typed_run_fields_raise_a_configuration_error(self, fields, match):
         # these raised a bare TypeError, or passed and misbehaved in the run

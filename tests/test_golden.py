@@ -1,4 +1,5 @@
-"""Golden digests of generated data, its LIBSVM text and ten run traces.
+"""Golden digests of generated data, its LIBSVM text, ten run traces and the
+generator's output over eight parameter sets.
 
 The digests pin the byte-identical rerun guarantee across refactors of the
 data path and the driver: any change to the synthetic generator's stream,
@@ -89,6 +90,63 @@ def test_synthetic_data_digest():
     assert h.hexdigest() == DATA_SHA256
     # 32-bit index arrays keep the matrix at its measured size
     assert ds.X.indptr.dtype == np.int32 and ds.X.indices.dtype == np.int32
+
+
+# make_synthetic's CSR arrays and labels over parameter sets that reach its
+# branches: margin 0 (coin-flip labels), the nudge, supports redrawn where
+# the plant nearly vanishes (thousands of times at nnz 1 and 6 decades),
+# several row chunks, and 2 to 6 decades of feature scales. The scales come
+# from numpy's float64 ``power``, whose AVX-512 loop differs from the
+# baseline one in the last bit, so the digests are keyed by its target; at
+# 0 decades they read the same in both tables.
+GENERATOR_SETS = {
+    "coin": (200, 30, 5, 0, 0.0, 0.0),
+    "nudge": (500, 20, 4, 1, 1.0, 0.0),
+    "redraw_heavy": (3000, 40, 1, 2, 0.5, 6.0),
+    "chunks": (5000, 50, 10, 3, 1.0, 2.0),
+    "coin_dense": (4097, 10, 10, 4, 0.0, 4.0),
+    "wide_margin": (1000, 60, 3, 5, 2.0, 3.0),
+    "redraws": (2049, 25, 2, 7, 0.25, 5.0),
+    "tiny_bench": (2000, 20, 5, 0, 1.0, 0.0),
+}
+GENERATOR_SHA256 = {
+    "X86_V4": {
+        "coin": "db80660f65fe5a41d69d18e9d4f9fc66acc7123b89ec4dbd19cfca73d4356a41",
+        "nudge": "ab22f2042e80ab0523d98255f3db58edbc39d30f0991fb2cefd05b8b34a9d440",
+        "redraw_heavy": "d686fbc91b108d41e1782f1800a98932b21857782db7be28e58a6c7136b9a0fd",
+        "chunks": "14e6119173b8f0d319f9629a8f5cc7bc10d374b8aca6207408b2fd580942dc82",
+        "coin_dense": "67af15ce7448df62314535712682e699c61b47e70c8bac1613778344f140aab5",
+        "wide_margin": "46776d5efd1975e677b97a6245a8d3fff2aed22db14a5564749fee1eadb0cb2f",
+        "redraws": "bf3497570c0906e9b27833c51ec49fd26d32a07aea7985736d40a5107db0ee69",
+        "tiny_bench": "8a8699f1bc00a5be3c7c020d554e25842a9607b2119bbff678d8abe65eebea62",
+    },
+    "baseline(X86_V2)": {
+        "coin": "db80660f65fe5a41d69d18e9d4f9fc66acc7123b89ec4dbd19cfca73d4356a41",
+        "nudge": "ab22f2042e80ab0523d98255f3db58edbc39d30f0991fb2cefd05b8b34a9d440",
+        "redraw_heavy": "d686fbc91b108d41e1782f1800a98932b21857782db7be28e58a6c7136b9a0fd",
+        "chunks": "5ea322e0d8d5f2ee90b4d26fc2bc1699afe7a7c5850b3a3430ac31b646479d5b",
+        "coin_dense": "1214d9d55d6cd79898a3bd2f351e0277bef3d468b4349fa76f223e8156cfbc16",
+        "wide_margin": "6402a376fb4948e8076be5dc76f3c1e603af171ef1353a8388765b02238f471f",
+        "redraws": "b3c289c546f722fa2c4e760628e9b2b212150c419bef3517754e73ce9733c52b",
+        "tiny_bench": "8a8699f1bc00a5be3c7c020d554e25842a9607b2119bbff678d8abe65eebea62",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_synthetic_generator_digest(name):
+    n, d, nnz, seed, margin, decades = GENERATOR_SETS[name]
+    ds = make_synthetic(n, d, nnz, seed=seed, separable_margin=margin,
+                        feature_decades=decades)
+    h = hashlib.sha256()
+    for arr in (ds.X.indptr, ds.X.indices, ds.X.data, ds.y):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    info = opt_func_info(func_name="power", signature="float64")
+    target = info.get("power", {}).get("ddd", {}).get("current")
+    if target not in GENERATOR_SHA256:
+        pytest.fail(f"no generator digests recorded for numpy's float64 power "
+                    f"dispatch {target}")
+    assert h.hexdigest() == GENERATOR_SHA256[target][name]
 
 
 def test_libsvm_text_digest(tmp_path):

@@ -14,15 +14,18 @@ from scipy import sparse
 
 import mblbfgs
 from mblbfgs import (
+    ConfigurationError,
     Dataset,
     NumericError,
+    RunConfig,
     UsageError,
     logistic_l2,
     make_synthetic,
     quadratic,
     sigmoid_lsq,
 )
-from mblbfgs.objectives import KINDS, Objective, make_objective
+from mblbfgs.objectives import KINDS, Objective, _checked_spans, make_objective
+from mblbfgs.sampling import SeededRng, make_plan_source
 
 
 def dataset_from_rows(rows, labels, d):
@@ -505,6 +508,77 @@ class TestKeptOrder:
         other.flags.writeable = False
         obj.eval_sums(w, other, narrow)  # equal rows, another object
         assert obj._kept.rows is other and built == [None]
+
+
+# every plan source, and the run configs that pick them; strategy 2 serves
+# robust_lbfgs all its parts and inconsistent_lbfgs the batch parts alone
+_SOURCE_CONFIGS = {
+    "strategy1": dict(mode="strategy1"),
+    "strategy2": dict(mode="strategy2"),
+    "fault": dict(mode="fault"),
+    "fault_reshard": dict(mode="fault", reshard_each_epoch=True),
+    "serial": dict(method="serial_sgd"),
+}
+
+
+class TestSourceSpans:
+    @given(kind=st.sampled_from(KINDS), source=st.sampled_from(sorted(_SOURCE_CONFIGS)),
+           r=st.floats(0.01, 1.0), o=st.floats(0.01, 0.99), nodes=st.integers(1, 12),
+           p=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1),
+           boundaries=st.lists(st.booleans(), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_source_spans_read_in_place_as_gathered(
+            self, small_dataset, kind, source, r, o, nodes, p, seed, boundaries):
+        # every plan's spans, and the batch-only head the driver evaluates
+        # when a plan's extra part forms no pair, are non-empty, ascending and
+        # disjoint within rows; a plan's read-only rows are read in place and
+        # must give the bytes of the same parts gathered from a writable copy
+        obj, twin = (make_objective(kind, small_dataset, sigma=0.01) for _ in range(2))
+        config = RunConfig(**_SOURCE_CONFIGS[source], batch_frac=r, overlap_frac=o,
+                           nodes=nodes, fail_prob=p)
+        try:
+            src = make_plan_source(config, obj.n, SeededRng(seed))
+        except ConfigurationError:
+            assume(False)
+        w = np.random.default_rng(seed).standard_normal(obj.d)
+        for boundary in boundaries:
+            if boundary:
+                src.epoch_boundary()
+            plan = src.next_plan()
+            batch = plan.spans[:len(plan.spans) - plan.extra]
+            for spans in {plan.spans, batch}:
+                assert all(a < b for a, b in spans)
+                assert _checked_spans(spans, len(plan.rows))[0] == list(spans)
+                in_place = _sums_or_error(obj, w, plan.rows, spans)
+                assert in_place == _sums_or_error(twin, w, plan.rows.copy(), list(spans))
+
+    @pytest.mark.parametrize("spans", [
+        ((0, 1), (-3, 2), (3, 4)),   # an inner start before rows
+        ((0, 1), (2, 9), (9, 4)),    # an inner stop past rows
+        ((0, 2), (1, 3)),            # overlapping: row 1 counted twice
+        np.array([[0, 1], [-3, 2], [3, 4]]),
+    ])
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_every_part_is_checked(self, small_logistic, spans, writeable):
+        # a check of the first start and the last stop alone passes these;
+        # the kept branch would hand csr_matvec a row-pointer slice outside
+        # X[rows], the gather branch a row count its gathered arrays lack
+        obj = logistic_l2(small_logistic.dataset)
+        rows = np.arange(4)
+        rows.flags.writeable = writeable
+        with pytest.raises(UsageError, match="part spans"):
+            obj.eval_sums(np.zeros(obj.d), rows, spans)
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_rows_outside_x_are_rejected_whether_kept_or_gathered(
+            self, small_logistic, writeable):
+        # no compiled kernel may index X with them, whether they are
+        # gathered or kept
+        rows = np.array([0, 1, small_logistic.n])
+        rows.flags.writeable = writeable
+        obj = logistic_l2(small_logistic.dataset)
+        with pytest.raises(UsageError, match="out of range"):
+            obj.eval_sums(np.zeros(obj.d), rows, ((0, 2),))
 
 
 def _full_or_error(obj, w):

@@ -448,3 +448,18 @@ class TestPlanInvariants:
             assert plan.S[0] == i and np.shares_memory(plan.S, rows)
             assert plan.O_prev.size == 0 and plan.O_next.size == 0
             assert plan.overlap_size == 0 and plan.link is None
+
+    @pytest.mark.parametrize("n", [1, 7, 20000, 2**32 + 1])
+    def test_serial_block_draws_are_the_single_draws(self, n):
+        # SerialSource draws SERIAL_BLOCK examples per generator call; they
+        # must be the values, in order, of one integers(0, n) call each, the
+        # stream the golden serial_sgd trace was recorded with
+        key = 12345
+        src = SerialSource(min(n, 20000), SeededRng(key))
+        # an identity order of 2**32 + 1 rows would take 32 GiB; the draws
+        # read only n
+        src.n = n
+        single = np.random.Generator(np.random.Philox(key=key))
+        for _ in range(3000):
+            i = int(single.integers(0, n))
+            assert src.next_plan().spans == ((i, i + 1),)
