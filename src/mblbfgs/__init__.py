@@ -27,6 +27,7 @@ from .errors import (
     DataError,
     MblbfgsError,
     NumericError,
+    RedrawLimitError,
     UsageError,
 )
 from .experiment import ExperimentSpec, run_experiment
@@ -46,7 +47,7 @@ from .sampling import (
 __all__ = [
     "__version__",
     "ConfigurationError", "DataError", "MblbfgsError", "NumericError",
-    "UsageError",
+    "RedrawLimitError", "UsageError",
     "Dataset",
     "Objective", "SubsetGradient", "logistic_l2", "quadratic", "sigmoid_lsq",
     "NodeLayout", "SamplePlan", "SeededRng", "make_layout", "plan_fault",

@@ -2,8 +2,8 @@
 
 Flags may also come from a plain ``key=value`` file (one per line, using the
 flag names without the leading dashes); command-line flags override the
-file. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric abort
-in at least one cell.
+file. Exit codes: 0 success, 1 usage error, 2 data error, 3 a run aborted
+(numeric, divergence or redraws) in at least one cell.
 """
 from __future__ import annotations
 

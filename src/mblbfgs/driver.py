@@ -19,8 +19,8 @@ All four run through the one loop in ``run``, one pass per iterate from
 k = 0: draw a plan, evaluate the batch, form the pair of the step that led
 here (none at k = 0), evaluate the full data every ``stride`` iterates,
 record, check the stopping rules, step. One handler catches a
-``NumericError`` anywhere in the pass. The loop does not know the sampling
-mode; the plan carries the layout. One
+``NumericError`` anywhere in the pass, one a ``RedrawLimitError``. The loop
+does not know the sampling mode; the plan carries the layout. One
 ``Objective.eval_sums(w, plan.rows, spans)`` call per iterate returns the
 gradient and loss sums of every part (one row of ``G``/``L`` each): the
 batch parts, and strategy 2's trailing extra part O_k when it forms a
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import LbfgsMemory, memory_settings
-from .errors import ConfigurationError, NumericError, UsageError
+from .errors import ConfigurationError, NumericError, RedrawLimitError, UsageError
 from .linalg import Vector
 from .objectives import Objective
 from .sampling import (SeededRng, check_fail_prob, check_node_count, make_plan_source,
@@ -279,14 +279,11 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
     s = np.zeros(d)  # no step before iterate 0, so no pair there
 
     records, aborted = [], None
-    k, epoch, epochs_seen = 0, 0.0, 0
+    k, epoch = 0, 0.0
     divergence_limit = math.inf  # set from the first full loss
     t0 = time.perf_counter()
     try:
         while True:
-            if math.floor(epoch) > epochs_seen:
-                epochs_seen = math.floor(epoch)
-                source.epoch_boundary()
             plan = source.next_plan()
             pair = use_memory and s.any()  # a zero step forms no pair
             overlap_pair = pair and robust and plan.link is not None
@@ -358,6 +355,8 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
             k += 1
     except NumericError as exc:
         aborted = f"numeric: {exc}"
+    except RedrawLimitError:
+        aborted = "redraws"
     return RunTrace(records, aborted, final_w, memory, config)
 
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: usage/configuration errors exit 1,
-data errors exit 2, numeric aborts exit 3.
+data errors exit 2; a ``NumericError`` or ``RedrawLimitError`` aborts its
+run alone, and a grid with an aborted run exits 3.
 """
 
 
@@ -15,6 +16,11 @@ class UsageError(MblbfgsError):
 
 class ConfigurationError(UsageError):
     """A run or sampling configuration is internally inconsistent."""
+
+
+class RedrawLimitError(ConfigurationError):
+    """``MAX_REDRAWS`` fault-mode draws in a row had no responding node; a
+    run ends there as ``aborted:redraws``."""
 
 
 class DataError(MblbfgsError):

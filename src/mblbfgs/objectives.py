@@ -43,9 +43,12 @@ bytes do not depend on where the rows come from:
   nothing. For the identity order 0..n-1, ``Xb`` is X's own arrays and
   nothing is copied.
 * A writable ``rows`` (a strategy-2 batch, drawn afresh each time) is
-  gathered: its parts' rows go back to back through scipy's compiled
-  ``csr_row_index``, into the arrays ``X[idx]`` has; the kept ``X[rows]``
-  of a shuffled order is built the same way.
+  gathered up to its last part's stop through scipy's compiled
+  ``csr_row_index``, into the arrays ``X[idx]`` has, and the caller's
+  spans are read on that as on a kept entry (strategy-2 and
+  ``eval_subset`` spans run back to back from 0, so no row outside their
+  parts is gathered); the kept ``X[rows]`` of a shuffled order is built
+  the same way.
 
 ``eval_full`` also returns the training accuracy from the margins it
 computes anyway, so metrology reads ``X`` once per point. When the last
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -174,8 +178,8 @@ class Objective:
                  quad_weights=None):
         if kind not in KINDS:
             raise UsageError(f"unknown objective kind {kind!r}")
-        if not 0 <= sigma < math.inf:  # NaN too
-            raise UsageError("regularization sigma must be finite and >= 0")
+        if not (isinstance(sigma, numbers.Real) and 0 <= sigma < math.inf):  # NaN too
+            raise UsageError(f"regularization sigma {sigma!r} is not a finite number >= 0")
         self.kind = kind
         self.dataset = dataset
         self.sigma = float(sigma)
@@ -225,8 +229,8 @@ class Objective:
         A read-only ``rows`` is a promise that it will not change and that
         it serves many calls: the objective keeps ``X[rows]`` for the last
         such ``rows`` it saw (by identity; X itself when ``rows`` is 0..n-1)
-        and reads the parts in place. Other calls gather the rows of their
-        parts; every branch gives the same bytes (see the module docstring).
+        and reads the parts in place. Other calls gather ``rows`` up to the
+        last stop; both give the same bytes (see the module docstring).
         """
         idx = np.asarray(rows)
         parts, covered = _checked_spans(spans, idx.size)
@@ -244,20 +248,18 @@ class Objective:
                 raise UsageError("subset index out of range")
             if read_only:
                 kept = self._keep(idx)
+        if kept is None:  # the parts are the same spans of the gathered rows
+            sub = idx[:parts[-1][1]]
+            csr, row_data = self._gather(sub), self._row_data.take(sub)
+        else:
+            csr, row_data = kept.csr, kept.row_data
         G = np.zeros((len(parts), self.d))
         L = np.empty(len(parts))
-        if kept is not None:
-            memo = self._part_sums(w, kept.csr, kept.row_data, parts, G, L)
-            if kept.inv is not None and self.kind != "quadratic":
-                # eval_full reuses a call that covered at least half the rows
-                wide = 2 * covered >= self.n
-                self._memo = ((w.dtype, w.tobytes()), *memo) if wide else None
-        else:
-            # gather the parts' rows back to back: a view of idx when they are
-            sub = join_ranges(idx, parts)
-            ends = list(itertools.accumulate((b - a for a, b in parts), initial=0))
-            self._part_sums(w, self._gather(sub), self._row_data.take(sub),
-                            list(zip(ends, ends[1:])), G, L)
+        memo = self._part_sums(w, csr, row_data, parts, G, L)
+        if kept is not None and kept.inv is not None and self.kind != "quadratic":
+            # eval_full reuses a call that covered at least half the rows
+            wide = 2 * covered >= self.n
+            self._memo = ((w.dtype, w.tobytes()), *memo) if wide else None
         self._check_finite(w, idx, parts, G, L)
         return G, L
 
@@ -443,26 +445,22 @@ class Objective:
         return self.sigma * w, 0.5 * self.sigma * float(w.dot(w))
 
 
-def logistic_l2(dataset: Dataset, sigma: float | None = None) -> Objective:
-    """Regularized logistic regression; sigma defaults to 1/n."""
+def make_objective(kind: str, dataset: Dataset, sigma: float | None = None,
+                   quad_weights=None) -> Objective:
+    """The ``kind`` objective on ``dataset``; sigma defaults to 1/n for
+    ``logistic_l2`` and to 0 for the other kinds."""
     if sigma is None:
-        sigma = 1.0 / dataset.n
-    return Objective("logistic_l2", dataset, sigma)
+        sigma = 1.0 / dataset.n if kind == "logistic_l2" else 0.0
+    return Objective(kind, dataset, sigma, quad_weights)
 
 
-def sigmoid_lsq(dataset: Dataset, sigma: float = 0.0) -> Objective:
-    return Objective("sigmoid_lsq", dataset, sigma)
+def logistic_l2(dataset: Dataset, sigma: float | None = None) -> Objective:
+    return make_objective("logistic_l2", dataset, sigma)
 
 
-def quadratic(dataset: Dataset, sigma: float = 0.0, weights=None) -> Objective:
-    return Objective("quadratic", dataset, sigma, quad_weights=weights)
+def sigmoid_lsq(dataset: Dataset, sigma: float | None = None) -> Objective:
+    return make_objective("sigmoid_lsq", dataset, sigma)
 
 
-def make_objective(kind: str, dataset: Dataset, sigma: float | None = None) -> Objective:
-    if kind == "logistic_l2":
-        return logistic_l2(dataset, sigma)
-    if kind == "sigmoid_lsq":
-        return sigmoid_lsq(dataset, 0.0 if sigma is None else sigma)
-    if kind == "quadratic":
-        return quadratic(dataset, 0.0 if sigma is None else sigma)
-    raise UsageError(f"unknown objective kind {kind!r}")
+def quadratic(dataset: Dataset, sigma: float | None = None, weights=None) -> Objective:
+    return make_objective("quadratic", dataset, sigma, weights)

@@ -11,7 +11,8 @@ Two multi-batch strategies are provided plus a simulated distributed mode:
   probability 1-p, the batch is the union of responding shards, and the
   overlap is the union of shards responding in two consecutive iterations.
   A layout (``NodeLayout``) is one permutation of the rows cut at balanced
-  offsets, each node's shard a span of it.
+  offsets, each node's shard a span of it. Resharding every epoch is the
+  fault source's own policy: a source is ``next_plan()`` alone.
 
 Serial SGD is driven by the same loop through a batch-of-one source whose
 plans have empty overlaps. ``make_plan_source`` builds the source of every
@@ -50,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, RedrawLimitError, UsageError
 from .linalg import join_ranges
 
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -315,7 +316,7 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
 
     Each node independently responds with probability 1 - p. An all-failed
     draw is redrawn (and counted); ``MAX_REDRAWS`` of them in a row raise
-    ``ConfigurationError``, since p is then too close to 1 for the node
+    ``RedrawLimitError``, since p is then too close to 1 for the node
     count. The overlap with the previous iteration is the union of shards
     whose nodes responded both times. Each responding node's shard is one
     part of the batch, a span of the layout's ``rows``, so the positions of
@@ -330,7 +331,7 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
             break
         redraws += 1
         if redraws == MAX_REDRAWS:
-            raise ConfigurationError(
+            raise RedrawLimitError(
                 f"{MAX_REDRAWS} consecutive draws had no responding node at "
                 f"failure probability {p} with {layout.node_count} nodes")
     J = tuple(int(j) for j in np.nonzero(responded)[0])
@@ -351,7 +352,6 @@ class Strategy1Source:
     """Streams strategy-1 plans, reshuffling after each pass over the data."""
 
     def __init__(self, n: int, r: float, o: float, rng: SeededRng):
-        strategy_batch_sizes(n, r, o, "strategy1")  # validate eagerly
         self.n, self.r, self.o, self.rng = n, r, o, rng
         self._queue = []
         self._last = None
@@ -363,16 +363,12 @@ class Strategy1Source:
         self._last = self._queue.pop(0)
         return self._last
 
-    def epoch_boundary(self):
-        pass
-
 
 class Strategy2Source:
     """Streams independent uniform batches; stitches O_next into the next
     plan's O_prev so the driver sees a uniform interface."""
 
     def __init__(self, n: int, r: float, o: float, rng: SeededRng):
-        strategy_batch_sizes(n, r, o)
         self.n, self.r, self.o, self.rng = n, r, o, rng
         self._prev_overlap = _EMPTY
 
@@ -381,12 +377,10 @@ class Strategy2Source:
         self._prev_overlap = plan.O_next
         return plan
 
-    def epoch_boundary(self):
-        pass
-
 
 class FaultSource:
-    """Streams fault-mode plans; optionally reshards at epoch boundaries."""
+    """Streams fault-mode plans; optionally reshards after each pass of rows
+    served, counted |S|/n per plan as a run counts its epochs."""
 
     def __init__(self, layout: NodeLayout, rng: SeededRng,
                  reshard_each_epoch: bool = False):
@@ -394,17 +388,18 @@ class FaultSource:
         self.rng = rng
         self.reshard_each_epoch = reshard_each_epoch
         self._prev_responders = None
+        self._epoch, self._resharded_at = 0.0, 0
 
     def next_plan(self) -> SamplePlan:
-        plan = plan_fault(self.layout, self.rng, self._prev_responders)
-        self._prev_responders = plan.responders
-        return plan
-
-    def epoch_boundary(self):
-        if self.reshard_each_epoch:
+        if self.reshard_each_epoch and math.floor(self._epoch) > self._resharded_at:
+            self._resharded_at = math.floor(self._epoch)
             self.layout = reshard(self.layout, self.rng)
             # shard identities changed; the next overlap is undefined
             self._prev_responders = None
+        plan = plan_fault(self.layout, self.rng, self._prev_responders)
+        self._prev_responders = plan.responders
+        self._epoch += plan.sample_size / self.layout.n
+        return plan
 
 
 class SerialSource:
@@ -431,9 +426,6 @@ class SerialSource:
             i = next(self._draws)
         return SamplePlan(rows=self._rows, spans=((i, i + 1),), sample_size=1,
                           O_next=_EMPTY)
-
-    def epoch_boundary(self):
-        pass
 
 
 def make_plan_source(config, n: int, rng: SeededRng):

@@ -88,6 +88,21 @@ def test_numeric_abort_exit_three(tmp_path):
     assert "aborted" in manifest
 
 
+def test_redraw_limit_ends_its_cell_not_the_grid(tmp_path, capsys):
+    # one node failing with p = 0.9999 reaches the limit of consecutive
+    # all-failed draws within a few plans; that cell ends as aborted, and
+    # the grid still writes every cell's CSV and the manifest, and exits 3
+    out = tmp_path / "runs"
+    code = main(["--synthetic", "500,8,4,0.5", "--strategy", "fault", "--nodes", "1",
+                 "--fail-prob", "0.1,0.9999", "--epochs", "200", "--out", str(out)])
+    assert code == 3
+    rows = (out / MANIFEST_NAME).read_text().splitlines()[2:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["ok", "aborted:redraws"]
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(
+        row.split(",", 1)[0] for row in rows)
+    assert "usage error" not in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(

@@ -370,20 +370,21 @@ class TestAbortSites:
 
 
 class TestEvaluationAccounting:
-    def test_part_sums_add_left_to_right(self):
+    @pytest.mark.parametrize("d", [1, 64])
+    def test_part_sums_add_left_to_right(self, d):
         # np.sum pairs the terms from 8 parts up, also the gradient rows when
-        # d = 1; reruns and the golden traces need the parts added in order.
-        # The driver's batch and overlap averages share one iterate's
-        # regularization terms and read one part in place, and must still
-        # give the bytes of Objective.average
-        objective = logistic_l2(make_synthetic(20, 1, 1, seed=0))
+        # d = 1; reruns and the golden traces need the parts added in order,
+        # for every d. The driver's batch and overlap averages share one
+        # iterate's regularization terms and read one part in place, and
+        # must still give the bytes of Objective.average
+        objective = logistic_l2(make_synthetic(20, d, 1, seed=0))
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(50):
             k = int(rng.integers(1, 17))
-            G = rng.normal(size=(k, 1)) * 10.0 ** rng.integers(-8, 8, size=(k, 1))
+            G = rng.normal(size=(k, d)) * 10.0 ** rng.integers(-8, 8, size=(k, d))
             L = np.abs(G[:, 0]) * rng.uniform(1, 2, size=k)
-            w = rng.normal(size=1) * 10.0 ** rng.integers(-3, 3)
+            w = rng.normal(size=d) * 10.0 ** rng.integers(-3, 3)
             reg = objective.regularization(w)
             positions = sorted(rng.choice(k, int(rng.integers(1, k + 1)),
                                           replace=False).tolist())
@@ -515,6 +516,22 @@ class TestFaultModeRuns:
                         seed=1)
         trace = run(cfg, small_logistic)
         assert any(r.redraws > 0 for r in trace.records)
+
+    def test_redraw_limit_aborts_the_run_and_keeps_its_records(self, small_logistic):
+        # one node failing with p = 0.9999: each draw reaches the limit of
+        # consecutive all-failed draws with probability about 1/e, so the
+        # run ends long before its 200 epochs, as its own status
+        cfg = RunConfig(method="robust_lbfgs", mode="fault", nodes=1,
+                        fail_prob=0.9999, epochs=200.0, seed=0)
+        trace = run(cfg, small_logistic)
+        assert trace.aborted == "redraws"
+        assert trace.records
+        reference = run(replace(cfg, max_iterations=len(trace.records) - 1),
+                        small_logistic)
+        assert reference.aborted is None
+        assert [replace(r, wallclock=0) for r in trace.records] == [
+            replace(r, wallclock=0) for r in reference.records]
+        assert np.array_equal(trace.final_w, reference.final_w)
 
     def test_reshard_each_epoch_runs_deterministically(self, small_logistic):
         cfg = RunConfig(method="robust_lbfgs", mode="fault", nodes=4,

@@ -37,8 +37,10 @@ TRACE_SHA256 = {
         "fault": "a3a8082c425dab8e8fa3329fbffffaadfefe8a4400e0b2ab37a4e453f9b80b43",
         "serial_sgd": "b44471733089ecf267d92a42ca2991f5279767090811099b18082d5c86aad453",
         # fault-mode paths the four above miss: a new shard layout every
-        # epoch, responder coverage low enough for the row-gather branch of
-        # eval_sums, and the two other objective kinds
+        # epoch, responder coverage under half the rows (so metrology has
+        # no margins to reuse), and the two other objective kinds; every
+        # fault batch is read in place from its layout, and only
+        # test_trace_digest_on_each_kernel_branch gathers them
         "fault_reshard": "8e1b41dd3fc7823b9e1b9fe4223bfacabba05fce82535a4f286902b68e5c94ed",
         "fault_p07": "018256b733d398c81819ef8ef87e0878fa9bd733c44f0c80425818a1b7b3c0ff",
         "fault_sigmoid_lsq": "22b6faa3022b018f189ce0b7dc45c2e4720c7681c160b0f23bc8bfcebbd4d835",

@@ -525,10 +525,10 @@ class TestSourceSpans:
     @given(kind=st.sampled_from(KINDS), source=st.sampled_from(sorted(_SOURCE_CONFIGS)),
            r=st.floats(0.01, 1.0), o=st.floats(0.01, 0.99), nodes=st.integers(1, 12),
            p=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1),
-           boundaries=st.lists(st.booleans(), min_size=1, max_size=12))
+           count=st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
     def test_source_spans_read_in_place_as_gathered(
-            self, small_dataset, kind, source, r, o, nodes, p, seed, boundaries):
+            self, small_dataset, kind, source, r, o, nodes, p, seed, count):
         # every plan's spans, and the batch-only head the driver evaluates
         # when a plan's extra part forms no pair, are non-empty, ascending and
         # disjoint within rows; a plan's read-only rows are read in place and
@@ -537,13 +537,12 @@ class TestSourceSpans:
         config = RunConfig(**_SOURCE_CONFIGS[source], batch_frac=r, overlap_frac=o,
                            nodes=nodes, fail_prob=p)
         try:
-            src = make_plan_source(config, obj.n, SeededRng(seed))
+            config.validate(obj.n)
         except ConfigurationError:
             assume(False)
+        src = make_plan_source(config, obj.n, SeededRng(seed))
         w = np.random.default_rng(seed).standard_normal(obj.d)
-        for boundary in boundaries:
-            if boundary:
-                src.epoch_boundary()
+        for _ in range(count):
             plan = src.next_plan()
             batch = plan.spans[:len(plan.spans) - plan.extra]
             for spans in {plan.spans, batch}:
@@ -703,3 +702,20 @@ class TestNumericGuards:
     def test_negative_sigma(self, small_dataset):
         with pytest.raises(UsageError):
             logistic_l2(small_dataset, sigma=-1.0)
+
+    @pytest.mark.parametrize("kind,sigma,factory", [
+        *((kind, sigma, None) for kind in KINDS for sigma in (None, "0.1")),
+        ("sigmoid_lsq", None, sigmoid_lsq),
+        ("quadratic", None, quadratic),
+    ])
+    def test_sigma_is_a_number_whose_default_make_objective_holds(
+            self, small_dataset, kind, sigma, factory):
+        # an Objective takes a real sigma and raises the documented
+        # UsageError for anything else; a factory leaves a None sigma to
+        # make_objective, whose default for these kinds is 0
+        if factory is None:
+            with pytest.raises(UsageError, match="sigma"):
+                Objective(kind, small_dataset, sigma)
+        else:
+            assert factory(small_dataset, sigma).sigma == 0.0
+            assert make_objective(kind, small_dataset).sigma == 0.0

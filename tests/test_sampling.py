@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -247,11 +249,12 @@ class TestFaultMode:
         assert sorted(s.size for s in n1.shards) == [3, 3, 4]
 
     def test_source_reshard_clears_overlap(self):
+        # at p = 0 one plan is a whole pass, so the second follows a reshard
         src = FaultSource(make_layout(20, 4, 0.0), SeededRng(0),
                           reshard_each_epoch=True)
-        src.next_plan()
-        src.epoch_boundary()
+        first = src.next_plan()
         plan = src.next_plan()
+        assert plan.rows is not first.rows
         assert plan.O_prev.size == 0
 
 
@@ -361,26 +364,31 @@ class TestPlanInvariants:
             for prev, plan in zip(plans, plans[1:]):
                 assert (plan.rows is prev.rows) == (plan.link is not None)
 
-    @given(epochs=st.lists(st.booleans(), min_size=1, max_size=30),
-           n=_plan_params["n"], nodes=_plan_params["nodes"], p=_plan_params["p"],
-           seed=_plan_params["seed"])
+    @given(count=st.integers(1, 30), n=_plan_params["n"], nodes=_plan_params["nodes"],
+           p=_plan_params["p"], seed=_plan_params["seed"])
     @settings(max_examples=60, deadline=None)
-    def test_fault_rows_change_only_at_a_reshard(self, epochs, n, nodes, p, seed):
+    def test_fault_rows_change_only_at_a_reshard(self, count, n, nodes, p, seed):
         # the objective keeps the rows of the last read-only order it saw,
-        # so that order must stay one unchanged object between reshards
+        # so that order must stay one unchanged object between reshards; the
+        # source reshards before each plan at which the rows it has served,
+        # summed |S|/n per plan as a run sums its epochs, have passed a
+        # whole number of passes since the last reshard
         rng = SeededRng(seed)
         config = RunConfig(mode="fault", nodes=min(nodes, n), fail_prob=p,
                            reshard_each_epoch=True)
         src = make_plan_source(config, n, rng)
-        rows = src.next_plan().rows
-        for boundary in epochs:
-            if boundary:
-                src.epoch_boundary()
+        plan = src.next_plan()
+        rows, served, passes = plan.rows, plan.sample_size / n, 0
+        for _ in range(count):
+            resharded = math.floor(served) > passes
+            passes = math.floor(served)
             plan = src.next_plan()
             assert not plan.rows.flags.writeable
-            assert (plan.rows is rows) != boundary
+            assert (plan.rows is rows) != resharded
             assert np.array_equal(plan.rows, np.concatenate(src.layout.shards))
-            rows = plan.rows
+            if resharded:  # the shards changed, so no overlap links them
+                assert plan.link is None
+            rows, served = plan.rows, served + plan.sample_size / n
 
     @given(mode=st.sampled_from(_ALL_SOURCES), **_plan_params)
     @settings(max_examples=80, deadline=None)
@@ -440,7 +448,6 @@ class TestPlanInvariants:
         assert not rows.flags.writeable and np.array_equal(rows, np.arange(n))
         for _ in range(40):
             plan = src.next_plan()
-            src.epoch_boundary()
             assert plan.rows is rows
             assert plan.S.shape == (1,) and 0 <= plan.S[0] < n
             (i, stop), = plan.spans
