@@ -1,9 +1,10 @@
 """Command-line front end for running experiment grids.
 
 Flags may also come from a plain ``key=value`` file (one per line, using the
-flag names without the leading dashes); command-line flags override the
-file. Exit codes: 0 success, 1 usage error, 2 data error, 3 a run aborted
-(numeric, divergence or redraws) in at least one cell.
+flag names without the leading dashes); a flag given on the command line
+replaces the file's values for that flag. Exit codes: 0 success, 1 usage
+error, 2 data error, 3 a run aborted (numeric, divergence or redraws) in at
+least one cell.
 """
 from __future__ import annotations
 
@@ -82,7 +83,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="mblbfgs", description="Multi-batch L-BFGS experiment runner. "
                 "r, o, p and seed values are comma lists; a flag left out takes "
                 "the default of ExperimentSpec or RunConfig.")
-    p.add_argument("--config", help="key=value file; flags override it")
+    p.add_argument("--config", help="key=value file; flags given replace its values")
     p.add_argument("--dataset", dest="dataset_path", help="LIBSVM training data file")
     p.add_argument("--synthetic", type=parse_synthetic, help="n,d,nnz,margin to generate")
     p.add_argument("--data-seed", type=int)
@@ -110,6 +111,9 @@ def build_parser() -> _Parser:
     return p
 
 
+_YES, _NO = ("1", "true", "yes"), ("0", "false", "no")
+
+
 def _read_config_file(path) -> list:
     """Turn key=value lines into argv tokens, preserving file order."""
     argv = []
@@ -123,8 +127,11 @@ def _read_config_file(path) -> list:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key == "reshard-each-epoch":
-                    if value.lower() in ("1", "true", "yes"):
+                    if value.lower() in _YES:
                         argv.append("--reshard-each-epoch")
+                    elif value.lower() not in _NO:
+                        raise UsageError(f"{path}:{lineno}: reshard-each-epoch expects one "
+                                         f"of {', '.join(_YES + _NO)}, not {value!r}")
                     continue
                 argv.extend([f"--{key}", value])
     except OSError as exc:
@@ -147,19 +154,20 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        pre, _ = parser.parse_known_args(argv)
-        if pre.config:
-            argv = _read_config_file(pre.config) + argv
         args = parser.parse_args(argv)
+        if args.config:
+            from_file = parser.parse_args(_read_config_file(args.config))
+            if from_file.config is not None:
+                raise UsageError(f"config file {args.config} names another config file")
+            for key, value in vars(from_file).items():
+                if getattr(args, key) is None:  # not given on the command line
+                    setattr(args, key, value)
         spec = build_spec(args)
         result = run_experiment(spec)
-    except (UsageError, ConfigurationError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MblbfgsError as exc:

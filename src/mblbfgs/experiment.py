@@ -1,21 +1,27 @@
 """Experiment grids: an ``ExperimentSpec`` sweeps grid lists over one base
-``RunConfig``, the one home of every run parameter and its default; run
-every cell, write one CSV trace per cell plus a manifest, deterministically."""
+``RunConfig``, the one home of every run parameter and its default. Each
+cell is run, its CSV moved into place whole and its manifest row appended
+and flushed before the next, so an interrupted grid leaves whole CSVs that
+the manifest lists, and at most one ``*.csv.tmp``. Reruns are byte-identical."""
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
 from .dataio import make_synthetic, parse_libsvm
-from .driver import RunConfig, RunTrace, run
+from .driver import RunConfig, RunTrace, TraceRecord, run
 from .errors import ConfigurationError
 from .objectives import make_objective
 
-CSV_HEADER = ("k,epoch,grad_norm,subset_loss,full_loss,train_acc,"
-              "pair_accepted,sample_size,overlap_size,redraws")
+# (name, conversion, text) of every TraceRecord field but the wall clock,
+# which no rerun repeats: the repr of a float, the str of an int
+_COLUMNS = [(f.name, *{"float": (float, repr), "int": (int, str)}[f.type])
+            for f in fields(TraceRecord) if f.name != "wallclock"]
+CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 MANIFEST_NAME = "experiment_manifest.txt"
 
@@ -92,33 +98,30 @@ class ExperimentSpec:
                               schedule=sched, fail_prob=p, seed=seed)
 
 
+def _cell_labels(config: RunConfig) -> list:
+    """The r, o, alpha, p and seed strings of a cell's file name and manifest row."""
+    return [f"{config.batch_frac:g}", f"{config.overlap_frac:g}", config.schedule.label(),
+            f"{config.fail_prob:g}", str(config.seed)]
+
+
 def cell_filename(config: RunConfig) -> str:
-    return (f"{config.method}_r{config.batch_frac:g}_o{config.overlap_frac:g}"
-            f"_a{config.schedule.label()}_p{config.fail_prob:g}"
-            f"_s{config.seed}.csv")
+    r, o, alpha, p, seed = _cell_labels(config)
+    return f"{config.method}_r{r}_o{o}_a{alpha}_p{p}_s{seed}.csv"
 
 
 def trace_csv_lines(trace: RunTrace):
     yield CSV_HEADER
-    for rec in trace.records:
-        yield ",".join([
-            str(rec.k),
-            repr(float(rec.epoch)),
-            repr(float(rec.grad_norm)),
-            repr(float(rec.subset_loss)),
-            repr(float(rec.full_loss)),
-            repr(float(rec.train_acc)),
-            str(int(rec.pair_accepted)),
-            str(int(rec.sample_size)),
-            str(int(rec.overlap_size)),
-            str(int(rec.redraws)),
-        ])
+    columns = [map(text, map(kind, map(attrgetter(name), trace.records)))
+               for name, kind, text in _COLUMNS]
+    yield from map(",".join, zip(*columns))
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in trace_csv_lines(trace):
-            fh.write(line + "\n")
+    """Write ``trace`` to ``path`` whole: to ``<path>.tmp``, then moved into place."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{line}\n" for line in trace_csv_lines(trace))
+    os.replace(tmp, path)
 
 
 @dataclass
@@ -143,27 +146,23 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if shared is not None:
         raise ConfigurationError(f"two grid cells share the file name {shared}")
     out_dir = Path(os.environ.get("MBLBFGS_OUT", spec.out_dir))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    csv_paths, statuses, aborted = [], [], 0
-    for name, config in zip(names, cells):
-        trace = run(config, objective)
-        write_trace_csv(trace, out_dir / name)
-        csv_paths.append(out_dir / name)
-        status = "ok" if trace.aborted is None else f"aborted:{trace.aborted}"
-        if trace.aborted is not None:
-            aborted += 1
-        statuses.append((name, status))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot make the output directory {out_dir}: {exc}") from None
 
     manifest_path = out_dir / MANIFEST_NAME
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {version_string()}\n")
-        fh.write("filename,method,mode,r,o,alpha,p,seed,status\n")
-        for (name, status), config in zip(statuses, cells):
-            fh.write(",".join([
-                name, config.method, config.mode,
-                f"{config.batch_frac:g}", f"{config.overlap_frac:g}",
-                config.schedule.label(), f"{config.fail_prob:g}",
-                str(config.seed), status,
-            ]) + "\n")
-    return ExperimentResult(out_dir, manifest_path, csv_paths, statuses, aborted)
+    statuses = []
+    with open(manifest_path, "w", encoding="utf-8", newline="\n") as manifest:
+        manifest.write(f"# {version_string()}\nfilename,method,mode,r,o,alpha,p,seed,status\n")
+        manifest.flush()
+        for name, config in zip(names, cells):
+            trace = run(config, objective)
+            write_trace_csv(trace, out_dir / name)
+            status = "ok" if trace.aborted is None else f"aborted:{trace.aborted}"
+            statuses.append((name, status))
+            manifest.write(",".join([name, config.method, config.mode,
+                                     *_cell_labels(config), status]) + "\n")
+            manifest.flush()
+    return ExperimentResult(out_dir, manifest_path, [out_dir / name for name, _ in statuses],
+                            statuses, sum(status != "ok" for _, status in statuses))

@@ -103,7 +103,18 @@ def test_redraw_limit_ends_its_cell_not_the_grid(tmp_path, capsys):
     assert "usage error" not in capsys.readouterr().err
 
 
-def test_config_file_with_flag_override(tmp_path):
+@pytest.mark.parametrize("file_lines,flags,names", [
+    ([], [], ["robust_lbfgs_r0.05_o0.2_a0.2_p0_s0.csv"]),
+    # a repeatable flag given on the command line replaces the file's values
+    (["method = robust_lbfgs"], ["--method", "multibatch_gd"],
+     ["multibatch_gd_r0.05_o0.2_a0.2_p0_s0.csv"]),
+    (["method = robust_lbfgs", "method = inconsistent_lbfgs"],
+     ["--method", "multibatch_gd", "--method", "robust_lbfgs"],
+     ["multibatch_gd_r0.05_o0.2_a0.2_p0_s0.csv", "robust_lbfgs_r0.05_o0.2_a0.2_p0_s0.csv"]),
+    ([], ["--step", "constant:0.1"], ["robust_lbfgs_r0.05_o0.2_a0.1_p0_s0.csv"]),
+    (["method = multibatch_gd"], ["--seed", "1"], ["multibatch_gd_r0.05_o0.2_a0.2_p0_s1.csv"]),
+], ids=["out", "method", "methods", "step", "seed"])
+def test_config_file_with_flag_override(tmp_path, file_lines, flags, names):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(
         "synthetic = 100,8,4,0.5\n"
@@ -111,13 +122,53 @@ def test_config_file_with_flag_override(tmp_path):
         "epochs = 1\n"
         "seed = 0\n"
         "out = {}\n".format(tmp_path / "from_file")
+        + "".join(f"{line}\n" for line in file_lines)
     )
     # flag overrides the out dir from the file
     out = tmp_path / "from_flag"
-    code = main(["--config", str(cfgfile), "--out", str(out)])
+    code = main(["--config", str(cfgfile), "--out", str(out), *flags])
     assert code == 0
     assert (out / MANIFEST_NAME).exists()
     assert not (tmp_path / "from_file").exists()
+    rows = (out / MANIFEST_NAME).read_text().splitlines()[2:]
+    assert [row.split(",", 1)[0] for row in rows] == names
+
+
+def _fault_config_file(tmp_path, *lines):
+    cfgfile = tmp_path / "fault.cfg"
+    cfgfile.write_text("".join(f"{line}\n" for line in [
+        "synthetic = 200,8,4,0.5", "strategy = fault", "nodes = 4", "fail-prob = 0.3",
+        "epochs = 3", "seed = 0", *lines]))
+    return cfgfile
+
+
+@pytest.mark.parametrize("value,reshards", [
+    ("1", True), ("true", True), ("Yes", True), ("TRUE", True),
+    ("0", False), ("false", False), ("No", False), ("FALSE", False),
+])
+def test_config_file_reshard_switch_reads_yes_or_no(tmp_path, value, reshards):
+    cfgfile = _fault_config_file(tmp_path, f"reshard-each-epoch = {value}")
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "file")]) == 0
+    flag = ["--reshard-each-epoch"] if reshards else []
+    assert main(["--config", str(_fault_config_file(tmp_path)),
+                 "--out", str(tmp_path / "flag"), *flag]) == 0
+    name = "robust_lbfgs_r0.05_o0.2_a0.1_p0.3_s0.csv"
+    assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+
+@pytest.mark.parametrize("line", [
+    "reshard-each-epoch = maybe",
+    "reshard-each-epoch = ture",             # ran without resharding
+    "reshard-each-epoch =",
+    "config = other.cfg",                     # was ignored
+])
+def test_bad_config_file_line_exits_one_before_any_output(tmp_path, capsys, line):
+    out = tmp_path / "runs"
+    code = main(["--config", str(_fault_config_file(tmp_path, line)), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
 
 
 def test_grid_lists_from_commas(tmp_path):
@@ -186,6 +237,25 @@ def test_bad_grid_value_exits_one_before_any_output(tmp_path, capsys, monkeypatc
     assert not out.exists()
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_output_directory_that_cannot_be_made_exits_one_before_any_run(
+        tmp_path, capsys, monkeypatch, under):
+    # --out naming a file, or a path under one, exited 2 as a data error
+    def no_run(config, objective):
+        raise AssertionError(f"a run started for {config}")
+
+    monkeypatch.setattr(experiment, "run", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "runs" if under else taken
+    code = main(["--synthetic", "100,8,4,0.5", "--epochs", "1", "--out", str(out)])
+    assert code == 1
+    assert taken.read_text() == "kept\n"
+    err = capsys.readouterr().err
+    assert f"usage error: cannot make the output directory {out}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", [

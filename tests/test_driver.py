@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mblbfgs import (
     ConfigurationError,
@@ -613,6 +615,69 @@ class TestFaultModeRuns:
             assert terms == ([expected] if expected else [])
             seen_partial |= 0 < expected < objective.n
         assert seen_partial == (config["mode"] == "fault")
+
+
+class TestCurvaturePairs:
+    @given(mode=st.sampled_from(["strategy1", "strategy2", "fault"]),
+           r=st.floats(0.05, 0.5), o=st.floats(0.1, 0.4), nodes=st.integers(1, 8),
+           p=st.floats(0.0, 0.8), reshard=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_both_gradients_of_a_pair_come_from_one_index_set(
+            self, small_logistic, mode, r, o, nodes, p, reshard, seed):
+        cfg = RunConfig(method="robust_lbfgs", mode=mode, batch_frac=r, overlap_frac=o,
+                        nodes=nodes, fail_prob=p, reshard_each_epoch=reshard,
+                        schedule=constant(0.5), epochs=3.0, seed=seed)
+        try:
+            cfg.validate(small_logistic.n)
+        except ConfigurationError:
+            assume(False)
+        # the loop's own plans, iterates and admitted y's, and its ledger
+        plans, iterates, pairs, ledger = [], [np.zeros(small_logistic.d)], [], []
+        make_source, step, admit = driver.make_plan_source, driver.take_step, LbfgsMemory.admit
+
+        def recording_source(*args):
+            source = make_source(*args)
+            draw = source.next_plan
+
+            def next_plan():
+                plans.append(draw())
+                return plans[-1]
+
+            source.next_plan = next_plan
+            return source
+
+        def recording_step(*args, **kwargs):
+            iterates.append(step(*args, **kwargs))
+            return iterates[-1]
+
+        def recording_admit(memory, s, y):
+            pairs.append((len(plans) - 1, y.copy()))
+            return admit(memory, s, y)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(driver, "make_plan_source", recording_source)
+            mp.setattr(driver, "take_step", recording_step)
+            mp.setattr(LbfgsMemory, "admit", recording_admit)
+            trace = run(cfg, small_logistic, eval_ledger=ledger)
+        assert trace.aborted is None
+        evaluated = {(k, part): rows for k, part, rows in ledger}
+
+        def linked_rows(k, parts):
+            """The rows the ledger records for the parts ``parts`` of plan k."""
+            batch = len(plans[k].spans) - plans[k].extra
+            return np.concatenate([evaluated[k, i if i < batch else "O_extra"]
+                                   for i in parts])
+
+        # every linked plan after the first forms a pair, and no other does
+        assert [k for k, _ in pairs] == [
+            k for k, plan in enumerate(plans) if k and plan.link is not None]
+        for k, y in pairs:
+            prev_parts, next_parts = plans[k].link
+            O_k = linked_rows(k, next_parts)
+            assert np.array_equal(np.sort(linked_rows(k - 1, prev_parts)), np.sort(O_k))
+            g_prev = small_logistic.eval_subset(iterates[k - 1], O_k).gradient
+            g_next = small_logistic.eval_subset(iterates[k], O_k).gradient
+            np.testing.assert_allclose(y, g_next - g_prev, rtol=1e-10)
 
 
 class TestFaultEquivalence:

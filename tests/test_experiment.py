@@ -7,6 +7,7 @@ from mblbfgs import ConfigurationError, RunConfig, StepSchedule, constant, exper
 from mblbfgs.experiment import (
     CSV_HEADER,
     GRID,
+    MANIFEST_NAME,
     ExperimentSpec,
     cell_filename,
     run_experiment,
@@ -152,6 +153,50 @@ class TestCsvContract:
             lines = (result.out_dir / f"robust_lbfgs_r0.1_o0.2_a0.2_p0_{name}.csv"
                      ).read_text().splitlines()
             assert lines[0] == CSV_HEADER and len(lines) > 2
+
+    def test_interrupted_grid_leaves_whole_csvs_that_the_manifest_lists(
+            self, tmp_path, monkeypatch):
+        spec = small_spec(tmp_path / "whole", methods=["robust_lbfgs", "multibatch_gd"])
+        whole = run_experiment(spec)
+        names = [name for name, _ in whole.statuses]
+        manifest = whole.manifest_path.read_text().splitlines(keepends=True)
+        assert len(names) == 4
+        for k in range(len(names)):
+            started = []
+
+            def run_until_cell_k(config, objective):
+                if len(started) == k:
+                    raise KeyboardInterrupt
+                started.append(config)
+                return run(config, objective)
+
+            monkeypatch.setattr(experiment, "run", run_until_cell_k)
+            out = tmp_path / f"cut{k}"
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(replace(spec, out_dir=str(out)))
+            assert (out / MANIFEST_NAME).read_text() == "".join(manifest[:2 + k])
+            assert sorted(p.name for p in out.iterdir()) == sorted([MANIFEST_NAME, *names[:k]])
+            for name in names[:k]:
+                assert (out / name).read_bytes() == (whole.out_dir / name).read_bytes()
+
+    def test_a_failed_csv_write_leaves_no_file_under_its_name(self, tmp_path, monkeypatch):
+        def run_with_bad_last_record(config, objective):
+            trace = run(config, objective)
+            if config.seed == 1:
+                trace.records[-1].full_loss = "not a number"  # the CSV writer raises here
+            return trace
+
+        monkeypatch.setattr(experiment, "run", run_with_bad_last_record)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError):
+            run_experiment(small_spec(out, seeds=[0, 1, 2]))
+        # the cut CSV keeps its temporary name
+        assert sorted(p.name for p in out.iterdir()) == [
+            MANIFEST_NAME, "robust_lbfgs_r0.1_o0.2_a0.2_p0_s0.csv",
+            "robust_lbfgs_r0.1_o0.2_a0.2_p0_s1.csv.tmp"]
+        rows = (out / MANIFEST_NAME).read_text().splitlines()[2:]
+        assert [row.split(",", 1)[0] for row in rows] == [
+            "robust_lbfgs_r0.1_o0.2_a0.2_p0_s0.csv"]
 
     def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
         override = tmp_path / "env_out"
