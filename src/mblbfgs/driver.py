@@ -25,15 +25,16 @@ does not know the sampling mode; the plan carries the layout. One
 gradient and loss sums of every part (one row of ``G``/``L`` each): the
 batch parts, and strategy 2's trailing extra part O_k when it forms a
 ``robust_lbfgs`` pair. A strategy-1 epoch's order, a fault-mode layout and
-serial SGD's identity order are read-only, and the objective reads their
-parts in place from its kept entry (a copy of the shuffled orders' rows, X
-itself for the identity order); strategy-2 rows are gathered. A metrology
-``eval_full`` reuses the margins of a kept call at the same iterate over
-half the rows or more. The batch gradient adds the batch parts' rows, and
-an overlap gradient adds the rows that ``plan.link`` names, so both
-gradients of a curvature pair are sums over the same index set O_k. Serial
-SGD is the source of one-example plans with empty overlaps, each a one-row
-span of the identity order
+serial SGD's identity order are read-only, and the objective keeps each
+order once and reads every batch's parts in place from that entry (a copy
+of the shuffled orders' rows, X itself for the identity order); strategy-2
+rows are writable, so each call's rows are copied into a new entry. A
+metrology ``eval_full`` reuses the margins the entry's last call kept, when
+it was at the same iterate over half the rows or more. The batch gradient
+adds the batch parts' rows, and an overlap gradient adds the rows that
+``plan.link`` names, so both gradients of a curvature pair are sums over
+the same index set O_k. Serial SGD is the source of one-example plans with
+empty overlaps, each a one-row span of the identity order
 (``sampling.SerialSource``), so it gets the same stopping rules,
 divergence check and abort strings as the batch methods. The methods without
 memory (``multibatch_gd``, ``serial_sgd``) step along -g.

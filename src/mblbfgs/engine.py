@@ -24,15 +24,12 @@ RHO_GUARD = 1e-12
 DENSE_DIM_LIMIT = 200
 
 
-def _cautious(ys: float, ss: float, eps: float) -> bool:
-    if ss == 0.0:
-        raise UsageError("cautious_accept: zero step should never reach admission")
-    return ys >= eps * ss
-
-
 def cautious_accept(s: Vector, y: Vector, eps: float) -> bool:
     """Curvature test y's >= eps * ||s||^2 (the cautious-update condition)."""
-    return _cautious(float(np.dot(y, s)), float(np.dot(s, s)), eps)
+    ss = float(np.dot(s, s))
+    if ss == 0.0:
+        raise UsageError("cautious_accept: zero step should never reach admission")
+    return float(np.dot(y, s)) >= eps * ss
 
 
 def memory_settings(capacity: int, scaling, cautious_eps: float) -> tuple:
@@ -75,11 +72,13 @@ class LbfgsMemory:
 
     @np.errstate(over="ignore", invalid="ignore")
     def admit(self, s: Vector, y: Vector) -> bool:
-        """Store (s, y) if it passes the cautious test, the rho guard and
-        y'y > 0; evict the oldest pair when full. Returns whether the pair was
-        accepted. Overflowing inner products reject the pair."""
+        """Store (s, y) if it passes the cautious test, the rho guard, s's > 0
+        and y'y > 0; evict the oldest pair when full. Returns whether the pair
+        was accepted. Overflowing or underflowing inner products reject the
+        pair."""
         ys, ss, yy = float(y.dot(s)), float(s.dot(s)), float(y.dot(y))
-        if not _cautious(ys, ss, self.cautious_eps):
+        # a nonzero step whose s's underflows to 0 passes no curvature test
+        if not (ss > 0.0 and ys >= self.cautious_eps * ss):
             return False
         # y'y > 0 keeps the scaling gamma = s'y / y'y finite
         if not (yy > 0.0 and ys > RHO_GUARD * math.sqrt(ss * yy)):
@@ -106,11 +105,9 @@ class LbfgsMemory:
         The stored pairs are applied newest-to-oldest in the first loop and
         oldest-to-newest in the second, equivalent to building H from
         gamma*I with the pairs in storage order. The recursion never
-        divides, so a value that overflows stays non-finite to the end:
-        one check on the result catches it.
+        divides, so a non-finite entry of ``g``, or a value that overflows,
+        stays non-finite to the end: one check on the result catches it.
         """
-        if not all_finite(g):
-            raise NumericError("two-loop input gradient is not finite")
         q, tmp = g.copy(), np.empty_like(g)
         alphas = []
         for pair in reversed(self.pairs):

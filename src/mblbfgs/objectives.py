@@ -25,38 +25,41 @@ integer, each start at or after the previous stop, the last stop inside
 ``rows``) and range-checks the entries of a ``rows`` that is not the kept
 one, so no input makes a compiled kernel read outside ``X``.
 
-Every call reads its parts as row ranges of one CSR matrix. The margins of
-each run of adjacent parts come from one compiled ``csr_matvec`` over its
-rows, the row terms of all runs from one ``_row_terms`` call, and each
-part's gradient sum from one ``csc_matvec`` over its rows into a zeroed
-output. Both add each row's, and each output entry's, products left to
-right from 0.0, as ``X[idx].dot(w)`` and ``X[idx].T.dot(c)`` do, so the
-bytes do not depend on where the rows come from:
+Every call reads its parts as row ranges of the CSR arrays of one kept
+entry. The margins of each run of adjacent parts come from one compiled
+``csr_matvec`` over its rows, the row terms of all runs from one
+``_row_terms`` call, and each part's gradient sum from one ``csc_matvec``
+over its rows into a zeroed output. Both add each row's, and each output
+entry's, products left to right from 0.0, as ``X[idx].dot(w)`` and
+``X[idx].T.dot(c)`` do, so the bytes do not depend on where the rows come
+from.
 
-* A read-only ``rows`` (a strategy-1 epoch's order, a fault layout's
-  shard order or serial SGD's identity order) promises that it will not
-  change and that it serves many calls. The objective keeps one entry, for
-  the last read-only ``rows`` it was given: ``Xb = X[rows]``, the rows'
-  labels and, when ``rows`` is a permutation of all rows, its inverse.
-  Parts are then row ranges of ``Xb`` itself; rows outside them (failed
-  nodes, the rest of the epoch, every example serial SGD did not draw) cost
-  nothing. For the identity order 0..n-1, ``Xb`` is X's own arrays and
-  nothing is copied.
-* A writable ``rows`` (a strategy-2 batch, drawn afresh each time) is
-  gathered up to its last part's stop through scipy's compiled
-  ``csr_row_index``, into the arrays ``X[idx]`` has, and the caller's
-  spans are read on that as on a kept entry (strategy-2 and
-  ``eval_subset`` spans run back to back from 0, so no row outside their
-  parts is gathered); the kept ``X[rows]`` of a shuffled order is built
-  the same way.
+The objective keeps one entry, for the last ``rows`` it was given:
+``Xb = X[rows]``, the rows' labels, the inverse of ``rows`` when it is a
+permutation of all rows, and the memo of the last call on it. A call's
+``rows`` becomes the entry unless it is the entry's own object:
+
+* A read-only ``rows`` (a strategy-1 epoch's order, a fault layout's shard
+  order or serial SGD's identity order) promises that it will not change
+  and that it serves many calls. It is kept as it is and recognized by
+  identity, so rows outside the parts (failed nodes, the rest of the
+  epoch, every example serial SGD did not draw) cost nothing.
+* The identity order 0..n-1 is X itself: ``Xb`` is X's own arrays and
+  nothing is copied. Every other ``Xb`` is built through scipy's compiled
+  ``csr_row_index``, into the arrays ``X[idx]`` has.
+* A writable ``rows`` (a strategy-2 batch, an ``eval_subset`` subset) may
+  change after the call, so it is copied up to its last part's stop and the
+  read-only copy is kept. Strategy-2 and ``eval_subset`` spans run back to
+  back from 0, so no row outside their parts is copied.
 
 ``eval_full`` also returns the training accuracy from the margins it
 computes anyway, so metrology reads ``X`` once per point. When the last
-call on the kept entry was at a ``w`` with the same bytes, covered at least
-half the rows (below that, reordering costs more than it saves) and the
-entry's rows are a permutation of all rows, it reuses that call's margins
-and terms, computes only the other rows' in place on ``Xb``, and puts them
-back in row order. Comparing bytes, not values, keeps -0.0 apart from 0.0
+call on the entry was at a ``w`` with the same bytes, covered at least half
+the rows (below that, reordering costs more than it saves) and the entry's
+rows are a permutation of all rows, the entry's memo holds that call's
+margins and terms: ``eval_full`` reuses them, computes only the other rows'
+in place on ``Xb``, and puts them back in row order. A new entry starts
+with no memo. Comparing bytes, not values, keeps -0.0 apart from 0.0
 and lets a NaN match itself, so the result is exactly what a fresh
 evaluation gives.
 """
@@ -93,17 +96,20 @@ from .linalg import Dataset, Vector, all_finite, join_ranges
 
 KINDS = ("logistic_l2", "sigmoid_lsq", "quadratic")
 
-@dataclass(frozen=True)
+@dataclass
 class _KeptOrder:
     """A read-only row order ``rows``, the CSR arrays ``(indptr, indices,
-    data)`` of ``X[rows]``, the rows' labels (or quadratic constants) and the
+    data)`` of ``X[rows]``, the rows' labels (or quadratic constants), the
     inverse permutation when ``rows`` is a permutation of all rows, else
-    None."""
+    None, and the last call as ``((w dtype, w bytes), runs, margins, row
+    terms, coefficients)``, packed run after run, when ``eval_full`` can
+    reuse it, else None."""
 
     rows: np.ndarray
     csr: tuple
     row_data: np.ndarray
     inv: np.ndarray | None
+    memo: tuple | None = None
 
 
 def _runs(parts) -> list:
@@ -190,10 +196,8 @@ class Objective:
         self._csr = (self.X.indptr.astype(itype, copy=False),
                      self.X.indices.astype(itype, copy=False), self.X.data)
         self._row_nnz = np.diff(self._csr[0])
-        # eval_sums's one _KeptOrder, and its last call as ((w dtype, w
-        # bytes), runs, margins, row terms, coefficients), the arrays packed
-        # run after run, for eval_full at a bitwise-equal w
-        self._kept = self._memo = None
+        # the one entry every eval_sums call reads its parts from
+        self._kept = None
         if kind == "quadratic":
             if quad_weights is None:
                 quad_weights = np.ones(dataset.d)
@@ -226,11 +230,10 @@ class Objective:
         loss sum of the rows ``rows[start:stop]`` of part ``p``. Each part's
         sums are bit-identical to a one-part call on its slice of ``rows``.
 
-        A read-only ``rows`` is a promise that it will not change and that
-        it serves many calls: the objective keeps ``X[rows]`` for the last
-        such ``rows`` it saw (by identity; X itself when ``rows`` is 0..n-1)
-        and reads the parts in place. Other calls gather ``rows`` up to the
-        last stop; both give the same bytes (see the module docstring).
+        The parts are read from the objective's one kept entry: ``rows``
+        itself when it is read-only (found again by identity; X itself when
+        ``rows`` is 0..n-1), else a read-only copy of ``rows`` up to the
+        last stop (see the module docstring).
         """
         idx = np.asarray(rows)
         parts, covered = _checked_spans(spans, idx.size)
@@ -238,28 +241,23 @@ class Objective:
             raise UsageError("rows must be a 1-D sequence of integer row indices")
         idx = idx.astype(np.int64, copy=False)
         self._check_length(w)
-        read_only = not idx.flags.writeable
-        kept = self._kept
-        if not (read_only and kept and idx is kept.rows):
-            kept = None  # no reference here, so that _keep frees the old entry
+        # no local reference to the old entry, so that _keep frees it
+        if not (self._kept and idx is self._kept.rows and not idx.flags.writeable):
             # one reduction checks both ends: a negative index viewed as
             # unsigned is at least 2**63
             if idx.view(np.uint64).max() >= self.n:
                 raise UsageError("subset index out of range")
-            if read_only:
-                kept = self._keep(idx)
-        if kept is None:  # the parts are the same spans of the gathered rows
-            sub = idx[:parts[-1][1]]
-            csr, row_data = self._gather(sub), self._row_data.take(sub)
-        else:
-            csr, row_data = kept.csr, kept.row_data
+            if idx.flags.writeable:  # the caller may change it
+                idx = idx[:parts[-1][1]].copy()
+                idx.flags.writeable = False
+            self._keep(idx)
+        kept = self._kept
         G = np.zeros((len(parts), self.d))
         L = np.empty(len(parts))
-        memo = self._part_sums(w, csr, row_data, parts, G, L)
-        if kept is not None and kept.inv is not None and self.kind != "quadratic":
-            # eval_full reuses a call that covered at least half the rows
-            wide = 2 * covered >= self.n
-            self._memo = ((w.dtype, w.tobytes()), *memo) if wide else None
+        memo = self._part_sums(w, kept.csr, kept.row_data, parts, G, L)
+        # eval_full reuses a call over at least half the rows of a permutation
+        wide = 2 * covered >= self.n and kept.inv is not None and self.kind != "quadratic"
+        kept.memo = ((w.dtype, w.tobytes()), *memo) if wide else None
         self._check_finite(w, idx, parts, G, L)
         return G, L
 
@@ -305,10 +303,10 @@ class Objective:
         return z
 
     def _keep(self, rows) -> _KeptOrder:
-        """Make the read-only ``rows`` the kept entry; for the identity
-        order 0..n-1 that is X itself, with no copy."""
+        """Make the read-only ``rows`` the kept entry, with no memo; for the
+        identity order 0..n-1 that is X itself, with no copy."""
         # drop the old entry first, so that two copies of X never coexist
-        self._kept = self._memo = None
+        self._kept = None
         n = self.n
         # a shuffled order fails at its first row, before any O(n) test; an
         # involution (its own inverse) is not the identity, so compare with
@@ -393,10 +391,10 @@ class Objective:
         training accuracy (0 for the quadratic kind) from the same margins."""
         self._check_length(w)
         G, L = np.zeros((1, self.d)), np.empty(1)
-        memo = self._memo
-        if memo is not None and memo[0] == (w.dtype, w.tobytes()):
+        kept = self._kept
+        if kept and kept.memo and kept.memo[0] == (w.dtype, w.tobytes()):
             # the values the one-part call below would give
-            acc, terms, coeff = self._full_rows(w, *memo[1:])
+            acc, terms, coeff = self._full_rows(w, kept)
             csc_matvec(self.d, self.n, *self._csr, coeff, G[0])
             L[0] = np.add.reduce(terms)
         else:
@@ -405,11 +403,12 @@ class Objective:
         self._check_finite(w, None, [(0, self.n)], G, L)
         return SubsetGradient(*self.average(w, G[0], L[0], self.n), self.n, acc)
 
-    def _full_rows(self, w: Vector, runs, *packed) -> tuple:
+    def _full_rows(self, w: Vector, kept: _KeptOrder) -> tuple:
         """The accuracy at ``w``, and all rows' terms and coefficients in row
-        order: the kept entry's rows in ``runs`` have theirs ``packed`` run
-        after run, with margins; the others' are computed in place on ``Xb``."""
-        kept, n = self._kept, self.n
+        order: the rows of ``kept`` in its memo's runs have theirs packed
+        there run after run, with margins; the others' are computed in place
+        on ``Xb``."""
+        (_, runs, *packed), n = kept.memo, self.n
         ends = [0, *itertools.chain.from_iterable(runs), n]
         gaps = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if b > a]
         pieces = [(runs, packed)]

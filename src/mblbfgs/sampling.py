@@ -34,9 +34,10 @@ serial mode ``rows`` is the identity order 0..n-1, one object per source,
 and the drawn example i is the span (i, i + 1). Strategy-1 orders
 (the full batch's included), fault layouts (resharded or not) and the
 serial identity order serve several evaluations and are read-only, so the
-objective keeps their rows (the identity order as X itself, the others as a
-copy) and reads the parts in place (``Objective.eval_sums``); strategy-2
-orders are fresh writable arrays, gathered once.
+objective keeps their rows once (the identity order as X itself, the others
+as a copy) and reads the parts in place (``Objective.eval_sums``);
+strategy-2 orders are fresh writable arrays, copied into a new entry by the
+one call that reads them.
 
 All draws come from a single named counter-based generator so a fixed seed
 replays the exact plan stream.
@@ -105,12 +106,13 @@ class SamplePlan:
     plan, else none) lie outside the batch; S is the concatenation of the
     others and ``sample_size`` its size, which every source knows when it
     draws. ``rows`` is read-only in strategy 1, fault mode and serial mode
-    (the identity order, S a one-row view of it) and writable (drawn
-    afresh) in strategy 2. ``link`` is None when O_prev is empty, and
-    otherwise a pair of position lists: the parts of the previous plan and
-    the parts of this plan whose rows are O_prev. In strategy 2 the second
-    list names the extra part, whose gradient at the new iterate is a
-    fresh evaluation.
+    (the identity order, S a one-row view of it), so the objective keeps it
+    and reads every plan's parts in place, and writable (drawn afresh) in
+    strategy 2, so the objective keeps a copy of it for the one call.
+    ``link`` is None when O_prev is empty, and otherwise a pair of position
+    lists: the parts of the previous plan and the parts of this plan whose
+    rows are O_prev. In strategy 2 the second list names the extra part,
+    whose gradient at the new iterate is a fresh evaluation.
     """
 
     rows: np.ndarray

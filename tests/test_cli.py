@@ -103,6 +103,19 @@ def test_redraw_limit_ends_its_cell_not_the_grid(tmp_path, capsys):
     assert "usage error" not in capsys.readouterr().err
 
 
+def test_a_step_whose_norm_underflows_ends_no_grid(tmp_path, capsys):
+    # every entry of the first cell's steps is below 1e-162, so s's
+    # underflows to 0: the pair is rejected, and both cells run and read ok
+    out = tmp_path / "d"
+    code = main(["--synthetic", "500,8,4,0.5", "--step", "constant:1e-200",
+                 "--step", "constant:0.1", "--epochs", "1", "--out", str(out)])
+    assert code == 0
+    rows = (out / MANIFEST_NAME).read_text().splitlines()[2:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["ok", "ok"]
+    assert len(list(out.glob("*.csv"))) == 2
+    assert "usage error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("file_lines,flags,names", [
     ([], [], ["robust_lbfgs_r0.05_o0.2_a0.2_p0_s0.csv"]),
     # a repeatable flag given on the command line replaces the file's values
@@ -352,8 +365,10 @@ def _flag_and_value(draw):
     flag = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
     spelling, valid = _NUMERIC_FLAGS[flag]
     # a finite epoch count is valid however large, and the CLI sets no
-    # iteration cap, so --epochs draws only values that must be refused
-    values = _BAD_VALUES if valid is None else [*_BAD_VALUES, "1e308", valid]
+    # iteration cap, so --epochs draws only values that must be refused; a
+    # tiny positive value reaches pair admission with steps whose s's
+    # underflows
+    values = _BAD_VALUES if valid is None else [*_BAD_VALUES, "1e308", "1e-200", valid]
     return flag, spelling.format(draw(st.sampled_from(values)))
 
 
@@ -361,7 +376,8 @@ def _flag_and_value(draw):
 @settings(max_examples=150, deadline=None)
 def test_numeric_flag_values_never_escape_as_tracebacks(flag_value):
     flag, value = flag_value
-    argv = ["--synthetic", "200,8,4,0.5", "--epochs", "0.05", f"{flag}={value}"]
+    # three iterates: the second and third admit pairs
+    argv = ["--synthetic", "200,8,4,0.5", "--epochs", "0.15", f"{flag}={value}"]
     if flag == "--fail-prob":
         argv += ["--strategy", "fault"]
     with tempfile.TemporaryDirectory() as tmp:

@@ -134,6 +134,18 @@ class TestAdmission:
         assert len(mem) == 0
         assert np.array_equal(mem.direction(np.array([2.0])), np.array([-2.0]))
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-4])
+    def test_underflowing_step_norm_rejected(self, eps):
+        # a nonzero step (the driver admits every s with s.any()) whose s's
+        # underflows to 0 is rejected, not reported as a zero step
+        mem = LbfgsMemory(5, cautious_eps=eps)
+        s = y = np.full(3, 1e-170)
+        assert s.any() and float(np.dot(s, s)) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not mem.admit(s, y)
+        assert len(mem) == 0
+
     def test_overflowing_products_rejected_without_a_warning(self):
         mem = LbfgsMemory(5)
         with warnings.catch_warnings():
@@ -221,10 +233,25 @@ class TestTwoLoop:
         expected = -(mem.dense_inverse() @ g)
         assert np.linalg.norm(mem.direction(g) - expected) <= 1e-10 * np.linalg.norm(expected)
 
-    def test_nonfinite_gradient_rejected(self):
-        mem = LbfgsMemory(5)
-        with pytest.raises(NumericError):
-            mem.direction(vec(np.nan, 0.0))
+    @pytest.mark.parametrize("memory", ["empty", "bb_pairs", "fixed_pairs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gradient_rejected(self, memory, bad):
+        # nothing in the two-loop recursion divides, so a non-finite entry of
+        # g stays non-finite through both loops and the result check finds it
+        rng = np.random.default_rng(5)
+        if memory == "empty":
+            mem = LbfgsMemory(5)
+        else:
+            mem = random_admitted_memory(rng, d=4, m=3, n_pairs=3)
+            if memory == "fixed_pairs":
+                mem.scaling = 0.5
+            assert len(mem) == 3
+        g = rng.standard_normal(4)
+        g[2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                mem.direction(g)
 
     def test_overflow_raises_numeric_error_without_a_warning(self):
         rng = np.random.default_rng(4)

@@ -40,7 +40,7 @@ TRACE_SHA256 = {
         # epoch, responder coverage under half the rows (so metrology has
         # no margins to reuse), and the two other objective kinds; every
         # fault batch is read in place from its layout, and only
-        # test_trace_digest_on_each_kernel_branch gathers them
+        # test_trace_digest_on_each_kernel_branch copies each one's rows
         "fault_reshard": "8e1b41dd3fc7823b9e1b9fe4223bfacabba05fce82535a4f286902b68e5c94ed",
         "fault_p07": "018256b733d398c81819ef8ef87e0878fa9bd733c44f0c80425818a1b7b3c0ff",
         "fault_sigmoid_lsq": "22b6faa3022b018f189ce0b7dc45c2e4720c7681c160b0f23bc8bfcebbd4d835",
@@ -187,18 +187,19 @@ def test_trace_digest(name):
 
 
 def _gathered(eval_sums):
-    """eval_sums on a writable copy of ``rows``: nothing is kept, every
-    batch is gathered."""
+    """eval_sums on a writable copy of ``rows``: the objective copies the
+    rows up to the last stop again, and gathers each batch into a new entry."""
     def wrapper(self, w, rows, spans=None):
         return eval_sums(self, w, np.array(rows), spans)
     return wrapper
 
 
 # eval_sums as it is, or wrapped, for every batch of a run outside strategy
-# 2 (whose rows are drawn afresh, writable, and always gathered): all their
-# row orders (a strategy-1 epoch's, a fault layout's, serial SGD's identity
-# order) are read-only, so a plain run reads each batch in place from the
-# kept entry, and the wrapper gathers each one instead
+# 2 (whose rows are drawn afresh and writable): all their row orders (a
+# strategy-1 epoch's, a fault layout's, serial SGD's identity order) are
+# read-only, so a plain run keeps each order once and reads every batch in
+# place from it, and the wrapper makes every call's rows writable, so each
+# call keeps its own copy instead
 KERNEL_BRANCHES = {"kept": lambda eval_sums: eval_sums, "gather": _gathered}
 
 
@@ -209,20 +210,27 @@ def test_trace_digest_on_each_kernel_branch(name, branch, monkeypatch):
     Objective = objectives.Objective
     monkeypatch.setattr(Objective, "eval_sums",
                         KERNEL_BRANCHES[branch](Objective.eval_sums))
-    # whether each kept entry reads X's own arrays
+    # for each kept entry: whether it reads X's own arrays, whether its rows
+    # are 0..n-1, and whether they are a read-only array of their own
     kept, keep = [], Objective._keep
 
     def spy(self, rows):
         entry = keep(self, rows)
-        kept.append(np.shares_memory(entry.csr[2], self.X.data))
+        kept.append((np.shares_memory(entry.csr[2], self.X.data),
+                     np.array_equal(rows, np.arange(self.n)),
+                     rows.flags.owndata and not rows.flags.writeable))
         return entry
     monkeypatch.setattr(Objective, "_keep", spy)
     assert trace_digest(name) == recorded_digest(name)
+    in_x = [entry[0] for entry in kept]
     if branch == "gather":
-        assert kept == []
+        # every entry is a read-only copy the objective made of the
+        # wrapper's writable rows, never that array itself; only the rows
+        # 0..n-1 (serial SGD's prefix up to the last row) read X itself
+        assert kept and all(copied and own == identity for own, identity, copied in kept)
     elif name == "serial_sgd":
         # one entry for the whole run, X itself under the identity order
-        assert kept == [True]
+        assert in_x == [True]
     else:
         # shuffled orders: each entry is a copy of X's rows
-        assert kept and not any(kept)
+        assert in_x and not any(in_x)

@@ -403,7 +403,7 @@ class TestCompiledKernels:
 
 
 def _fresh(obj):
-    obj._kept = obj._memo = None
+    obj._kept = None
 
 
 class TestKeptOrder:
@@ -412,7 +412,7 @@ class TestKeptOrder:
     def test_kept_and_gathered_match_one_part_calls_bytewise(self, kind, data):
         obj, w = _random_problem(kind, data)
         rows, spans = _read_only_spans(obj.n, data)
-        # one-part calls on copies of the slices: writable, so gathered
+        # one-part calls on copies of the slices: writable, so copied again
         expected = []
         for a, b in spans:
             part = _sums_or_error(obj, w, rows[a:b].copy(), None)
@@ -428,7 +428,10 @@ class TestKeptOrder:
         second = _sums_or_error(obj, w, rows, spans)  # reads it again
         _fresh(obj)
         gathered = _sums_or_error(obj, w, rows.copy(), spans)
-        assert obj._kept is None
+        # a writable order is kept as a read-only copy up to its last stop
+        copied = obj._kept.rows
+        assert copied is not rows and not copied.flags.writeable
+        assert np.array_equal(copied, rows[:spans[-1][1]])
         assert first == second == gathered == expected
 
     @pytest.mark.parametrize("spans", BAD_SPANS)
@@ -471,7 +474,7 @@ class TestKeptOrder:
         assert in_place == [order == "identity"] * 3
         assert [a.tobytes() for a in result] == [a.tobytes() for a in gathered]
         # metrology reuses the call's margins over most rows
-        assert obj._memo is not None
+        assert kept.memo is not None
         assert _full_or_error(obj, w) == _full_or_error(logistic_l2(obj.dataset), w)
 
     def test_the_entry_follows_the_last_read_only_rows(self, small_logistic):
@@ -490,8 +493,11 @@ class TestKeptOrder:
         obj._gather = spy
 
         expected = obj.eval_sums(w, rows, wide)
-        assert obj._kept is None  # writable rows are never kept
-        built.clear()  # the call above gathered its parts
+        copied = obj._kept.rows  # writable rows are kept as a read-only copy
+        assert copied is not rows and np.array_equal(copied, rows)
+        assert not copied.flags.writeable and built == [None]
+        built.clear()
+        old = weakref.ref(obj._kept)
         rows.flags.writeable = False
         obj.eval_sums(w, rows, narrow)  # any coverage keeps X[rows]
         kept = obj._kept
@@ -499,11 +505,13 @@ class TestKeptOrder:
         result = obj.eval_sums(w, rows, wide)  # the same rows, any spans: the same entry
         assert obj._kept is kept and built == [None]
         assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
-        obj.eval_sums(w, rows.copy(), wide)  # a writable copy is gathered
-        assert obj._kept is kept
         built.clear()
         old = weakref.ref(kept)
         del kept
+        obj.eval_sums(w, rows.copy(), wide)  # a writable copy replaces the entry
+        assert obj._kept.rows is not rows and built == [None]
+        built.clear()
+        old = weakref.ref(obj._kept)
         other = rows.copy()
         other.flags.writeable = False
         obj.eval_sums(w, other, narrow)  # equal rows, another object
@@ -532,7 +540,7 @@ class TestSourceSpans:
         # every plan's spans, and the batch-only head the driver evaluates
         # when a plan's extra part forms no pair, are non-empty, ascending and
         # disjoint within rows; a plan's read-only rows are read in place and
-        # must give the bytes of the same parts gathered from a writable copy
+        # must give the bytes of the same parts copied from a writable copy
         obj, twin = (make_objective(kind, small_dataset, sigma=0.01) for _ in range(2))
         config = RunConfig(**_SOURCE_CONFIGS[source], batch_frac=r, overlap_frac=o,
                            nodes=nodes, fail_prob=p)
@@ -620,16 +628,16 @@ class TestMetrologyMemo:
             _sums_or_error(obj, w, rows, spans)
             assert obj._kept is not None
             if case in ("gather", "reshard"):
-                # a writable order (a strategy-2 batch) is gathered and the
-                # memo stays; a new read-only one (a layout resharded every
-                # epoch) is kept in place of the old, with the memo of its
-                # call over all rows
+                # a new read-only order (a layout resharded every epoch) is
+                # kept in place of the old, and a writable one (a strategy-2
+                # batch) is kept as a copy; either way the entry carries the
+                # memo of its call over all rows
                 other = np.random.default_rng(0).permutation(obj.n)
                 other.flags.writeable = case == "gather"
                 _sums_or_error(obj, w, other, [(0, obj.n)])
                 assert (obj._kept.rows is other) == (case == "reshard")
-                if case == "reshard":
-                    covered = obj.n
+                assert np.array_equal(obj._kept.rows, other)
+                covered = obj.n
             point = w.copy()
             if case == "ulp":
                 point[j] = np.nextafter(point[j], np.inf)
@@ -656,8 +664,50 @@ class TestMetrologyMemo:
         rows[0] = 1  # n rows, one repeated: not a permutation
         rows.flags.writeable = False
         obj.eval_sums(w, rows)
-        assert obj._kept is not None and obj._memo is None
+        assert obj._kept is not None and obj._kept.memo is None
         assert _full_or_error(obj, w) == _full_or_error(logistic_l2(obj.dataset), w)
+
+
+class TestCallSequences:
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_any_sequence_of_calls_reads_what_a_fresh_objective_reads(self, kind, data):
+        # whatever entry and memo earlier calls left behind, each call gives
+        # the bytes a fresh objective gives on the same inputs; a writable
+        # order is changed in place after each call and passed again later,
+        # so an entry that held on to it would read stale rows
+        obj, w = _random_problem(kind, data)
+        n = obj.n
+        j = data.draw(st.integers(0, obj.d - 1), label="j")
+        ulp = w.copy()
+        ulp[j] = np.nextafter(ulp[j], np.inf)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        reused, identity = rng.permutation(n), np.arange(n)
+        reused.flags.writeable = identity.flags.writeable = False
+        writable = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+        for _ in range(data.draw(st.integers(2, 8), label="calls")):
+            order = data.draw(st.sampled_from(["reused", "new", "identity", "writable"]),
+                              label="order")
+            if order == "new":
+                rows = rng.permutation(n)
+                rows.flags.writeable = False
+            else:
+                rows = {"reused": reused, "identity": identity, "writable": writable}[order]
+            cuts = data.draw(st.lists(st.integers(0, rows.size), max_size=6), label="cuts")
+            bounds = [0] + sorted(cuts) + [rows.size]
+            spans = [span for span in zip(bounds, bounds[1:])
+                     if span[1] > span[0] and data.draw(st.booleans(), label="kept")]
+            spans = spans or [(0, rows.size)]
+            point = ulp if data.draw(st.booleans(), label="ulp") else w
+            fresh = make_objective(kind, obj.dataset, obj.sigma)
+            expected = _sums_or_error(fresh, point, rows, spans)
+            assert _sums_or_error(obj, point, rows, spans) == expected
+            if order == "writable":
+                writable[:] = rng.integers(0, n, size=writable.size)
+            if data.draw(st.booleans(), label="full"):
+                point = ulp if data.draw(st.booleans(), label="full_ulp") else w
+                fresh = make_objective(kind, obj.dataset, obj.sigma)
+                assert _full_or_error(obj, point) == _full_or_error(fresh, point)
 
 
 class TestNumericGuards:
