@@ -19,25 +19,27 @@ All four run through the one loop in ``run``, one pass per iterate from
 k = 0: draw a plan, evaluate the batch, form the pair of the step that led
 here (none at k = 0), evaluate the full data every ``stride`` iterates,
 record, check the stopping rules, step. One handler catches a
-``NumericError`` anywhere in the pass, one a ``RedrawLimitError``. The loop
-does not know the sampling mode; the plan carries the layout. One
-``Objective.eval_sums(w, plan.rows, spans)`` call per iterate returns the
-gradient and loss sums of every part (one row of ``G``/``L`` each): the
-batch parts, and strategy 2's trailing extra part O_k when it forms a
-``robust_lbfgs`` pair. A strategy-1 epoch's order, a fault-mode layout and
-serial SGD's identity order are read-only, and the objective keeps each
-order once and reads every batch's parts in place from that entry (a copy
-of the shuffled orders' rows, X itself for the identity order); strategy-2
-rows are writable, so each call's rows are copied into a new entry. A
-metrology ``eval_full`` reuses the margins the entry's last call kept, when
-it was at the same iterate over half the rows or more. The batch gradient
-adds the batch parts' rows, and an overlap gradient adds the rows that
-``plan.link`` names, so both gradients of a curvature pair are sums over
-the same index set O_k. Serial SGD is the source of one-example plans with
-empty overlaps, each a one-row span of the identity order
-(``sampling.SerialSource``), so it gets the same stopping rules,
-divergence check and abort strings as the batch methods. The methods without
-memory (``multibatch_gd``, ``serial_sgd``) step along -g.
+``NumericError`` anywhere in the pass, one a ``RedrawLimitError``. ``run``
+is one ``linalg.quiet`` call, so it enters numpy's error state once, and the
+quiet calls inside it (evaluation, averaging, direction, admission) only
+check that it has. The loop does not know the sampling mode; the plan
+carries the layout. One ``Objective.eval_sums(w, plan.rows, spans)`` call
+per iterate returns the gradient and loss sums of every part (one row of
+``G``/``L`` each): the batch parts, and strategy 2's trailing extra part O_k
+when it forms a ``robust_lbfgs`` pair. A strategy-1 epoch's order, a
+fault-mode layout and serial SGD's identity order are read-only, and the
+objective keeps each order once and reads every batch's parts in place from
+that entry (a copy of the shuffled orders' rows, X itself for the identity
+order); strategy-2 rows are writable, so each call's rows are copied into a
+new entry. A metrology ``eval_full`` reuses the margins the entry's last
+call kept, when it was at the same iterate over half the rows or more. The
+batch gradient adds the batch parts' rows, and an overlap gradient adds the
+rows that ``plan.link`` names, so both gradients of a curvature pair are
+sums over the same index set O_k. Serial SGD is the source of one-example
+plans with empty overlaps, each a one-row span of the identity order
+(``sampling.SerialSource``), so it gets the same stopping rules, divergence
+check and abort strings as the batch methods. The methods without memory
+(``multibatch_gd``, ``serial_sgd``) step along -g.
 
 Epoch accounting charges |S_k|/n per batch-gradient evaluation, plus
 |O_k|/n when O_k is the plan's extra part (strategy 2), where the overlap
@@ -57,7 +59,7 @@ import numpy as np
 
 from .engine import LbfgsMemory, memory_settings
 from .errors import ConfigurationError, NumericError, RedrawLimitError, UsageError
-from .linalg import Vector
+from .linalg import Vector, all_finite, quiet
 from .objectives import Objective
 from .sampling import (SeededRng, check_fail_prob, check_node_count, make_plan_source,
                        philox_key, strategy_batch_sizes)
@@ -214,12 +216,13 @@ class RunTrace:
 # ----------------------------------------------------------------------
 # standalone step and pair operations, also used directly by tests
 # ----------------------------------------------------------------------
+@quiet
 def take_step(w: Vector, memory: LbfgsMemory, g: Vector, alpha: float,
               identity_hessian: bool = False) -> Vector:
     """w + alpha * p with p from the two-loop recursion (or p = -g, taken
     as w - alpha * g, which has the same bits)."""
     w_next = w - alpha * g if identity_hessian else w + alpha * memory.direction(g)
-    if not np.isfinite(w_next).all():
+    if not all_finite(w_next):
         raise NumericError("step produced a non-finite iterate")
     return w_next
 
@@ -227,7 +230,10 @@ def take_step(w: Vector, memory: LbfgsMemory, g: Vector, alpha: float,
 def form_pair(objective: Objective, w_prev: Vector, w_next: Vector,
               overlap) -> tuple:
     """Curvature pair from gradients on the same overlap set at both iterates."""
-    overlap = np.asarray(overlap, dtype=np.int64)
+    # one read-only copy, so the second evaluation reuses the objective's
+    # entry for it
+    overlap = np.array(overlap, dtype=np.int64)
+    overlap.flags.writeable = False
     if overlap.size == 0:
         raise UsageError("cannot form a pair on an empty overlap")
     g_prev = objective.eval_subset(w_prev, overlap).gradient
@@ -255,7 +261,7 @@ def _average(objective: Objective, w: Vector, G, L, count: int, reg,
 # the driver loop
 # ----------------------------------------------------------------------
 # the loop's own overflows are caught by the finiteness checks after them
-@np.errstate(over="ignore", invalid="ignore")
+@quiet
 def run(config: RunConfig, objective: Objective, eval_ledger=None,
         pair_log=None) -> RunTrace:
     """Execute one optimization run and return its trace.
@@ -352,7 +358,8 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
             w_prev, G_prev, L_prev, g_prev, reg_prev = w, G, L, g_S, reg
             w = take_step(w, memory, g_S, config.schedule.alpha_at(k),
                           identity_hessian=not use_memory)
-            s = w - w_prev
+            if use_memory:  # the methods without memory form no pair
+                s = w - w_prev
             k += 1
     except NumericError as exc:
         aborted = f"numeric: {exc}"
@@ -405,6 +412,7 @@ def curvature_diagnostics(objective: Objective, w: Vector, batch_sizes,
             raise UsageError(f"batch size {b} outside [1, n]")
         for _ in range(trials):
             idx = rng.choice(objective.n, b)
+            idx.flags.writeable = False  # both evaluations read one kept entry
             g0 = objective.eval_subset(w, idx).gradient
             g1 = objective.eval_subset(w2, idx).gradient
             y_s = g1 - g0

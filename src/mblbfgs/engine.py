@@ -5,6 +5,9 @@ by eigenvalue audits and tests.
 The hot path (``admit``, ``gamma``, ``direction``) calls ``ndarray.dot``,
 np.dot's BLAS call without its dispatch, and no shape-checking wrappers;
 ``direction`` updates a copy of ``g`` in place and checks its result once.
+``admit`` and ``direction`` are ``linalg.quiet`` calls: silent on overflow
+for any caller, and inside a run, whose one quiet call has entered numpy's
+error state already, they check one flag and run.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, UsageError
-from .linalg import Vector, all_finite
+from .linalg import Vector, all_finite, quiet
 
 # admission additionally requires y's > RHO_GUARD * |s||y|, hence y's > 0, so
 # rho stays finite
@@ -70,7 +73,7 @@ class LbfgsMemory:
     def __len__(self):
         return len(self.pairs)
 
-    @np.errstate(over="ignore", invalid="ignore")
+    @quiet
     def admit(self, s: Vector, y: Vector) -> bool:
         """Store (s, y) if it passes the cautious test, the rho guard, s's > 0
         and y'y > 0; evict the oldest pair when full. Returns whether the pair
@@ -98,7 +101,7 @@ class LbfgsMemory:
         newest = self.pairs[-1]
         return float(newest.s.dot(newest.y)) / float(newest.y.dot(newest.y))
 
-    @np.errstate(over="ignore", invalid="ignore")
+    @quiet
     def direction(self, g: Vector) -> Vector:
         """Search direction -H g via the two-loop recursion.
 
@@ -114,14 +117,14 @@ class LbfgsMemory:
             a = pair.rho * float(pair.s.dot(q))
             alphas.append(a)
             # q - a*y: the bits of -a*y + q
-            np.subtract(q, np.multiply(pair.y, a, out=tmp), out=q)
-        r = np.multiply(q, self.gamma(), out=q)
+            np.subtract(q, np.multiply(pair.y, a, tmp), q)
+        r = np.multiply(q, self.gamma(), q)
         for pair, a in zip(self.pairs, reversed(alphas)):
             beta = pair.rho * float(pair.y.dot(r))
-            np.add(r, np.multiply(pair.s, a - beta, out=tmp), out=r)
+            np.add(r, np.multiply(pair.s, a - beta, tmp), r)
         if not all_finite(r):
             raise NumericError("two-loop: non-finite value")
-        return np.negative(r, out=r)
+        return np.negative(r, r)
 
     # ------------------------------------------------------------------
     # dense oracles (test-scale only)

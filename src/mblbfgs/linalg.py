@@ -1,11 +1,18 @@
 """The vector type, the CSR dataset and the array helpers every module shares.
 
+``quiet`` is how the package's numeric entry points silence overflow: each
+public one whose arithmetic may overflow is a quiet call, and only the
+outermost quiet call of a context enters ``np.errstate``, so a run enters it
+once.
+
 Everything is 64-bit floating point. Inner products are plain BLAS ``dot``
 calls over contiguous arrays, which have one fixed accumulation order, so
 reruns with identical inputs are bit-identical on a given platform.
 """
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
 
 import numpy as np
@@ -17,9 +24,32 @@ from .errors import DataError
 Vector = np.ndarray
 
 
+# set while a quiet call runs in this context; a new thread starts unset
+_quiet = contextvars.ContextVar("mblbfgs_quiet", default=False)
+
+
+def quiet(fn):
+    """``fn`` run under ``np.errstate(over="ignore", invalid="ignore")``,
+    entered only by the outermost quiet call of a context: a call inside
+    another one runs ``fn`` directly, in the error state already entered."""
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if _quiet.get():
+            return fn(*args, **kwargs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            token = _quiet.set(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                _quiet.reset(token)
+    return call
+
+
 def join_ranges(values, ranges):
     """The entries of ``values`` in the ``(start, stop)`` ``ranges``, range
     after range: a view of ``values`` when the ranges are back to back."""
+    if len(ranges) == 1:
+        return values[ranges[0][0]:ranges[0][1]]
     if all(b == a for (_, b), (a, _) in zip(ranges, ranges[1:])):
         return values[ranges[0][0]:ranges[-1][1]]
     return np.concatenate([values[a:b] for a, b in ranges])
@@ -28,7 +58,7 @@ def join_ranges(values, ranges):
 def all_finite(a) -> bool:
     """Whether every entry of the float array ``a`` is finite. A finite sum
     of squares, one BLAS call, says so; when it overflows, the exact test
-    decides. Call it under ``np.errstate(over="ignore", invalid="ignore")``."""
+    decides. Call it inside a ``quiet`` call, so the overflow is silent."""
     v = a.ravel()
     return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 

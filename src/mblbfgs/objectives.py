@@ -92,7 +92,7 @@ except ImportError as exc:
                       f"this package has been run only with scipy 1.17.1") from exc
 
 from .errors import NumericError, UsageError
-from .linalg import Dataset, Vector, all_finite, join_ranges
+from .linalg import Dataset, Vector, all_finite, join_ranges, quiet
 
 KINDS = ("logistic_l2", "sigmoid_lsq", "quadratic")
 
@@ -217,7 +217,7 @@ class Objective:
     # per-example sums (no averaging, no regularization): the building
     # block the driver combines when a batch is evaluated in parts
     # ------------------------------------------------------------------
-    @np.errstate(over="ignore", invalid="ignore")
+    @quiet
     def eval_sums(self, w: Vector, rows, spans=None) -> tuple:
         """Sums of per-example gradients and losses over parts of ``rows``.
 
@@ -254,17 +254,18 @@ class Objective:
         kept = self._kept
         G = np.zeros((len(parts), self.d))
         L = np.empty(len(parts))
-        memo = self._part_sums(w, kept.csr, kept.row_data, parts, G, L)
+        memo = self._part_sums(w, kept.csr, kept.row_data, parts, covered, G, L)
         # eval_full reuses a call over at least half the rows of a permutation
         wide = 2 * covered >= self.n and kept.inv is not None and self.kind != "quadratic"
         kept.memo = ((w.dtype, w.tobytes()), *memo) if wide else None
         self._check_finite(w, idx, parts, G, L)
         return G, L
 
-    def _part_sums(self, w: Vector, csr, row_data, parts, G, L) -> tuple:
+    def _part_sums(self, w: Vector, csr, row_data, parts, size: int, G, L) -> tuple:
         """Fill the zeroed ``G`` and ``L`` with the sums of ``parts``,
         ascending ``(start, stop)`` row ranges of the CSR arrays ``csr``
-        whose rows' labels (or quadratic constants) are ``row_data``.
+        that cover ``size`` rows, whose labels (or quadratic constants) are
+        ``row_data``.
 
         Returns ``(runs, z, terms, coeff)``: the runs of back-to-back parts,
         and their rows' margins, loss terms and gradient coefficients packed
@@ -275,9 +276,9 @@ class Objective:
         z = coeff = None
         if self.kind == "quadratic":
             terms = join_ranges(row_data, runs)
-            weights = np.ones(terms.size)  # each part's gradient needs its column sums
+            weights = np.ones(size)  # each part's gradient needs its column sums
         else:
-            z = self._margins(w, csr, runs)
+            z = self._margins(w, csr, runs, size)
             terms, coeff = self._row_terms(z, join_ranges(row_data, runs))
             weights = coeff
         at = 0
@@ -291,11 +292,11 @@ class Objective:
             at += b - a
         return runs, z, terms, coeff
 
-    def _margins(self, w: Vector, csr, runs):
-        """Margins of the rows in ``runs``, row ranges of the CSR arrays
-        ``csr``, packed run after run."""
+    def _margins(self, w: Vector, csr, runs, size: int):
+        """Margins of the ``size`` rows in ``runs``, row ranges of the CSR
+        arrays ``csr``, packed run after run."""
         indptr, indices, data = csr
-        z = np.zeros(sum(b - a for a, b in runs))
+        z = np.zeros(size)
         at = 0
         for a, b in runs:
             csr_matvec(b - a, self.d, indptr[a:b + 1], indices, data, w, z[at:at + b - a])
@@ -341,8 +342,8 @@ class Objective:
     def _row_terms(self, z, y) -> tuple:
         """Per-row loss terms and gradient coefficients at margins ``z``."""
         if self.kind == "logistic_l2":
-            t = y * z
-            return _softplus(-t), -y * expit(-t)
+            t = -(y * z)
+            return _softplus(t), -y * expit(t)
         # sigmoid_lsq, labels remapped from +-1 to {0,1}
         target = 0.5 * (y + 1.0)
         p = expit(z)
@@ -385,7 +386,7 @@ class Objective:
         G, L = self.eval_sums(w, idx)
         return SubsetGradient(*self.average(w, G[0], L[0], idx.size), idx.size)
 
-    @np.errstate(over="ignore", invalid="ignore")
+    @quiet
     def eval_full(self, w: Vector) -> SubsetGradient:
         """``eval_subset`` over all rows, read in place as one part, with the
         training accuracy (0 for the quadratic kind) from the same margins."""
@@ -398,7 +399,8 @@ class Objective:
             csc_matvec(self.d, self.n, *self._csr, coeff, G[0])
             L[0] = np.add.reduce(terms)
         else:
-            z = self._part_sums(w, self._csr, self._row_data, [(0, self.n)], G, L)[1]
+            z = self._part_sums(w, self._csr, self._row_data, [(0, self.n)], self.n,
+                                G, L)[1]
             acc = 0.0 if z is None else _sign_accuracy(z, self.labels)
         self._check_finite(w, None, [(0, self.n)], G, L)
         return SubsetGradient(*self.average(w, G[0], L[0], self.n), self.n, acc)
@@ -413,7 +415,7 @@ class Objective:
         gaps = [(a, b) for a, b in zip(ends[::2], ends[1::2]) if b > a]
         pieces = [(runs, packed)]
         if gaps:
-            z = self._margins(w, kept.csr, gaps)
+            z = self._margins(w, kept.csr, gaps, n - packed[0].size)
             pieces.append((gaps, (z, *self._row_terms(z, join_ranges(kept.row_data, gaps)))))
         z, terms, coeff = (np.empty(n) for _ in packed)
         for ranges, arrays in pieces:
@@ -426,7 +428,7 @@ class Objective:
         return (_sign_accuracy(z, kept.row_data), terms.take(kept.inv),
                 coeff.take(kept.inv))
 
-    @np.errstate(over="ignore", invalid="ignore")
+    @quiet
     def average(self, w: Vector, grad_sum, loss_sum, m: int, reg=None) -> tuple:
         """Gradient and loss averaged over ``m`` examples plus the sigma/2
         ||w||^2 term, of terms ``reg`` (``regularization(w)`` if not given);
@@ -438,7 +440,7 @@ class Objective:
             raise NumericError("non-finite average or regularization term")
         return grad, loss
 
-    @np.errstate(over="ignore", invalid="ignore")
+    @quiet
     def regularization(self, w: Vector) -> tuple:
         """The terms ``(sigma * w, sigma/2 ||w||^2)`` that ``average`` adds."""
         return self.sigma * w, 0.5 * self.sigma * float(w.dot(w))

@@ -1,3 +1,4 @@
+import threading
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from mblbfgs import driver
 from mblbfgs.driver import _average, form_pair
 from mblbfgs.objectives import Objective
 
+from conftest import random_admitted_memory
 from test_objectives import dataset_from_rows
 
 
@@ -97,6 +99,24 @@ class TestFormPair:
         w = np.linspace(0, 1, small_logistic.d)
         s, y = form_pair(small_logistic, w, w, np.arange(5))
         assert not np.any(s)
+
+    def test_both_evaluations_read_one_kept_entry(self, small_logistic, monkeypatch):
+        # the overlap is copied once, read-only, so the second evaluation
+        # finds the entry the first one kept
+        kept = []
+        real = Objective._keep
+        monkeypatch.setattr(Objective, "_keep",
+                            lambda self, rows: kept.append(rows) or real(self, rows))
+        objective = logistic_l2(small_logistic.dataset)
+        w = np.linspace(0, 1, objective.d)
+        overlap = [4, 0, 7, 7]
+        s, y = form_pair(objective, w, 2 * w, overlap)
+        assert len(kept) == 1 and not kept[0].flags.writeable
+        assert overlap == [4, 0, 7, 7]
+        fresh = [logistic_l2(small_logistic.dataset).eval_subset(v, np.array(overlap))
+                 for v in (w, 2 * w)]
+        assert y.tobytes() == (fresh[1].gradient - fresh[0].gradient).tobytes()
+        assert s.tobytes() == w.tobytes()
 
     def test_quadratic_full_overlap_is_exact_hessian_action(self):
         rng = np.random.default_rng(2)
@@ -715,6 +735,31 @@ class TestCurvatureDiagnostics:
         cosine = float(y_s @ y_d) / (np.linalg.norm(y_s) * np.linalg.norm(y_d))
         assert cosine == 0.0
 
+    def test_each_trial_keeps_its_subset_once(self, small_logistic, monkeypatch):
+        # both evaluations of a trial read one kept entry; the results are
+        # those of evaluating a fresh writable copy of the subset each time
+        sizes, trials = [5, 40], 6
+        w = np.linspace(-0.5, 0.5, small_logistic.d)
+
+        def diagnostics():
+            objective = logistic_l2(small_logistic.dataset)
+            return curvature_diagnostics(objective, w, batch_sizes=sizes,
+                                         trials=trials, rng=SeededRng(8))
+
+        with monkeypatch.context() as mp:
+            eval_subset = Objective.eval_subset
+            mp.setattr(Objective, "eval_subset",
+                       lambda self, w, subset: eval_subset(self, w, np.array(subset)))
+            expected = diagnostics()
+        kept = []
+        real = Objective._keep
+        monkeypatch.setattr(Objective, "_keep",
+                            lambda self, rows: kept.append(rows) or real(self, rows))
+        got = diagnostics()
+        assert len(kept) == len(sizes) * trials
+        # a float's repr names its double exactly, -0.0 included
+        assert repr(got) == repr(expected)
+
     def test_median_cosine_improves_with_batch(self, small_logistic):
         rng = SeededRng(4)
         sizes = [10, 60, 300]
@@ -724,3 +769,75 @@ class TestCurvatureDiagnostics:
         med = [np.median([d.cosine for d in diags if d.batch_size == b])
                for b in sizes]
         assert med[0] <= med[1] <= med[2]
+
+
+class TestErrorState:
+    """A run enters numpy's error state once; the calls inside it run in
+    that state, and every call outside one enters its own."""
+
+    CONFIGS = {
+        "strategy1": dict(method="robust_lbfgs", mode="strategy1", batch_frac=0.1),
+        "fault": dict(method="robust_lbfgs", mode="fault", nodes=4, fail_prob=0.3),
+        "serial_sgd": dict(method="serial_sgd"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_a_run_enters_the_error_state_once(self, small_logistic, monkeypatch, name):
+        # numpy builds the error state it enters with _make_extobj, in the
+        # context manager and in the decorator alike
+        from numpy._core import _ufunc_config
+
+        entries = []
+        make = _ufunc_config._make_extobj
+        monkeypatch.setattr(_ufunc_config, "_make_extobj",
+                            lambda **kwargs: entries.append(kwargs) or make(**kwargs))
+        cfg = RunConfig(schedule=constant(0.1), epochs=30.0, max_iterations=30, seed=1,
+                        **self.CONFIGS[name])
+        trace = run(cfg, logistic_l2(small_logistic.dataset))
+        assert trace.aborted is None and len(trace.records) == 31
+        assert len(entries) == 1
+
+    @staticmethod
+    def _overflowing_direction():
+        """What an overflowing two-loop raises, with warnings made errors."""
+        mem = random_admitted_memory(np.random.default_rng(4), d=4, m=3, n_pairs=3)
+        try:
+            mem.direction(np.full(4, 1e308))
+        except Exception as exc:
+            return exc
+        return None
+
+    def test_silent_after_a_run_that_ends_with_an_exception(self, small_logistic,
+                                                            monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(driver, "take_step", interrupted)
+        cfg = RunConfig(schedule=constant(0.1), epochs=1.0, **self.CONFIGS["strategy1"])
+        with pytest.raises(KeyboardInterrupt):
+            run(cfg, small_logistic)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert isinstance(self._overflowing_direction(), NumericError)
+
+    def test_silent_in_a_thread_started_inside_a_run(self, small_logistic, monkeypatch):
+        # a new thread starts outside every quiet call and in numpy's
+        # default error state, so its calls enter their own
+        outcomes = []
+        step = driver.take_step
+
+        def step_with_a_thread(*args, **kwargs):
+            if not outcomes:
+                probe = threading.Thread(
+                    target=lambda: outcomes.append(self._overflowing_direction()))
+                probe.start()
+                probe.join()
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "take_step", step_with_a_thread)
+        cfg = RunConfig(schedule=constant(0.1), max_iterations=3,
+                        **self.CONFIGS["strategy1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(cfg, small_logistic).aborted is None
+        assert len(outcomes) == 1 and isinstance(outcomes[0], NumericError)

@@ -373,7 +373,8 @@ class TestCompiledKernels:
                 (gathered, obj._row_data.take(sub), list(zip(ends, ends[1:])))):
             G, L = np.zeros((len(parts), obj.d)), np.empty(len(parts))
             with np.errstate(over="ignore", invalid="ignore"):
-                _, z, terms, coeff = obj._part_sums(w, csr, row_data, ranges, G, L)
+                _, z, terms, coeff = obj._part_sums(w, csr, row_data, ranges,
+                                                    int(ends[-1]), G, L)
                 at = 0
                 for k, (a, b) in enumerate(parts):
                     Xs, m = obj.X[rows[a:b]], b - a
