@@ -14,6 +14,15 @@ from .sampling import SeededRng
 # memory of its temporaries
 _CHUNK_ROWS = 2048
 
+# characters of whole lines parsed in one pass of parse_libsvm; bounds the
+# memory of its temporaries
+_BLOCK_BYTES = 64 * 1024
+
+# the largest 1-based index, and dimension, that int64 holds
+_INDEX_MAX = int(np.iinfo(np.int64).max)
+
+_PAIR = np.dtype([("i", np.int64), ("v", np.float64)])
+
 _LABEL_MAP = {"1": 1, "+1": 1, "-1": -1, "0": -1,
               "1.0": 1, "+1.0": 1, "-1.0": -1, "0.0": -1}
 
@@ -24,27 +33,85 @@ def parse_libsvm(path, dimension: int | None = None) -> Dataset:
     Lines are ``<label> <idx>:<val> ...`` with 1-based indices. Labels may
     follow either the {0,1} or the {-1,+1} convention; both are mapped to
     {-1,+1}. The dimension defaults to the largest index seen.
+
+    The file is read in blocks of whole lines, and numpy's compiled text
+    reader parses each block's pairs at once. A block that it or a check
+    refuses is parsed again by ``_parse_lines``, which names the first bad
+    token; both give the same arrays and the same errors.
     """
+    if dimension is not None:
+        try:  # NaN, infinity and strings too
+            valid = dimension % 1 == 0 and 1 <= int(dimension) <= _INDEX_MAX
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise DataError(f"dimension={dimension!r} is not an integer in [1, 2**63 - 1]")
+        dimension = int(dimension)
+    blocks = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            labels, indices, values, indptr = _parse_lines(fh)
+            start = 1
+            while lines := fh.readlines(_BLOCK_BYTES):
+                blocks.append(_parse_block(lines, start))
+                start += len(lines)
     except UnicodeDecodeError:
         raise DataError(_undecodable_line(path)) from None
-    if not labels:
+    if not any(len(labels) for labels, *_ in blocks):
         raise DataError(f"{path}: no examples found")
-    d = dimension if dimension is not None else max(indices, default=-1) + 1
+    labels, indices, values, counts = (np.concatenate(parts) for parts in zip(*blocks))
+    d = dimension if dimension is not None else int(indices.max(initial=-1)) + 1
     if d < 1:
         raise DataError(f"{path}: could not infer a positive dimension")
-    X = sparse.csr_matrix(
-        (np.array(values, dtype=np.float64), np.array(indices, dtype=np.int64),
-         np.array(indptr, dtype=np.int64)), shape=(len(labels), d))
-    return Dataset(X, np.array(labels, dtype=np.float64))
+    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    X = sparse.csr_matrix((values, indices, indptr), shape=(len(labels), d))
+    return Dataset(X, labels)
 
 
-def _parse_lines(lines) -> tuple:
-    """``(labels, indices, values, indptr)`` of the LIBSVM text ``lines``."""
+def _parse_block(lines, start: int) -> tuple:
+    """``(labels, indices, values, counts)`` of the LIBSVM text ``lines``,
+    the first of them line ``start`` of the file, as float64, int64,
+    float64 and int64 arrays; ``counts`` holds each row's number of pairs."""
+    heads = [head for head in (line.split(None, 1) for line in lines) if head]
+    labels = [_LABEL_MAP.get(head[0]) for head in heads]
+    if None not in labels:
+        pairs = _parse_pairs([head[1] if len(head) > 1 else "" for head in heads])
+        if pairs is not None:
+            return (np.array(labels, dtype=np.float64), *pairs)
+    # _parse_lines takes the block or names its first bad token
+    labels, indices, values, indptr = _parse_lines(lines, start)
+    return (np.array(labels, dtype=np.float64), np.array(indices, dtype=np.int64),
+            np.array(values, dtype=np.float64), np.diff(np.array(indptr, dtype=np.int64)))
+
+
+def _parse_pairs(rests) -> tuple | None:
+    """``(indices, values, counts)`` of the ``idx:val`` text ``rests`` of a
+    block's rows, or None if numpy's reader or a check refuses it."""
+    tokens = " ".join(rests).split()
+    try:
+        pairs = (np.loadtxt(tokens, delimiter=":", comments=None, dtype=_PAIR, ndmin=1)
+                 if tokens else np.empty(0, dtype=_PAIR))
+    except ValueError:  # a token numpy's reader does not take: a "#" comment too
+        return None
+    idx, val = pairs["i"], pairs["v"]
+    counts = np.array([rest.count(":") for rest in rests], dtype=np.int64)
+    if counts.sum() != len(idx):
+        return None
+    # entry positions that open a row; an index drop there is allowed
+    row_start = np.zeros(len(idx) + 1, dtype=bool)
+    row_start[np.cumsum(counts)] = True
+    # with every index >= 1, no step between two of them wraps around
+    if ((idx >= 1).all() and ((np.diff(idx) > 0) | row_start[1:-1]).all()
+            and np.isfinite(val).all()):
+        return idx - 1, val, counts
+    return None
+
+
+def _parse_lines(lines, start: int = 1) -> tuple:
+    """``(labels, indices, values, indptr)`` of the LIBSVM text ``lines``,
+    the first of them line ``start`` of the file."""
     labels, indices, values, indptr = [], [], [], [0]
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=start):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -63,6 +130,9 @@ def _parse_lines(lines) -> tuple:
                     f"line {lineno}, token {col}: cannot parse {tok!r}") from None
             if idx < 0:
                 raise DataError(f"line {lineno}, token {col}: index must be >= 1")
+            if idx >= _INDEX_MAX:  # the 1-based index does not fit int64
+                raise DataError(
+                    f"line {lineno}, token {col}: index must be <= 2**63 - 1")
             if len(indices) > row_start and idx <= indices[-1]:
                 raise DataError(
                     f"line {lineno}, token {col}: indices must be strictly increasing")

@@ -75,6 +75,18 @@ def test_non_finite_data_exit_two(tmp_path, capsys):
     assert not out.exists()  # no manifest, no CSV, not even the directory
 
 
+def test_oversized_index_exit_two(tmp_path, capsys):
+    # used to escape as an OverflowError traceback (exit 1)
+    data = tmp_path / "big.txt"
+    data.write_text("-1 2:1\n+1 1:0.5 99999999999999999999:1\n")
+    out = tmp_path / "runs"
+    assert main(["--dataset", str(data), "--epochs", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: line 2, token 3: index must be <= 2**63 - 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_numeric_abort_exit_three(tmp_path):
     out = tmp_path / "runs"
     code = main([

@@ -1,5 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from mblbfgs import (
     ConfigurationError,
@@ -12,6 +17,8 @@ from mblbfgs import (
     run,
     serialize_libsvm,
 )
+from mblbfgs import dataio
+from mblbfgs.linalg import Dataset
 
 
 class TestParseLibsvm:
@@ -90,7 +97,44 @@ class TestParseLibsvm:
     def test_dimension_override(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("+1 1:1\n")
-        assert parse_libsvm(path, dimension=10).d == 10
+        for dimension in (10, 10.0, np.int32(10)):
+            assert parse_libsvm(path, dimension=dimension).d == 10
+
+    def test_oversized_index_names_its_token(self, tmp_path):
+        # used to escape as an OverflowError traceback
+        path = tmp_path / "big.txt"
+        for big in ("99999999999999999999", str(2**63)):
+            path.write_text(f"-1 2:1\n+1 1:0.5 {big}:1\n")
+            with pytest.raises(DataError, match=r"line 2, token 3: index must be <= 2\*\*63 - 1"):
+                parse_libsvm(path)
+        path.write_text(f"+1 1:0.5 {2**63 - 1}:1\n")  # the largest that fits
+        assert parse_libsvm(path).d == 2**63 - 1
+
+    @pytest.mark.parametrize("dimension", [2.5, "10", 10**20, 2**63, 0, -1,
+                                           float("nan"), float("inf")], ids=repr)
+    def test_bad_dimension_is_a_data_error_before_reading(self, tmp_path, dimension):
+        # the file does not exist: the check comes before any read
+        with pytest.raises(DataError, match=f"dimension={dimension!r} is not an integer"):
+            parse_libsvm(tmp_path / "missing.txt", dimension=dimension)
+
+    def test_error_past_the_first_block_names_its_file_line(self, tmp_path):
+        row = "+1 " + " ".join(f"{j}:0.{j:04d}" for j in range(1, 11)) + "\n"
+        lines = [row] * 5000
+        lines[2999] = row.replace("7:", "x:")
+        path = tmp_path / "long.txt"
+        path.write_text("".join(lines))
+        assert len(row) * 2999 > 2 * dataio._BLOCK_BYTES  # past two whole blocks
+        with pytest.raises(DataError, match=r"^line 3000, token 8: cannot parse 'x:0.0007'$"):
+            parse_libsvm(path)
+
+    def test_clean_blocks_skip_the_per_token_loop(self, tmp_path):
+        path = tmp_path / "clean.txt"
+        path.write_text("+1 1:0.5 3:2\n\n-1\n0 2:1e-300 4:-0.0\n" * 9000)
+        with mock.patch.object(dataio, "_parse_lines", side_effect=AssertionError):
+            ds = parse_libsvm(path)
+        assert ds.n == 27000 and ds.d == 4
+        path.write_text("+1 1:0.5 1_0:2\n")  # int() takes it, numpy does not
+        assert parse_libsvm(path).d == 10
 
     def test_round_trip(self, tmp_path):
         ds = make_synthetic(30, 15, 5, seed=2, separable_margin=0.3)
@@ -101,6 +145,89 @@ class TestParseLibsvm:
         assert np.array_equal(ds.y, back.y)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(ds.X, name), getattr(back.X, name))
+
+
+def _parse_whole_file(path) -> Dataset:
+    """The per-token oracle: ``_parse_lines`` over the whole file, with
+    the errors ``parse_libsvm`` raises after it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        labels, indices, values, indptr = dataio._parse_lines(fh)
+    if not labels:
+        raise DataError(f"{path}: no examples found")
+    d = max(indices, default=-1) + 1
+    if d < 1:
+        raise DataError(f"{path}: could not infer a positive dimension")
+    X = sparse.csr_matrix(
+        (np.array(values, dtype=np.float64), np.array(indices, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)), shape=(len(labels), d))
+    return Dataset(X, np.array(labels, dtype=np.float64))
+
+
+def _outcome(parse, path):
+    """Shape, dtypes and bytes of what ``parse(path)`` gives, or its error."""
+    try:
+        ds = parse(path)
+    except DataError as exc:
+        return "DataError", str(exc)
+    arrays = (ds.X.data, ds.X.indices, ds.X.indptr, ds.y)
+    return ds.X.shape, [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+_ODD_LABELS = ["2", "+2", "-1.5", "x", "1#c", "\uff11", "#"]
+_ODD_TOKENS = ["1_0:1", "\u0663:1", "1:\u0663", "1:1_0", "\uff11:1", "1.0:1", "1:", ":1",
+               "1", "1:2:3", "x:1", "0:1", "-2:1", "99999999999999999999:1",
+               f"{2**63}:1", "1:nan", "1:-inf", "1:Infinity", "1:1e400", "1:0x1p3",
+               "1:1,5", "1:nan(1)", "1:1\x00", "1:x#y", "1:" + "1" * 400]
+_ODD_FLOATS = ["1e-400", "4.9e-324", "2.4703282292062328e-324", "-0", "+.5", "5.",
+               "1E5", "1.7976931348623158e308", "0." + "0" * 400 + "1", "1" * 300,
+               "nan", "-inf", "Infinity", "1e400", "1" * 400]
+_SEPS = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u3000"]
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _libsvm_text(draw):
+    """LIBSVM text: mostly well-formed rows, with blank and comment lines,
+    odd separators and line ends, and now and then an odd label or token."""
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(range(80)))  # 0-6 odd lines, the rest plain rows
+        end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "# note", " # 1:2"])) + end)
+            continue
+        label = draw(st.sampled_from(_ODD_LABELS if kind == 1 else sorted(dataio._LABEL_MAP)))
+        indices = draw(st.lists(st.one_of(st.integers(1, 60), st.integers(1, 2**63 - 1)),
+                                unique=True, max_size=8).map(sorted))
+        if kind == 2 and len(indices) > 1:
+            indices[0], indices[-1] = indices[-1], indices[0]
+        values = st.one_of(_FLOATS.map(repr), _FLOATS.map(lambda v: f"{v:.17g}"))
+        tokens = [f"{i}:{draw(values)}" for i in indices]
+        if kind == 3:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_ODD_TOKENS)))
+        if kind == 4 and tokens:
+            tokens[-1] = tokens[-1].split(":")[0] + ":" + draw(st.sampled_from(_ODD_FLOATS))
+        if kind == 6 and tokens:
+            tokens[0] = draw(st.sampled_from(["0", "-1", "-0", "00"])) + tokens[0][tokens[0].index(":"):]
+        sep = st.sampled_from(_SEPS)
+        line = draw(st.sampled_from(["", " ", "\t"])) + label
+        line += "".join(draw(sep) + token for token in tokens)
+        if kind == 5:
+            line += " #" + draw(st.sampled_from(["", " a comment", "1:2"]))
+        lines.append(line + draw(st.sampled_from(["", " ", "\t "])) + end)
+    text = "".join(lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_libsvm_text(), block=st.integers(1, 400))
+def test_blocks_parse_as_the_per_token_oracle(tmp_path_factory, text, block):
+    path = tmp_path_factory.getbasetemp() / "oracle.txt"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _outcome(_parse_whole_file, path)
+    with mock.patch.object(dataio, "_BLOCK_BYTES", block):  # many blocks a file
+        assert _outcome(parse_libsvm, path) == expected
+    assert _outcome(parse_libsvm, path) == expected
 
 
 class TestMakeSynthetic:
