@@ -21,7 +21,7 @@ from .driver import (
     sqrt_horizon,
     take_step,
 )
-from .engine import CurvaturePair, LbfgsMemory, cautious_accept
+from .engine import CurvaturePair, LbfgsMemory
 from .errors import (
     ConfigurationError,
     DataError,
@@ -52,7 +52,7 @@ __all__ = [
     "Objective", "SubsetGradient", "logistic_l2", "quadratic", "sigmoid_lsq",
     "NodeLayout", "SamplePlan", "SeededRng", "make_layout", "plan_fault",
     "plan_strategy1_epoch", "plan_strategy2", "reshard",
-    "CurvaturePair", "LbfgsMemory", "cautious_accept",
+    "CurvaturePair", "LbfgsMemory",
     "CurvatureDiagnostic", "RunConfig", "RunTrace", "StepSchedule",
     "constant", "curvature_diagnostics", "diminishing", "run",
     "sqrt_horizon", "take_step",

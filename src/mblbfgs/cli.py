@@ -107,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trace-stride", type=int)
     p.add_argument("--reshard-each-epoch", action="store_true", default=None)
     p.add_argument("--out", dest="out_dir",
-                   help="output directory (env MBLBFGS_OUT overrides)")
+                   help="output directory (default runs)")
     return p
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError
-from .linalg import Dataset
+from .linalg import Dataset, check_dimension
 from .sampling import SeededRng
 
 # rows drawn between two vectorised passes of make_synthetic; bounds the
@@ -194,6 +194,7 @@ def make_synthetic(n: int, d: int, nnz_per_row: int, seed: int,
         if not (value >= 1 and value % 1 == 0):  # NaN and infinity too
             raise DataError(f"{name}={value!r} is not an integer >= 1")
     n, d, nnz_per_row = int(n), int(d), int(nnz_per_row)
+    check_dimension(d)
     if not nnz_per_row <= d:
         raise DataError(f"nnz_per_row={nnz_per_row} outside [1, d={d}]")
     if not 0 <= separable_margin < math.inf:  # NaN too

@@ -214,7 +214,7 @@ class RunTrace:
 
 
 # ----------------------------------------------------------------------
-# standalone step and pair operations, also used directly by tests
+# the step, also used directly by tests
 # ----------------------------------------------------------------------
 @quiet
 def take_step(w: Vector, memory: LbfgsMemory, g: Vector, alpha: float,
@@ -225,20 +225,6 @@ def take_step(w: Vector, memory: LbfgsMemory, g: Vector, alpha: float,
     if not all_finite(w_next):
         raise NumericError("step produced a non-finite iterate")
     return w_next
-
-
-def form_pair(objective: Objective, w_prev: Vector, w_next: Vector,
-              overlap) -> tuple:
-    """Curvature pair from gradients on the same overlap set at both iterates."""
-    # one read-only copy, so the second evaluation reuses the objective's
-    # entry for it
-    overlap = np.array(overlap, dtype=np.int64)
-    overlap.flags.writeable = False
-    if overlap.size == 0:
-        raise UsageError("cannot form a pair on an empty overlap")
-    g_prev = objective.eval_subset(w_prev, overlap).gradient
-    g_next = objective.eval_subset(w_next, overlap).gradient
-    return w_next - w_prev, g_next - g_prev
 
 
 def _average(objective: Objective, w: Vector, G, L, count: int, reg,
@@ -262,15 +248,14 @@ def _average(objective: Objective, w: Vector, G, L, count: int, reg,
 # ----------------------------------------------------------------------
 # the loop's own overflows are caught by the finiteness checks after them
 @quiet
-def run(config: RunConfig, objective: Objective, eval_ledger=None,
-        pair_log=None) -> RunTrace:
+def run(config: RunConfig, objective: Objective, pair_log=None) -> RunTrace:
     """Execute one optimization run and return its trace.
 
-    ``eval_ledger``, when a list, collects (iterate, part, indices) for every
-    algorithmic gradient evaluation; ``part`` is the part's position in its
-    plan, or "O_extra" for strategy 2's extra overlap part. ``pair_log`` collects
-    (k, y's, s's, y'y, accepted) for every candidate curvature pair, k being
-    the step the pair measures.
+    ``pair_log``, when a list, collects (k, y's, s's, y'y, accepted) for every
+    candidate curvature pair, k being the step the pair measures. The trace
+    keeps only whether each pair was accepted; the nonconvex oracle
+    ``verification.check_nonconvex_bounded`` reads the inner products of every
+    admitted pair from this log.
     """
     n, d = objective.n, objective.d
     config.validate(n)
@@ -298,9 +283,6 @@ def run(config: RunConfig, objective: Objective, eval_ledger=None,
             if plan.extra and not overlap_pair:
                 spans = spans[:batch]  # the extra part serves only the pair
             G, L = objective.eval_sums(w, plan.rows, spans)
-            if eval_ledger is not None:
-                eval_ledger.extend((k, i if i < batch else "O_extra", plan.rows[a:b])
-                                   for i, (a, b) in enumerate(spans))
             reg = objective.regularization(w)  # shared by every average at w
             G_S, L_S = (G[:batch], L[:batch]) if plan.extra else (G, L)
             g_S, loss_S = _average(objective, w, G_S, L_S, plan.sample_size, reg)

@@ -27,14 +27,6 @@ RHO_GUARD = 1e-12
 DENSE_DIM_LIMIT = 200
 
 
-def cautious_accept(s: Vector, y: Vector, eps: float) -> bool:
-    """Curvature test y's >= eps * ||s||^2 (the cautious-update condition)."""
-    ss = float(np.dot(s, s))
-    if ss == 0.0:
-        raise UsageError("cautious_accept: zero step should never reach admission")
-    return float(np.dot(y, s)) >= eps * ss
-
-
 def memory_settings(capacity: int, scaling, cautious_eps: float) -> tuple:
     """The ``(capacity, scaling, cautious_eps)`` an ``LbfgsMemory`` keeps, or
     ``ConfigurationError`` (a ``UsageError``); NaN and non-numbers fail every rule."""

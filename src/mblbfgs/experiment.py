@@ -145,7 +145,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     shared = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if shared is not None:
         raise ConfigurationError(f"two grid cells share the file name {shared}")
-    out_dir = Path(os.environ.get("MBLBFGS_OUT", spec.out_dir))
+    out_dir = Path(spec.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

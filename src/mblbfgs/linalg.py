@@ -45,6 +45,13 @@ def quiet(fn):
     return call
 
 
+def check_dimension(d: int):
+    """Raise ``DataError`` unless numpy can hold a float64 vector of ``d``
+    entries: its ``d * 8`` bytes must fit in ``np.intp``."""
+    if d * 8 > np.iinfo(np.intp).max:
+        raise DataError(f"dimension d={d} is too large for a float64 vector")
+
+
 def join_ranges(values, ranges):
     """The entries of ``values`` in the ``(start, stop)`` ``ranges``, range
     after range: a view of ``values`` when the ranges are back to back."""
@@ -66,8 +73,9 @@ def all_finite(a) -> bool:
 class Dataset:
     """n labelled examples over d features, held as one CSR matrix.
 
-    ``X`` is a ``scipy.sparse`` CSR matrix of shape (n, d) whose rows hold
-    strictly increasing column indices and finite values; ``y`` is the
+    ``X`` is a ``scipy.sparse`` CSR matrix of shape (n, d), with d small
+    enough for a float64 vector, whose rows hold strictly increasing column
+    indices and finite values; ``y`` is the
     float64 vector of -1/+1 labels. The constructor is where outside data
     enters the package, so it checks all of this and raises ``DataError``.
     """
@@ -78,6 +86,7 @@ class Dataset:
         n, d = X.shape
         if d < 1:
             raise DataError("dimension must be >= 1")
+        check_dimension(d)
         if n < 1:
             raise DataError("dataset must contain at least one example")
         y = np.asarray(y, dtype=np.float64)

@@ -1,4 +1,6 @@
+import contextlib
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,3 +66,43 @@ def random_admitted_memory(rng, d, m, n_pairs, eps=1e-4, spectrum=None):
         y = diag * s
         mem.admit(s, y)
     return mem
+
+
+@contextlib.contextmanager
+def record_evaluations():
+    """Wrap ``driver.make_plan_source`` and ``Objective.eval_sums`` for the
+    runs inside the block. Yields a namespace whose ``plans`` lists every plan
+    drawn and whose ``parts`` lists (k, part, rows) for every part passed to
+    ``eval_sums``: k is the plan drawn last, part the span's position in the
+    call, or "O_extra" for strategy 2's extra overlap part, and rows the
+    part's rows as the call received them. A context manager, not a fixture,
+    so a Hypothesis test can enter it once per example."""
+    from mblbfgs import driver
+    from mblbfgs.objectives import Objective
+
+    seen = SimpleNamespace(plans=[], parts=[])
+    make_source, eval_sums = driver.make_plan_source, Objective.eval_sums
+
+    def recording_source(*args):
+        source = make_source(*args)
+        draw = source.next_plan
+
+        def next_plan():
+            seen.plans.append(draw())
+            return seen.plans[-1]
+
+        source.next_plan = next_plan
+        return source
+
+    def recording_eval_sums(self, w, rows, spans=None):
+        plan = seen.plans[-1]
+        batch = len(plan.spans) - plan.extra
+        for i, (a, b) in enumerate([(0, len(rows))] if spans is None else spans):
+            seen.parts.append((len(seen.plans) - 1, i if i < batch else "O_extra",
+                               rows[a:b]))
+        return eval_sums(self, w, rows, spans)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "make_plan_source", recording_source)
+        mp.setattr(Objective, "eval_sums", recording_eval_sums)
+        yield seen

@@ -23,7 +23,7 @@ from mblbfgs import (
     plan_strategy2,
     run,
 )
-from mblbfgs.driver import form_pair, take_step
+from mblbfgs.driver import take_step
 from mblbfgs.experiment import run_experiment
 from mblbfgs.sampling import Strategy1Source
 from mblbfgs.verification import (
@@ -126,7 +126,10 @@ def test_criterion_03_secant_and_spd_along_run(sep_logistic):
         plan_next = source.next_plan()
         overlap = plan_next.O_prev
         if overlap.size and np.any(w_next - w):
-            s, y = form_pair(obj, w, w_next, overlap)
+            # both gradients of the pair on the same overlap set
+            s = w_next - w
+            y = (obj.eval_subset(w_next, overlap).gradient
+                 - obj.eval_subset(w, overlap).gradient)
             if mem.admit(s, y):
                 H = mem.dense_inverse()
                 newest = mem.pairs[-1]

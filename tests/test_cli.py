@@ -87,6 +87,21 @@ def test_oversized_index_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dimension_no_float64_vector_holds_exits_two_before_any_output(tmp_path, capsys):
+    # d = 2**62 takes 2**65 bytes as float64: a fault grid wrote its manifest,
+    # then np.zeros(d) escaped as a ValueError traceback (exit 1)
+    data = tmp_path / "wide.txt"
+    data.write_text("-1 2:1\n+1 1:0.5 4611686018427387904:1\n")
+    out = tmp_path / "runs"
+    assert main(["--dataset", str(data), "--strategy", "fault", "--nodes", "2",
+                 "--epochs", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("data error: dimension d=4611686018427387904 is too large for a float64 vector"
+            in err)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_numeric_abort_exit_three(tmp_path):
     out = tmp_path / "runs"
     code = main([
@@ -337,6 +352,7 @@ def test_grid_cells_sharing_a_file_name_exit_one_before_any_output(
     "100,8,4,-1",
     "100.7,8,4,0.5",                          # ran on 100 rows
     "100,8,4.5,0.5",                          # ran on 4 entries per row
+    "10,4611686018427387904,1,0",             # d * 8 bytes overflowed np.intp
 ])
 def test_bad_synthetic_parameter_exits_two_before_any_output(tmp_path, capsys, synthetic):
     out = tmp_path / "runs"

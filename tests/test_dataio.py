@@ -107,8 +107,14 @@ class TestParseLibsvm:
             path.write_text(f"-1 2:1\n+1 1:0.5 {big}:1\n")
             with pytest.raises(DataError, match=r"line 2, token 3: index must be <= 2\*\*63 - 1"):
                 parse_libsvm(path)
-        path.write_text(f"+1 1:0.5 {2**63 - 1}:1\n")  # the largest that fits
-        assert parse_libsvm(path).d == 2**63 - 1
+        # the largest index int64 holds is read, and its dimension is then
+        # refused as too large for a float64 vector
+        path.write_text(f"+1 1:0.5 {2**63 - 1}:1\n")
+        with pytest.raises(DataError, match=f"^dimension d={2**63 - 1} is too large"):
+            parse_libsvm(path)
+        widest = np.iinfo(np.intp).max // 8  # its float64 vector's bytes fit in intp
+        path.write_text(f"+1 1:0.5 {widest}:1\n")
+        assert parse_libsvm(path).d == widest
 
     @pytest.mark.parametrize("dimension", [2.5, "10", 10**20, 2**63, 0, -1,
                                            float("nan"), float("inf")], ids=repr)
@@ -279,6 +285,7 @@ class TestMakeSynthetic:
         dict(nnz_per_row=4.5),
         dict(n=0),
         dict(n=float("inf")),
+        dict(d=np.iinfo(np.intp).max // 8 + 1),  # np.logspace raised ValueError
     ], ids=repr)
     def test_bad_parameters_are_data_errors(self, changes):
         args = dict(n=20, d=8, nnz_per_row=4, seed=0, separable_margin=0.5)

@@ -25,10 +25,10 @@ from mblbfgs import (
     take_step,
 )
 from mblbfgs import driver
-from mblbfgs.driver import _average, form_pair
+from mblbfgs.driver import _average
 from mblbfgs.objectives import Objective
 
-from conftest import random_admitted_memory
+from conftest import random_admitted_memory, record_evaluations
 from test_objectives import dataset_from_rows
 
 
@@ -92,56 +92,6 @@ class TestTakeStep:
         expected = w - 0.3 * (mem.dense_inverse() @ g)
         got = take_step(w, mem, g, 0.3)
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
-
-
-class TestFormPair:
-    def test_zero_step_gives_zero_s(self, small_logistic):
-        w = np.linspace(0, 1, small_logistic.d)
-        s, y = form_pair(small_logistic, w, w, np.arange(5))
-        assert not np.any(s)
-
-    def test_both_evaluations_read_one_kept_entry(self, small_logistic, monkeypatch):
-        # the overlap is copied once, read-only, so the second evaluation
-        # finds the entry the first one kept
-        kept = []
-        real = Objective._keep
-        monkeypatch.setattr(Objective, "_keep",
-                            lambda self, rows: kept.append(rows) or real(self, rows))
-        objective = logistic_l2(small_logistic.dataset)
-        w = np.linspace(0, 1, objective.d)
-        overlap = [4, 0, 7, 7]
-        s, y = form_pair(objective, w, 2 * w, overlap)
-        assert len(kept) == 1 and not kept[0].flags.writeable
-        assert overlap == [4, 0, 7, 7]
-        fresh = [logistic_l2(small_logistic.dataset).eval_subset(v, np.array(overlap))
-                 for v in (w, 2 * w)]
-        assert y.tobytes() == (fresh[1].gradient - fresh[0].gradient).tobytes()
-        assert s.tobytes() == w.tobytes()
-
-    def test_quadratic_full_overlap_is_exact_hessian_action(self):
-        rng = np.random.default_rng(2)
-        rows = rng.normal(size=(9, 4))
-        weights = np.array([1.0, 2.0, 3.0, 4.0])
-        obj = quadratic(dataset_from_rows(rows, [1] * 9, 4), weights=weights)
-        w1 = rng.normal(size=4)
-        w2 = rng.normal(size=4)
-        s, y = form_pair(obj, w1, w2, np.arange(9))
-        assert np.allclose(y, weights * s, rtol=1e-12)
-
-    def test_robust_vs_inconsistent_differ(self, small_logistic):
-        seen_different = False
-        for seed in range(3):
-            cfg = dict(mode="strategy1", batch_frac=0.1, overlap_frac=0.2,
-                       schedule=constant(0.5), epochs=2.0, seed=seed)
-            pl_r, pl_i = [], []
-            run(RunConfig(method="robust_lbfgs", **cfg), small_logistic,
-                pair_log=pl_r)
-            run(RunConfig(method="inconsistent_lbfgs", **cfg), small_logistic,
-                pair_log=pl_i)
-            # same seed, same first step; the first y values already differ
-            if pl_r and pl_i and pl_r[0][3] != pl_i[0][3]:
-                seen_different = True
-        assert seen_different
 
 
 class TestRunLoop:
@@ -372,17 +322,18 @@ class TestAbortSites:
         assert np.array_equal(trace.final_w, reference.final_w)
 
     @pytest.mark.parametrize("mode", ["strategy1", "strategy2", "fault"])
-    def test_ledger_tags_and_pair_log_name_iterates(self, small_logistic, mode):
-        ledger, pairs = [], []
+    def test_evaluations_and_pair_log_name_iterates(self, small_logistic, mode):
+        pairs = []
         cfg = RunConfig(method="robust_lbfgs", mode=mode, batch_frac=0.1,
                         overlap_frac=0.2, nodes=4, fail_prob=0.25,
                         schedule=constant(0.2), epochs=2.0, seed=1)
-        trace = run(cfg, small_logistic, eval_ledger=ledger, pair_log=pairs)
+        with record_evaluations() as seen:
+            trace = run(cfg, small_logistic, pair_log=pairs)
         ks = [r.k for r in trace.records]
-        # the batch parts and the extra overlap carry the iterate they were
-        # evaluated at
-        assert sorted({tag for tag, key, _ in ledger if key != "O_extra"}) == ks
-        assert {tag for tag, key, _ in ledger if key == "O_extra"} <= set(ks[1:])
+        # the batch parts and the extra overlap are evaluated at the iterate
+        # of the plan they belong to
+        assert sorted({k for k, part, _ in seen.parts if part != "O_extra"}) == ks
+        assert {k for k, part, _ in seen.parts if part == "O_extra"} <= set(ks[1:])
         # a pair carries the step it measures: step k leads to record k + 1
         assert pairs
         assert [k + 1 for k, *_ in pairs] == [
@@ -424,50 +375,43 @@ class TestEvaluationAccounting:
         assert seen == {False, True}  # one part and several
 
     def test_strategy1_never_evaluates_twice_per_iterate(self, small_logistic):
-        ledger = []
         cfg = RunConfig(method="robust_lbfgs", mode="strategy1",
                         batch_frac=0.1, overlap_frac=0.2,
                         schedule=constant(0.2), epochs=3.0, seed=1)
-        run(cfg, small_logistic, eval_ledger=ledger)
+        with record_evaluations() as seen:
+            trace = run(cfg, small_logistic)
         by_iterate = {}
-        for tag, _, idx in ledger:
-            by_iterate.setdefault(tag, []).append(idx)
-        for tag, parts in by_iterate.items():
+        for k, _, rows in seen.parts:
+            by_iterate.setdefault(k, []).append(rows)
+        assert sorted(by_iterate) == [r.k for r in trace.records]
+        for k, parts in by_iterate.items():
             joined = np.concatenate(parts)
-            assert np.unique(joined).size == joined.size, f"iterate {tag}"
+            assert np.unique(joined).size == joined.size, f"iterate {k}"
 
     @pytest.mark.parametrize("method,mode", [
         ("robust_lbfgs", "strategy1"), ("robust_lbfgs", "strategy2"),
         ("inconsistent_lbfgs", "strategy2"), ("robust_lbfgs", "fault"),
         ("serial_sgd", "strategy1")])
-    def test_one_eval_sums_call_per_batch(self, small_logistic, monkeypatch,
-                                          method, mode):
-        calls = []
-        eval_sums = Objective.eval_sums
-
-        def counting(self, w, rows, spans=None):
-            spans = [(0, len(rows))] if spans is None else spans
-            calls.append(sum(b - a for a, b in spans))
-            return eval_sums(self, w, rows, spans)
-
-        monkeypatch.setattr(Objective, "eval_sums", counting)
-        ledger = []
+    def test_one_eval_sums_call_per_batch(self, small_logistic, method, mode):
         cfg = RunConfig(method=method, mode=mode, batch_frac=0.1,
                         overlap_frac=0.2, nodes=4, fail_prob=0.25,
                         schedule=constant(0.2), epochs=2.0, seed=1)
-        trace = run(cfg, small_logistic, eval_ledger=ledger)
+        with record_evaluations() as seen:
+            trace = run(cfg, small_logistic)
+        # a call's first part is a batch part: one call per iterate
+        assert [k for k, part, _ in seen.parts if part == 0] == [
+            r.k for r in trace.records]
         # strategy 2's extra overlap part is evaluated at every iterate after
         # the first, only for robust pairs, and in the iterate's one call
-        extra = {tag for tag, key, _ in ledger if key == "O_extra"}
+        extra = {k for k, part, _ in seen.parts if part == "O_extra"}
         pairs_on_extra = method == "robust_lbfgs" and mode == "strategy2"
         assert extra == (set(range(1, len(trace.records))) if pairs_on_extra else set())
-        assert calls == [r.sample_size + (r.overlap_size if r.k in extra else 0)
-                         for r in trace.records]
-        # each call covers every row of its iterate's ledger parts
         rows = {}
-        for tag, _, idx in ledger:
-            rows[tag] = rows.get(tag, 0) + idx.size
-        assert calls == [rows[r.k] for r in trace.records]
+        for k, _, part_rows in seen.parts:
+            rows[k] = rows.get(k, 0) + part_rows.size
+        assert [rows[r.k] for r in trace.records] == [
+            r.sample_size + (r.overlap_size if r.k in extra else 0)
+            for r in trace.records]
 
     def test_strategy2_charges_overlap_extra(self, small_logistic):
         n = small_logistic.n
@@ -651,39 +595,27 @@ class TestCurvaturePairs:
             cfg.validate(small_logistic.n)
         except ConfigurationError:
             assume(False)
-        # the loop's own plans, iterates and admitted y's, and its ledger
-        plans, iterates, pairs, ledger = [], [np.zeros(small_logistic.d)], [], []
-        make_source, step, admit = driver.make_plan_source, driver.take_step, LbfgsMemory.admit
-
-        def recording_source(*args):
-            source = make_source(*args)
-            draw = source.next_plan
-
-            def next_plan():
-                plans.append(draw())
-                return plans[-1]
-
-            source.next_plan = next_plan
-            return source
+        # the loop's own plans and evaluated parts, iterates and admitted y's
+        iterates, pairs = [np.zeros(small_logistic.d)], []
+        step, admit = driver.take_step, LbfgsMemory.admit
 
         def recording_step(*args, **kwargs):
             iterates.append(step(*args, **kwargs))
             return iterates[-1]
 
-        def recording_admit(memory, s, y):
-            pairs.append((len(plans) - 1, y.copy()))
-            return admit(memory, s, y)
+        with record_evaluations() as seen, pytest.MonkeyPatch.context() as mp:
+            def recording_admit(memory, s, y):
+                pairs.append((len(seen.plans) - 1, y.copy()))
+                return admit(memory, s, y)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(driver, "make_plan_source", recording_source)
             mp.setattr(driver, "take_step", recording_step)
             mp.setattr(LbfgsMemory, "admit", recording_admit)
-            trace = run(cfg, small_logistic, eval_ledger=ledger)
+            trace = run(cfg, small_logistic)
         assert trace.aborted is None
-        evaluated = {(k, part): rows for k, part, rows in ledger}
+        plans, evaluated = seen.plans, {(k, part): rows for k, part, rows in seen.parts}
 
         def linked_rows(k, parts):
-            """The rows the ledger records for the parts ``parts`` of plan k."""
+            """The rows eval_sums received for the parts ``parts`` of plan k."""
             batch = len(plans[k].spans) - plans[k].extra
             return np.concatenate([evaluated[k, i if i < batch else "O_extra"]
                                    for i in parts])
@@ -698,6 +630,32 @@ class TestCurvaturePairs:
             g_prev = small_logistic.eval_subset(iterates[k - 1], O_k).gradient
             g_next = small_logistic.eval_subset(iterates[k], O_k).gradient
             np.testing.assert_allclose(y, g_next - g_prev, rtol=1e-10)
+
+    def test_quadratic_full_overlap_is_exact_hessian_action(self):
+        rng = np.random.default_rng(2)
+        rows = rng.normal(size=(9, 4))
+        weights = np.array([1.0, 2.0, 3.0, 4.0])
+        obj = quadratic(dataset_from_rows(rows, [1] * 9, 4), weights=weights)
+        w1 = rng.normal(size=4)
+        w2 = rng.normal(size=4)
+        overlap = np.arange(9)
+        y = obj.eval_subset(w2, overlap).gradient - obj.eval_subset(w1, overlap).gradient
+        assert np.allclose(y, weights * (w2 - w1), rtol=1e-12)
+
+    def test_robust_vs_inconsistent_differ(self, small_logistic):
+        seen_different = False
+        for seed in range(3):
+            cfg = dict(mode="strategy1", batch_frac=0.1, overlap_frac=0.2,
+                       schedule=constant(0.5), epochs=2.0, seed=seed)
+            pl_r, pl_i = [], []
+            run(RunConfig(method="robust_lbfgs", **cfg), small_logistic,
+                pair_log=pl_r)
+            run(RunConfig(method="inconsistent_lbfgs", **cfg), small_logistic,
+                pair_log=pl_i)
+            # same seed, same first step; the first y values already differ
+            if pl_r and pl_i and pl_r[0][3] != pl_i[0][3]:
+                seen_different = True
+        assert seen_different
 
 
 class TestFaultEquivalence:

@@ -11,7 +11,6 @@ from mblbfgs import (
     NumericError,
     RunConfig,
     UsageError,
-    cautious_accept,
 )
 from conftest import random_admitted_memory
 
@@ -69,30 +68,38 @@ class TestMemorySettings:
 
 
 class TestCautiousAccept:
+    # LbfgsMemory.admit is the one cautious test, y's >= eps * s's
     def test_accept(self):
-        assert cautious_accept(vec(1, 0), vec(1, 0), 1e-4)
+        assert LbfgsMemory(5).admit(vec(1, 0), vec(1, 0))
 
     def test_reject_negative_curvature(self):
         s = vec(2, -1)
-        assert not cautious_accept(s, -s, 1e-4)
+        assert not LbfgsMemory(5).admit(s, -s)
 
     def test_boundary_is_accepted(self):
         s = vec(1, 0)
         eps = 1e-4
         y = vec(eps, 0)  # y's == eps exactly
-        assert cautious_accept(s, y, eps)
+        assert LbfgsMemory(5, cautious_eps=eps).admit(s, y)
 
     def test_zero_step_rejected(self):
-        with pytest.raises(UsageError):
-            cautious_accept(vec(0, 0), vec(1, 1), 1e-4)
+        # y's = 0 >= eps * s's = 0 holds; the s's > 0 test rejects the pair
+        mem = LbfgsMemory(5)
+        assert not mem.admit(vec(0, 0), vec(1, 1))
+        assert len(mem) == 0
 
     @given(st.integers(0, 2**31 - 1), st.floats(1e-8, 1e-1))
     @settings(max_examples=50, deadline=None)
     def test_postcondition(self, seed, eps):
         rng = np.random.default_rng(seed)
         s, y = rng.normal(size=5), rng.normal(size=5)
-        accepted = cautious_accept(s, y, eps)
+        # |y| = |s|: a pair that passes the cautious test, y's >= eps * s's
+        # with eps >= 1e-8, also passes the rho guard y's > 1e-12 * |s||y|
+        y *= np.linalg.norm(s) / np.linalg.norm(y)
+        mem = LbfgsMemory(5, cautious_eps=eps)
+        accepted = mem.admit(s, y)
         assert accepted == (float(y @ s) >= eps * float(s @ s))
+        assert len(mem) == int(accepted)
 
 
 class TestAdmission:

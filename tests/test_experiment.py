@@ -198,12 +198,15 @@ class TestCsvContract:
         assert [row.split(",", 1)[0] for row in rows] == [
             "robust_lbfgs_r0.1_o0.2_a0.2_p0_s0.csv"]
 
-    def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
-        override = tmp_path / "env_out"
-        monkeypatch.setenv("MBLBFGS_OUT", str(override))
-        result = run_experiment(small_spec(tmp_path / "ignored"))
-        assert result.out_dir == override
-        assert all(p.parent == override for p in result.csv_paths)
+    def test_env_var_does_not_override_out_dir(self, tmp_path, monkeypatch):
+        # MBLBFGS_OUT once replaced even an explicit out_dir; the spec's
+        # directory is now the only one
+        env_out, out = tmp_path / "env_out", tmp_path / "out"
+        monkeypatch.setenv("MBLBFGS_OUT", str(env_out))
+        result = run_experiment(small_spec(out))
+        assert result.out_dir == out
+        assert all(p.parent == out for p in result.csv_paths)
+        assert not env_out.exists()
 
 
 class TestNaming:
