@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -310,6 +313,117 @@ class TestMakeSynthetic:
         X = ds.X
         col_scale = np.sqrt(np.asarray(X.multiply(X).mean(axis=0)).ravel())
         assert col_scale.max() / col_scale.min() > 10
+
+
+    def test_a_margin_no_support_can_carry_is_a_data_error(self):
+        # from about 310 decades the plant's squared norm overflows and the
+        # plant is all zeros (NaN from about 616), so every support was
+        # redrawn forever; a subprocess keeps such a hang from stalling.
+        # 300 decades still builds, and so does 310 at margin 0, where no
+        # support is redrawn; a NaN plant is refused at margin 0 too
+        code = ("from mblbfgs import DataError, make_synthetic\n"
+                "for margin, decades in ((0.5, 300), (0.0, 310), (0.5, 310),\n"
+                "                        (0.5, 400), (0.5, 700), (0.5, 1000), (0.0, 700)):\n"
+                "    try:\n"
+                "        make_synthetic(10, 5, 2, seed=0, separable_margin=margin,\n"
+                "                       feature_decades=decades)\n"
+                "        print('built')\n"
+                "    except DataError as exc:\n"
+                "        print(exc)\n")
+        src = os.path.dirname(os.path.dirname(dataio.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert [line.split()[:2] for line in done.stdout.splitlines()] == [
+            ["built"], ["built"], ["feature_decades", "310"], ["feature_decades", "400"],
+            ["feature_decades", "700"], ["feature_decades", "1000"],
+            ["feature_decades", "700"]]
+
+
+def _synthetic_bytes(ds):
+    return [(a.dtype.str, a.tobytes()) for a in (ds.X.indptr, ds.X.indices, ds.X.data, ds.y)]
+
+
+def _looped(*args, **kwargs):
+    """``make_synthetic`` with every chunk drawn by the per-row loop."""
+    with mock.patch.object(dataio, "_replay_pays", return_value=False):
+        return make_synthetic(*args, **kwargs)
+
+
+def _philox_state(gen):
+    state = gen.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["buffer"].tolist(),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+@st.composite
+def _synthetic_args(draw):
+    """Shapes on both sides of numpy's Floyd/tail-shuffle cutoff, k = d
+    among them; margins and feature scales that make supports redrawn."""
+    # numpy shuffles a tail instead when d > 10000 and k > d // 50
+    d = draw(st.one_of(st.integers(1, 400), st.integers(10_001, 15_000),
+                       st.integers(1, 120_000)))
+    k = draw(st.one_of(st.just(min(d, 300)), st.integers(1, min(d, 300))))
+    return dict(n=draw(st.integers(1, 3 * dataio._CHUNK_ROWS + dataio._CHUNK_ROWS // 2)),
+                d=d, nnz_per_row=k, seed=draw(st.integers(0, 2**32)),
+                separable_margin=draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0))),
+                feature_decades=draw(st.one_of(st.just(0.0), st.floats(0.0, 6.0))))
+
+
+class TestChunkReplay:
+    @settings(max_examples=40, deadline=None)
+    @given(args=_synthetic_args())
+    def test_replay_builds_the_bytes_of_the_per_row_loop(self, args):
+        assert _synthetic_bytes(make_synthetic(**args)) == _synthetic_bytes(_looped(**args))
+
+    @pytest.mark.parametrize("coins", [False, True], ids=["normals", "coins"])
+    @pytest.mark.parametrize("d, k", [(1, 1), (3, 2), (7, 7), (50, 10), (50, 49),
+                                      (60, 50), (20000, 5), (120000, 2)])
+    def test_chunk_replay_draws_as_numpy_choice(self, d, k, coins):
+        # a numpy whose Generator.choice draws its supports from the stream
+        # otherwise than make_synthetic replays it fails here
+        def entered():
+            gen = np.random.Generator(np.random.Philox(key=d * 1000 + k))
+            gen.integers(0, 2**32, size=3, dtype=np.uint32)  # an odd count
+            assert gen.bit_generator.state["has_uint32"] == 1
+            return gen
+
+        rows = 257
+        gen, ref = entered(), entered()
+        idx, vals = np.empty((rows, k), dtype=np.int64), np.empty((rows, k))
+        flips = np.empty(rows) if coins else None
+        assert dataio._replay_chunk(gen, d, idx, vals, flips)
+        for i in range(rows):
+            support = ref.choice(d, k, replace=False)
+            assert np.array_equal(np.sort(idx[i]), np.sort(support)), (
+                f"numpy {np.__version__}'s Generator.choice({d}, {k}, replace=False) "
+                f"draws row {i} otherwise than the replay")
+            assert vals[i].tobytes() == ref.standard_normal(k).tobytes()
+            if coins:
+                assert flips[i] == ref.random()
+        assert _philox_state(gen) == _philox_state(ref)
+        assert gen.integers(0, 1000, size=3).tolist() == ref.integers(0, 1000, size=3).tolist()
+        assert gen.random() == ref.random()
+
+    def test_a_chunk_with_a_rejected_word_is_drawn_by_the_loop(self):
+        # at d = 10**5, k = 10 and seed 0 the second of three chunks meets a
+        # word numpy's Lemire step rejects; the third is replayed after it
+        replay, outcomes = dataio._replay_chunk, []
+
+        def spy(*args):
+            outcomes.append(replay(*args))
+            return outcomes[-1]
+
+        args = (3 * dataio._CHUNK_ROWS, 10**5, 10)
+        with mock.patch.object(dataio, "_replay_chunk", spy):
+            ds = make_synthetic(*args, seed=0)
+        assert outcomes == [True, False, True]
+        assert _synthetic_bytes(ds) == _synthetic_bytes(_looped(*args, seed=0))
+
+    def test_supports_that_may_be_redrawn_are_never_replayed(self):
+        with mock.patch.object(dataio, "_replay_chunk") as replay:
+            make_synthetic(300, 40, 1, seed=2, separable_margin=0.5, feature_decades=6.0)
+        replay.assert_not_called()
 
 
 class TestEndToEnd:
