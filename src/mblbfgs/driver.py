@@ -273,7 +273,11 @@ def run(config: RunConfig, objective: Objective, pair_log=None) -> RunTrace:
     records, aborted = [], None
     k, epoch = 0, 0.0
     divergence_limit = math.inf  # set from the first full loss
-    t0 = time.perf_counter()
+    # the run's constants, read once
+    epochs, grad_tol = config.epochs, config.grad_tol
+    last_k = math.inf if config.max_iterations is None else config.max_iterations
+    alpha_at, clock = config.schedule.alpha_at, time.perf_counter
+    t0 = clock()
     try:
         while True:
             plan = source.next_plan()
@@ -322,24 +326,20 @@ def run(config: RunConfig, objective: Objective, pair_log=None) -> RunTrace:
                     divergence_limit = DIVERGENCE_FACTOR * max(abs(full_loss), 1e-12)
 
             records.append(TraceRecord(
-                k=k, epoch=epoch, grad_norm=grad_norm, subset_loss=loss_S,
-                full_loss=full_loss, train_acc=train_acc,
-                pair_accepted=pair_accepted, sample_size=int(plan.sample_size),
-                overlap_size=overlap_size, redraws=plan.redraws,
-                wallclock=time.perf_counter() - t0 if k else 0.0))
+                k, epoch, grad_norm, loss_S, full_loss, train_acc, pair_accepted,
+                int(plan.sample_size), overlap_size, plan.redraws,
+                clock() - t0 if k else 0.0))
 
             if full_loss > divergence_limit:
                 aborted = "divergence"
                 break
-            if config.grad_tol is not None and grad_norm <= config.grad_tol:
+            if grad_tol is not None and grad_norm <= grad_tol:
                 break
-            if epoch >= config.epochs or (config.max_iterations is not None
-                                          and k >= config.max_iterations):
+            if epoch >= epochs or k >= last_k:
                 break
 
             w_prev, G_prev, L_prev, g_prev, reg_prev = w, G, L, g_S, reg
-            w = take_step(w, memory, g_S, config.schedule.alpha_at(k),
-                          identity_hessian=not use_memory)
+            w = take_step(w, memory, g_S, alpha_at(k), not use_memory)
             if use_memory:  # the methods without memory form no pair
                 s = w - w_prev
             k += 1

@@ -22,22 +22,33 @@ regularization term and raises ``NumericError`` when either is not finite.
 
 Every call checks its spans in one pass over its parts (each bound an
 integer, each start at or after the previous stop, the last stop inside
-``rows``) and range-checks the entries of a ``rows`` that is not the kept
-one, so no input makes a compiled kernel read outside ``X``.
+``rows``) and the length of ``w``. A call first asks whether ``rows`` is
+the kept entry's own read-only array (by identity), which passed every
+check on rows when it was kept; only a ``rows`` that is not is converted,
+checked for shape and type and range-checked before it is kept. So no
+input makes a compiled kernel read outside ``X``.
 
 Every call reads its parts as row ranges of the CSR arrays of one kept
 entry. The margins of each run of adjacent parts come from one compiled
 ``csr_matvec`` over its rows, the row terms of all runs from one
 ``_row_terms`` call, and each part's gradient sum from one ``csc_matvec``
-over its rows into a zeroed output. Both add each row's, and each output
-entry's, products left to right from 0.0, as ``X[idx].dot(w)`` and
+over its rows into a zeroed output; a one-part call reads its part's
+arrays whole, with no runs to merge. Both kernels add each row's, and each
+output entry's, products left to right from 0.0, as ``X[idx].dot(w)`` and
 ``X[idx].T.dot(c)`` do, so the bytes do not depend on where the rows come
 from.
 
+Each row has its row data: the quadratic constant, the label y for
+``sigmoid_lsq``, and -y for ``logistic_l2``, so that the margin term
+t = -y z and the coefficient -y expit(t) each take one multiply. Every
+label is exactly +-1, so (-y) z has the bits of -(y z) for every z but
+NaN, and a NaN margin raises ``NumericError``.
+
 The objective keeps one entry, for the last ``rows`` it was given:
-``Xb = X[rows]``, the rows' labels, the inverse of ``rows`` when it is a
-permutation of all rows, and the memo of the last call on it. A call's
-``rows`` becomes the entry unless it is the entry's own object:
+``Xb = X[rows]``, the rows' row data, the inverse of ``rows`` when it is a
+permutation of all rows (built at the first call over at least half the
+rows, the only calls that read it), and the memo of the last call on it.
+A call's ``rows`` becomes the entry unless it is the entry's own object:
 
 * A read-only ``rows`` (a strategy-1 epoch's order, a fault layout's shard
   order or serial SGD's identity order) promises that it will not change
@@ -99,16 +110,17 @@ KINDS = ("logistic_l2", "sigmoid_lsq", "quadratic")
 @dataclass
 class _KeptOrder:
     """A read-only row order ``rows``, the CSR arrays ``(indptr, indices,
-    data)`` of ``X[rows]``, the rows' labels (or quadratic constants), the
-    inverse permutation when ``rows`` is a permutation of all rows, else
-    None, and the last call as ``((w dtype, w bytes), runs, margins, row
-    terms, coefficients)``, packed run after run, when ``eval_full`` can
-    reuse it, else None."""
+    data)`` of ``X[rows]``, the rows' row data (-y, labels or quadratic
+    constants), the inverse permutation of ``rows`` (None until a call
+    first needs it, False when ``rows`` is not a permutation of all rows),
+    and the last call as ``((w dtype, w bytes), runs, margins, row terms,
+    coefficients)``, packed run after run, when ``eval_full`` can reuse it,
+    else None."""
 
     rows: np.ndarray
     csr: tuple
     row_data: np.ndarray
-    inv: np.ndarray | None
+    inv: np.ndarray | bool | None
     memo: tuple | None = None
 
 
@@ -169,14 +181,6 @@ def _softplus(z):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _sign_accuracy(z, y) -> float:
-    """Fraction of rows whose margin sign matches the -1/+1 label; a margin
-    of exactly 0 predicts +1, a NaN margin -1."""
-    # an exact count divided once: the value np.mean of the matches gives,
-    # at a tenth of its cost
-    return int(np.count_nonzero((z >= 0) == (y > 0))) / z.size
-
-
 class Objective:
     """An empirical-risk objective over a fixed dataset."""
 
@@ -211,7 +215,9 @@ class Objective:
             self._row_data = self._quad_csq
         else:
             self.quad_weights = None
-            self._row_data = self.labels
+            # logistic rows carry -y, so each row term takes one multiply by
+            # it; negating a +-1 label is exact
+            self._row_data = -self.labels if kind == "logistic_l2" else self.labels
 
     # ------------------------------------------------------------------
     # per-example sums (no averaging, no regularization): the building
@@ -235,43 +241,65 @@ class Objective:
         ``rows`` is 0..n-1), else a read-only copy of ``rows`` up to the
         last stop (see the module docstring).
         """
+        kept = self._kept
+        # the kept entry passed every check on rows when it was kept
+        if kept is not None and rows is kept.rows and not rows.flags.writeable:
+            parts, covered = _checked_spans(spans, rows.size)
+            self._check_length(w)
+        else:
+            del kept  # no local reference to the old entry, so that _keep frees it
+            parts, covered = self._enter(w, rows, spans)
+            kept = self._kept
+        G = np.zeros((len(parts), self.d))
+        L = np.empty(len(parts))
+        memo = self._part_sums(w, kept.csr, kept.row_data, parts, covered, G, L)
+        # eval_full reuses a call over at least half the rows of a permutation
+        wide = (2 * covered >= self.n and self.kind != "quadratic"
+                and self._inverse(kept) is not False)
+        kept.memo = ((w.dtype, w.tobytes()), *memo) if wide else None
+        if not (all_finite(G) and all_finite(L)):
+            self._raise_nonfinite(w, kept.rows, parts, G, L)
+        return G, L
+
+    def _enter(self, w: Vector, rows, spans) -> tuple:
+        """Check ``rows``, ``spans`` and ``w`` and make ``rows`` (a read-only
+        copy up to the last stop when it is writable) the kept entry;
+        returns ``_checked_spans``' parts and covered row count."""
         idx = np.asarray(rows)
         parts, covered = _checked_spans(spans, idx.size)
         if idx.ndim != 1 or idx.dtype.kind not in "iu":
             raise UsageError("rows must be a 1-D sequence of integer row indices")
         idx = idx.astype(np.int64, copy=False)
         self._check_length(w)
-        # no local reference to the old entry, so that _keep frees it
-        if not (self._kept and idx is self._kept.rows and not idx.flags.writeable):
-            # one reduction checks both ends: a negative index viewed as
-            # unsigned is at least 2**63
-            if idx.view(np.uint64).max() >= self.n:
-                raise UsageError("subset index out of range")
-            if idx.flags.writeable:  # the caller may change it
-                idx = idx[:parts[-1][1]].copy()
-                idx.flags.writeable = False
-            self._keep(idx)
-        kept = self._kept
-        G = np.zeros((len(parts), self.d))
-        L = np.empty(len(parts))
-        memo = self._part_sums(w, kept.csr, kept.row_data, parts, covered, G, L)
-        # eval_full reuses a call over at least half the rows of a permutation
-        wide = 2 * covered >= self.n and kept.inv is not None and self.kind != "quadratic"
-        kept.memo = ((w.dtype, w.tobytes()), *memo) if wide else None
-        self._check_finite(w, idx, parts, G, L)
-        return G, L
+        # one reduction checks both ends: a negative index viewed as
+        # unsigned is at least 2**63
+        if idx.view(np.uint64).max() >= self.n:
+            raise UsageError("subset index out of range")
+        if idx.flags.writeable:  # the caller may change it
+            idx = idx[:parts[-1][1]].copy()
+            idx.flags.writeable = False
+        self._keep(idx)
+        return parts, covered
 
     def _part_sums(self, w: Vector, csr, row_data, parts, size: int, G, L) -> tuple:
         """Fill the zeroed ``G`` and ``L`` with the sums of ``parts``,
         ascending ``(start, stop)`` row ranges of the CSR arrays ``csr``
-        that cover ``size`` rows, whose labels (or quadratic constants) are
-        ``row_data``.
+        that cover ``size`` rows, whose row data is ``row_data``.
 
         Returns ``(runs, z, terms, coeff)``: the runs of back-to-back parts,
         and their rows' margins, loss terms and gradient coefficients packed
         run after run (``z`` and ``coeff`` None for the quadratic kind).
         """
         (indptr, indices, data), d = csr, self.d
+        if len(parts) == 1 and self.kind != "quadratic":
+            # one part is one run, and its rows' arrays are read whole
+            (a, b), = parts
+            ptr, z = indptr[a:b + 1], np.zeros(size)
+            csr_matvec(size, d, ptr, indices, data, w, z)
+            terms, coeff = self._row_terms(z, row_data[a:b])
+            csc_matvec(d, size, ptr, indices, data, coeff, G[0])
+            L[0] = np.add.reduce(terms)
+            return parts, z, terms, coeff
         runs = _runs(parts)
         z = coeff = None
         if self.kind == "quadratic":
@@ -315,13 +343,21 @@ class Objective:
         if rows.size == n and rows[0] == 0 and np.array_equal(rows, np.arange(n)):
             self._kept = _KeptOrder(rows, self._csr, self._row_data, rows)
             return self._kept
-        inv = None
-        if rows.size == n:  # n in-range rows are a permutation when inv keeps no -1
-            inv = np.full(n, -1, dtype=np.int64)
-            inv[rows] = np.arange(n)
-            inv = inv if inv.min() >= 0 else None
+        # n rows may be a permutation: _inverse tells at the first call
+        # that needs it
+        inv = None if rows.size == n else False
         self._kept = _KeptOrder(rows, self._gather(rows), self._row_data.take(rows), inv)
         return self._kept
+
+    def _inverse(self, kept: _KeptOrder):
+        """The inverse permutation of ``kept.rows``, or False when the rows
+        are not a permutation of all rows; built once, at the first call."""
+        if kept.inv is None:
+            n = self.n  # n in-range rows are a permutation when inv keeps no -1
+            inv = np.full(n, -1, dtype=np.int64)
+            inv[kept.rows] = np.arange(n)
+            kept.inv = inv if inv.min() >= 0 else False
+        return kept.inv
 
     def _gather(self, idx) -> tuple:
         """``X[idx]``'s CSR arrays, byte for byte, for in-range rows ``idx``;
@@ -339,12 +375,17 @@ class Objective:
         if not isinstance(w, np.ndarray) or w.shape != (self.d,):
             raise UsageError(f"w must be a 1-D array of length {self.d}")
 
-    def _row_terms(self, z, y) -> tuple:
-        """Per-row loss terms and gradient coefficients at margins ``z``."""
+    def _row_terms(self, z, row_data) -> tuple:
+        """Per-row loss terms and gradient coefficients at margins ``z`` of
+        rows whose row data is ``row_data``: -y for the logistic kind, the
+        labels y for ``sigmoid_lsq``."""
         if self.kind == "logistic_l2":
-            t = -(y * z)
-            return _softplus(t), -y * expit(t)
+            # t = -y z and -y expit(t): -(y z) and (-y) z have the same bits,
+            # since y is +-1
+            t = row_data * z
+            return _softplus(t), row_data * expit(t)
         # sigmoid_lsq, labels remapped from +-1 to {0,1}
+        y = row_data
         target = 0.5 * (y + 1.0)
         p = expit(z)
         return (p - target) ** 2, 2.0 * (p - target) * p * (1.0 - p)
@@ -361,12 +402,11 @@ class Objective:
         )
         return grad_sum, loss_sum
 
-    def _check_finite(self, w: Vector, idx, parts, G, L):
+    def _raise_nonfinite(self, w: Vector, idx, parts, G, L):
         """Raise ``NumericError`` naming the first non-finite row of the first
-        part whose sums are not finite; part ``k`` is ``idx[a:b]`` for
-        ``(a, b) = parts[k]``, and ``idx`` None stands for all rows."""
-        if all_finite(G) and all_finite(L):
-            return
+        part whose sums ``G``, ``L`` are not finite; part ``k`` is
+        ``idx[a:b]`` for ``(a, b) = parts[k]``, and ``idx`` None stands for
+        all rows."""
         k = int(np.argmin(np.isfinite(L) & np.isfinite(G).all(axis=1)))
         if idx is None:
             idx = np.arange(self.n)
@@ -401,8 +441,9 @@ class Objective:
         else:
             z = self._part_sums(w, self._csr, self._row_data, [(0, self.n)], self.n,
                                 G, L)[1]
-            acc = 0.0 if z is None else _sign_accuracy(z, self.labels)
-        self._check_finite(w, None, [(0, self.n)], G, L)
+            acc = 0.0 if z is None else self._accuracy(z, self._row_data)
+        if not (all_finite(G) and all_finite(L)):
+            self._raise_nonfinite(w, None, [(0, self.n)], G, L)
         return SubsetGradient(*self.average(w, G[0], L[0], self.n), self.n, acc)
 
     def _full_rows(self, w: Vector, kept: _KeptOrder) -> tuple:
@@ -425,8 +466,17 @@ class Objective:
                     dst[a:b] = src[at:at + b - a]
                 at += b - a
         # a count does not depend on the row order
-        return (_sign_accuracy(z, kept.row_data), terms.take(kept.inv),
+        return (self._accuracy(z, kept.row_data), terms.take(kept.inv),
                 coeff.take(kept.inv))
+
+    def _accuracy(self, z, row_data) -> float:
+        """Fraction of rows whose margin sign matches the -1/+1 label, for
+        rows whose row data is ``row_data`` (-y for the logistic kind, y
+        otherwise); a margin of exactly 0 predicts +1, a NaN margin -1."""
+        positive = row_data < 0 if self.kind == "logistic_l2" else row_data > 0
+        # an exact count divided once: the value np.mean of the matches
+        # gives, at a tenth of its cost
+        return int(np.count_nonzero((z >= 0) == positive)) / z.size
 
     @quiet
     def average(self, w: Vector, grad_sum, loss_sum, m: int, reg=None) -> tuple:

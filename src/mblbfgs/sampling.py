@@ -47,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -92,8 +93,9 @@ class SeededRng:
         return self._gen.integers(0, high, size=size)
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(namedtuple("SamplePlan", ("rows", "spans", "sample_size", "O_next",
+                                           "link", "responders", "redraws", "extra"),
+                             defaults=(None, (), 0, 0))):
     """Index sets for one iteration and the layout they are evaluated in.
 
     S is the batch; O_prev is the part shared with the previous batch (the
@@ -113,16 +115,11 @@ class SamplePlan:
     lists: the parts of the previous plan and the parts of this plan whose
     rows are O_prev. In strategy 2 the second list names the extra part,
     whose gradient at the new iterate is a fresh evaluation.
-    """
 
-    rows: np.ndarray
-    spans: tuple
-    sample_size: int
-    O_next: np.ndarray
-    link: tuple | None = None
-    responders: tuple = ()
-    redraws: int = 0
-    extra: int = 0
+    A plan is a named tuple, as cheap to build as a tuple, since serial SGD
+    draws one per step; assigning a field raises ``AttributeError``. It is
+    given no ``__slots__``, so S and O_prev are cached on first use.
+    """
 
     @cached_property
     def S(self) -> np.ndarray:
@@ -426,8 +423,7 @@ class SerialSource:
         if i is None:
             self._draws = iter(self.rng.integers(self.n, size=SERIAL_BLOCK).tolist())
             i = next(self._draws)
-        return SamplePlan(rows=self._rows, spans=((i, i + 1),), sample_size=1,
-                          O_next=_EMPTY)
+        return SamplePlan(self._rows, ((i, i + 1),), 1, _EMPTY)
 
 
 def make_plan_source(config, n: int, rng: SeededRng):

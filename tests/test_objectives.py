@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import scipy
 from scipy import sparse
+from scipy.special import expit
 
 import mblbfgs
 from mblbfgs import (
@@ -24,7 +25,7 @@ from mblbfgs import (
     quadratic,
     sigmoid_lsq,
 )
-from mblbfgs.objectives import KINDS, Objective, _checked_spans, make_objective
+from mblbfgs.objectives import KINDS, Objective, _checked_spans, _softplus, make_objective
 from mblbfgs.sampling import SeededRng, make_plan_source
 
 
@@ -664,9 +665,29 @@ class TestMetrologyMemo:
         rows = np.arange(obj.n)
         rows[0] = 1  # n rows, one repeated: not a permutation
         rows.flags.writeable = False
-        obj.eval_sums(w, rows)
-        assert obj._kept is not None and obj._kept.memo is None
+        obj.eval_sums(w, rows, [(0, 5)])
+        kept = obj._kept
+        assert kept is not None and kept.inv is None  # not needed yet
+        for _ in range(2):  # the first wide call finds out, the next remembers
+            obj.eval_sums(w, rows)
+            assert obj._kept is kept and kept.inv is False and kept.memo is None
         assert _full_or_error(obj, w) == _full_or_error(logistic_l2(obj.dataset), w)
+
+    def test_only_a_wide_call_builds_the_inverse(self, small_logistic):
+        # a strategy-1 order serves narrow batches, which never read the
+        # inverse; the first call over half the rows or more builds it
+        obj = logistic_l2(small_logistic.dataset)
+        w = np.linspace(-1, 1, obj.d)
+        rows = np.random.default_rng(0).permutation(obj.n)
+        rows.flags.writeable = False
+        obj.eval_sums(w, rows, [(0, 3), (3, 10)])
+        kept = obj._kept
+        assert kept.inv is None and kept.memo is None
+        assert _full_or_error(obj, w) == _full_or_error(logistic_l2(obj.dataset), w)
+        assert kept.inv is None
+        obj.eval_sums(w, rows, [(10, obj.n)])
+        assert obj._kept is kept and np.array_equal(kept.inv, np.argsort(rows))
+        assert kept.memo is not None
 
 
 class TestCallSequences:
@@ -709,6 +730,120 @@ class TestCallSequences:
                 point = ulp if data.draw(st.booleans(), label="full_ulp") else w
                 fresh = make_objective(kind, obj.dataset, obj.sigma)
                 assert _full_or_error(obj, point) == _full_or_error(fresh, point)
+
+
+# margins where the row terms' arithmetic changes regime: signed zeros,
+# subnormals, where exp overflows (709.8) and underflows (-745.2), the
+# infinities and NaN
+_EDGE_MARGINS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 709.0, -709.0,
+                 709.8, -709.8, 746.0, -746.0, math.inf, -math.inf, math.nan]
+
+
+def _label_row_terms(z, y):
+    """The logistic row terms from the labels y: t = -(y z), the coefficient
+    -y expit(t)."""
+    t = -(y * z)
+    return _softplus(t), -y * expit(t)
+
+
+class _LabelTermsObjective(Objective):
+    """A logistic objective whose row terms recover the labels y from its
+    row data -y and take t = -(y z)."""
+
+    def _row_terms(self, z, row_data):
+        return _label_row_terms(z, -row_data)
+
+
+class TestNegatedLabels:
+    @given(z=st.lists(st.one_of(st.sampled_from(_EDGE_MARGINS),
+                                st.floats(allow_nan=True, allow_infinity=True)),
+                      min_size=1, max_size=300),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_terms_on_negated_labels_give_the_label_formulas_bytes(
+            self, small_logistic, z, data):
+        # every label is +-1, so (-y) z and -(y z) are one exact product and
+        # negation apart; only a NaN's sign bit may differ, and a NaN margin
+        # never leaves eval_sums, which raises NumericError on it
+        z = np.array(z)
+        y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=z.size,
+                                        max_size=z.size), label="y"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = small_logistic._row_terms(z, -y)
+            expected = _label_row_terms(z, y)
+        nan = np.isnan(z)
+        for a, b in zip(got, expected):
+            assert a[~nan].tobytes() == b[~nan].tobytes()
+            assert np.isnan(a[nan]).all() and np.isnan(b[nan]).all()
+
+    @given(data=st.data(), edge=st.sampled_from(["none", "nan", "inf", "huge"]))
+    @settings(max_examples=150, deadline=None)
+    def test_sums_and_errors_are_those_of_the_label_formulas(self, data, edge):
+        # G, L, the full evaluation with its accuracy, and the NumericError
+        # text of a non-finite row, against an objective that takes its row
+        # terms from the labels
+        obj, w = _random_problem("logistic_l2", data)
+        if edge != "none":
+            j = data.draw(st.integers(0, obj.d - 1), label="j")
+            w[j] = {"nan": math.nan, "inf": -math.inf, "huge": 1e300}[edge]
+        twin = _LabelTermsObjective("logistic_l2", obj.dataset, obj.sigma)
+        rows, spans = _read_only_spans(obj.n, data)
+        assert _sums_or_error(obj, w, rows, spans) == _sums_or_error(twin, w, rows, spans)
+        assert _full_or_error(obj, w) == _full_or_error(twin, w)
+
+
+class TestKeptFastPath:
+    # a call on the kept rows skips only the checks they passed when they
+    # were kept; TestKeptOrder checks that their spans are still checked
+    @staticmethod
+    def _kept(small_logistic):
+        obj = logistic_l2(small_logistic.dataset)
+        w = np.linspace(-1, 1, obj.d)
+        rows = np.arange(obj.n)[::-1].copy()
+        rows.flags.writeable = False
+        expected = obj.eval_sums(w, rows, [(0, 3), (7, 9)])
+        assert obj._kept.rows is rows
+        return obj, w, rows, expected
+
+    @pytest.mark.parametrize("shape", ["short", "long", "column", "list"])
+    def test_w_is_checked_on_the_kept_rows(self, small_logistic, shape):
+        obj, w, rows, _ = self._kept(small_logistic)
+        bad = {"short": w[:-1], "long": np.append(w, 0.0), "column": w[:, None],
+               "list": list(w)}[shape]
+        with pytest.raises(UsageError, match="length"):
+            obj.eval_sums(bad, rows, [(0, 3)])
+
+    def test_kept_rows_made_writable_again_are_copied(self, small_logistic):
+        # the caller turned the flag back on, so rows may change: the call
+        # keeps a copy, and a later change to rows is not read
+        obj, w, rows, expected = self._kept(small_logistic)
+        rows.flags.writeable = True
+        result = obj.eval_sums(w, rows, [(0, 3), (7, 9)])
+        copied = obj._kept.rows
+        assert copied is not rows and not copied.flags.writeable
+        assert np.array_equal(copied, rows[:9])
+        assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
+        rows[:9] = 0
+        fresh = logistic_l2(obj.dataset)
+        assert (_sums_or_error(obj, w, rows, [(0, 3), (7, 9)])
+                == _sums_or_error(fresh, w, rows, [(0, 3), (7, 9)]))
+
+    def test_equal_but_distinct_rows_are_range_checked_and_kept_anew(
+            self, small_logistic):
+        obj, w, rows, expected = self._kept(small_logistic)
+        kept = obj._kept
+        # equal to the kept rows inside the spans, out of range after them
+        bad = rows.copy()
+        bad[-1] = obj.n
+        bad.flags.writeable = False
+        with pytest.raises(UsageError, match="out of range"):
+            obj.eval_sums(w, bad, [(0, 3), (7, 9)])
+        assert obj._kept is kept
+        other = rows.copy()
+        other.flags.writeable = False
+        result = obj.eval_sums(w, other, [(0, 3), (7, 9)])
+        assert obj._kept is not kept and obj._kept.rows is other
+        assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
 
 
 class TestNumericGuards:
