@@ -156,6 +156,9 @@ class RunConfig:
                                      f"finite without max_iterations")
         if not isinstance(self.schedule, StepSchedule):
             raise ConfigurationError(f"schedule {self.schedule!r} is not a StepSchedule")
+        if not isinstance(self.reshard_each_epoch, (bool, np.bool_)):
+            raise ConfigurationError(
+                f"reshard_each_epoch {self.reshard_each_epoch!r} is not a bool")
         philox_key(self.seed)
         if self.mode == "fault":
             check_fail_prob(self.fail_prob)
@@ -374,8 +377,16 @@ def curvature_diagnostics(objective: Objective, w: Vector, batch_sizes,
     difference y_d between the two points, then for every batch size draws
     ``trials`` random subsets and computes the same difference y_s on each
     subset. Returns (diagnostics, discarded) where ``discarded`` counts
-    zero-norm trials per batch size.
+    zero-norm trials per batch size. A trial count or a batch size that is
+    not an integer, a count below 1 and a size outside [1, n] are a
+    ``UsageError``, raised before any evaluation.
     """
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise UsageError(f"trial count {trials!r} is not an integer >= 1")
+    batch_sizes = list(batch_sizes)
+    for b in batch_sizes:
+        if not (isinstance(b, numbers.Integral) and 1 <= b <= objective.n):
+            raise UsageError(f"batch size {b!r} is not an integer in [1, n]")
     full0 = objective.eval_full(w)
     w2 = w - probe_step * full0.gradient
     if np.array_equal(w2, w):
@@ -388,10 +399,7 @@ def curvature_diagnostics(objective: Objective, w: Vector, batch_sizes,
     mask = y_d != 0
 
     out, discarded = [], {}
-    for b in batch_sizes:
-        b = int(b)
-        if not 1 <= b <= objective.n:
-            raise UsageError(f"batch size {b} outside [1, n]")
+    for b in map(int, batch_sizes):
         for _ in range(trials):
             idx = rng.choice(objective.n, b)
             idx.flags.writeable = False  # both evaluations read one kept entry

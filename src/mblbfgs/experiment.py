@@ -6,6 +6,7 @@ the manifest lists, and at most one ``*.csv.tmp``. Reruns are byte-identical."""
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -61,6 +62,13 @@ class ExperimentSpec:
     def validate(self):
         if self.dataset_path is None and self.synthetic is None:
             raise ConfigurationError("either a dataset path or synthetic parameters are required")
+        # make_synthetic checks the values: a data error, as for a file
+        synthetic = self.synthetic
+        if synthetic is not None and not (
+                isinstance(synthetic, (tuple, list)) and len(synthetic) == 4
+                and all(isinstance(v, numbers.Real) for v in synthetic)):
+            raise ConfigurationError(f"synthetic parameters {synthetic!r} are not "
+                                     f"four numbers n, d, nnz, margin")
         for name in GRID:
             if not self._sweep(name):
                 raise ConfigurationError(f"grid list {name}s is empty")

@@ -17,8 +17,12 @@ unbiased estimators of the full gradient.
 ``eval_sums`` is the batch kernel: one call takes a row order ``rows`` and
 the spans of it that are the batch's parts, and returns the unaveraged
 gradient and loss sums of each part, which the driver recombines into batch
-and overlap gradients. ``average`` adds the averaging and the
-regularization term and raises ``NumericError`` when either is not finite.
+and overlap gradients. Both are views of one zeroed ``(parts, d + 1)``
+buffer, each part's gradient sum and then its loss sum, so a call makes one
+allocation and one finiteness test. ``average`` adds the averaging and the
+regularization term and raises ``NumericError`` when either is not finite;
+over one example it adds without dividing, since x / 1 is x for every x but
+NaN, and a NaN raises either way.
 
 Every call checks its spans in one pass over its parts (each bound an
 integer, each start at or after the previous stop, the last stop inside
@@ -33,10 +37,11 @@ entry. The margins of each run of adjacent parts come from one compiled
 ``csr_matvec`` over its rows, the row terms of all runs from one
 ``_row_terms`` call, and each part's gradient sum from one ``csc_matvec``
 over its rows into a zeroed output; a one-part call reads its part's
-arrays whole, with no runs to merge. Both kernels add each row's, and each
-output entry's, products left to right from 0.0, as ``X[idx].dot(w)`` and
-``X[idx].T.dot(c)`` do, so the bytes do not depend on where the rows come
-from.
+arrays whole, with no runs to merge, and a one-row part's loss sum is its
+term plus 0.0, the bits ``np.add.reduce`` gives one element. Both kernels
+add each row's, and each output entry's, products left to right from 0.0,
+as ``X[idx].dot(w)`` and ``X[idx].T.dot(c)`` do, so the bytes do not
+depend on where the rows come from.
 
 Each row has its row data: the quadratic constant, the label y for
 ``sigmoid_lsq``, and -y for ``logistic_l2``, so that the margin term
@@ -235,6 +240,10 @@ class Objective:
         Returns ``(G, L)``: ``G[p]`` is the gradient sum and ``L[p]`` the
         loss sum of the rows ``rows[start:stop]`` of part ``p``. Each part's
         sums are bit-identical to a one-part call on its slice of ``rows``.
+        ``G`` and ``L`` are views of one ``(parts, d + 1)`` buffer, its first
+        d columns and its last: each row of ``G`` is contiguous, but
+        consecutive rows, and consecutive entries of ``L``, lie d + 1
+        entries apart.
 
         The parts are read from the objective's one kept entry: ``rows``
         itself when it is read-only (found again by identity; X itself when
@@ -250,14 +259,16 @@ class Objective:
             del kept  # no local reference to the old entry, so that _keep frees it
             parts, covered = self._enter(w, rows, spans)
             kept = self._kept
-        G = np.zeros((len(parts), self.d))
-        L = np.empty(len(parts))
+        # one zeroed row per part: its gradient sum, then its loss sum
+        d = self.d
+        sums = np.zeros((len(parts), d + 1))
+        G, L = sums[:, :d], sums[:, d]
         memo = self._part_sums(w, kept.csr, kept.row_data, parts, covered, G, L)
         # eval_full reuses a call over at least half the rows of a permutation
         wide = (2 * covered >= self.n and self.kind != "quadratic"
                 and self._inverse(kept) is not False)
         kept.memo = ((w.dtype, w.tobytes()), *memo) if wide else None
-        if not (all_finite(G) and all_finite(L)):
+        if not all_finite(sums):
             self._raise_nonfinite(w, kept.rows, parts, G, L)
         return G, L
 
@@ -298,7 +309,9 @@ class Objective:
             csr_matvec(size, d, ptr, indices, data, w, z)
             terms, coeff = self._row_terms(z, row_data[a:b])
             csc_matvec(d, size, ptr, indices, data, coeff, G[0])
-            L[0] = np.add.reduce(terms)
+            # a one-element reduction adds its element to the 0.0 identity:
+            # x + 0.0 has its bits (+0.0 for -0.0) with no reduction's cost
+            L[0] = terms[0] + 0.0 if size == 1 else np.add.reduce(terms)
             return parts, z, terms, coeff
         runs = _runs(parts)
         z = coeff = None
@@ -431,18 +444,20 @@ class Objective:
         """``eval_subset`` over all rows, read in place as one part, with the
         training accuracy (0 for the quadratic kind) from the same margins."""
         self._check_length(w)
-        G, L = np.zeros((1, self.d)), np.empty(1)
+        d = self.d
+        sums = np.zeros((1, d + 1))  # the gradient sum, then the loss sum
+        G, L = sums[:, :d], sums[:, d]
         kept = self._kept
         if kept and kept.memo and kept.memo[0] == (w.dtype, w.tobytes()):
             # the values the one-part call below would give
             acc, terms, coeff = self._full_rows(w, kept)
-            csc_matvec(self.d, self.n, *self._csr, coeff, G[0])
+            csc_matvec(d, self.n, *self._csr, coeff, G[0])
             L[0] = np.add.reduce(terms)
         else:
             z = self._part_sums(w, self._csr, self._row_data, [(0, self.n)], self.n,
                                 G, L)[1]
             acc = 0.0 if z is None else self._accuracy(z, self._row_data)
-        if not (all_finite(G) and all_finite(L)):
+        if not all_finite(sums):
             self._raise_nonfinite(w, None, [(0, self.n)], G, L)
         return SubsetGradient(*self.average(w, G[0], L[0], self.n), self.n, acc)
 
@@ -482,10 +497,21 @@ class Objective:
     def average(self, w: Vector, grad_sum, loss_sum, m: int, reg=None) -> tuple:
         """Gradient and loss averaged over ``m`` examples plus the sigma/2
         ||w||^2 term, of terms ``reg`` (``regularization(w)`` if not given);
-        ``NumericError`` if either is not finite."""
+        ``UsageError`` unless ``m`` is an integer >= 1, ``NumericError`` if
+        either is not finite."""
+        # operator.index takes 30 ns a step, an isinstance test against
+        # numbers.Integral about 450 ns
+        try:
+            counted = operator.index(m) >= 1
+        except TypeError:
+            counted = False
+        if not counted:
+            raise UsageError(f"example count {m!r} is not an integer >= 1")
         reg_grad, reg_loss = self.regularization(w) if reg is None else reg
-        grad = grad_sum / m + reg_grad
-        loss = float(loss_sum / m + reg_loss)
+        if m == 1:  # x / 1 is x for every x but NaN, which raises below
+            grad, loss = grad_sum + reg_grad, float(loss_sum + reg_loss)
+        else:
+            grad, loss = grad_sum / m + reg_grad, float(loss_sum / m + reg_loss)
         if not (math.isfinite(loss) and all_finite(grad)):
             raise NumericError("non-finite average or regularization term")
         return grad, loss

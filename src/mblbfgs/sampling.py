@@ -325,15 +325,15 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
     p = layout.fail_prob
     redraws = 0
     while True:
-        responded = rng.uniform(layout.node_count) >= p
-        if responded.any():
+        # the responding nodes in node order, as Python ints
+        J = np.flatnonzero(rng.uniform(layout.node_count) >= p).tolist()
+        if J:
             break
         redraws += 1
         if redraws == MAX_REDRAWS:
             raise RedrawLimitError(
                 f"{MAX_REDRAWS} consecutive draws had no responding node at "
                 f"failure probability {p} with {layout.node_count} nodes")
-    J = tuple(int(j) for j in np.nonzero(responded)[0])
     prev_pos = {j: i for i, j in enumerate(prev_responders or ())}
     shared = [(prev_pos[j], i) for i, j in enumerate(J) if j in prev_pos]
     offsets = layout.offsets
@@ -341,7 +341,7 @@ def plan_fault(layout: NodeLayout, rng: SeededRng,
     return SamplePlan(rows=layout.rows, spans=spans,
                       sample_size=sum(b - a for a, b in spans), O_next=_EMPTY,
                       link=tuple(map(list, zip(*shared))) if shared else None,
-                      responders=J, redraws=redraws)
+                      responders=tuple(J), redraws=redraws)
 
 
 # ----------------------------------------------------------------------

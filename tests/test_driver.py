@@ -14,6 +14,7 @@ from mblbfgs import (
     RunConfig,
     SeededRng,
     StepSchedule,
+    UsageError,
     constant,
     curvature_diagnostics,
     diminishing,
@@ -127,6 +128,10 @@ class TestRunLoop:
         # a bare step length raised AttributeError at step 0
         (dict(schedule=0.1), "StepSchedule"),
         (dict(schedule="constant:0.1"), "StepSchedule"),
+        # a string or None read as a reshard switch by its truth value
+        (dict(mode="fault", reshard_each_epoch="yes"), "reshard_each_epoch"),
+        (dict(mode="fault", reshard_each_epoch="no"), "reshard_each_epoch"),
+        (dict(reshard_each_epoch=None), "reshard_each_epoch"),
     ])
     def test_bad_typed_run_fields_raise_a_configuration_error(self, fields, match):
         # these raised a bare TypeError, or passed and misbehaved in the run
@@ -717,6 +722,29 @@ class TestCurvatureDiagnostics:
         assert len(kept) == len(sizes) * trials
         # a float's repr names its double exactly, -0.0 included
         assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("sizes,trials,match", [
+        ([5], -1, "trial count -1"),
+        ([5], 0, "trial count 0"),
+        ([5], 2.5, "trial count 2.5"),
+        ([5], "3", "trial count '3'"),
+        ([2.5], 3, "batch size 2.5"),
+        ([5, 0], 3, "batch size 0"),
+        ([5, 301], 3, "batch size 301"),
+        ([5, "7"], 3, "batch size '7'"),
+    ])
+    def test_bad_trials_or_batch_sizes_raise_before_any_evaluation(
+            self, small_logistic, monkeypatch, sizes, trials, match):
+        # a negative count returned ([], {}) and a size of 2.5 ran as 2
+        calls = []
+        for name in ("eval_full", "eval_subset"):
+            real = getattr(Objective, name)
+            monkeypatch.setattr(Objective, name, lambda self, *a, real=real, name=name:
+                                calls.append(name) or real(self, *a))
+        with pytest.raises(UsageError, match=match):
+            curvature_diagnostics(small_logistic, np.zeros(small_logistic.d),
+                                  batch_sizes=sizes, trials=trials, rng=SeededRng(0))
+        assert calls == []
 
     def test_median_cosine_improves_with_batch(self, small_logistic):
         rng = SeededRng(4)

@@ -43,6 +43,18 @@ class TestGrid:
         with pytest.raises(ConfigurationError, match=f"grid list {name}s is empty"):
             list(spec.cells())
 
+    @pytest.mark.parametrize("synthetic", [
+        (10, 4, 2), (10, 4, 2, 0.5, 0), ("50", 4, 2, 0.5), (50, 4, 2, None), "50,4,2,0.5", 50,
+    ])
+    def test_synthetic_that_is_not_four_numbers_is_refused_before_any_output(
+            self, tmp_path, synthetic):
+        # a wrong count raised a bare ValueError from unpacking, a string a
+        # bare TypeError from make_synthetic
+        spec = small_spec(tmp_path / "out", synthetic=synthetic)
+        with pytest.raises(ConfigurationError, match="synthetic parameters"):
+            run_experiment(spec)
+        assert not (tmp_path / "out").exists()
+
     def test_two_seeds_two_csvs_plus_manifest(self, tmp_path):
         result = run_experiment(small_spec(tmp_path / "out"))
         assert len(result.csv_paths) == 2

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy
 from scipy import sparse
@@ -905,3 +905,184 @@ class TestNumericGuards:
         else:
             assert factory(small_dataset, sigma).sigma == 0.0
             assert make_objective(kind, small_dataset).sigma == 0.0
+
+
+def _separate_sums(obj, w, rows, spans):
+    """The bytes of every part's sums computed apart from ``eval_sums``:
+    into a zeroed ``(parts, d)`` G and a ``(parts,)`` L, each part's from
+    ``X[idx]`` products with its terms added by ``np.add.reduce``; None when
+    G or L holds a value that is not finite."""
+    G, L = np.zeros((len(spans), obj.d)), np.empty(len(spans))
+    rows = np.asarray(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (a, b) in enumerate(spans):
+            idx, m = rows[a:b], b - a
+            Xs = obj.X[idx]
+            if obj.kind == "quadratic":
+                G[k], L[k] = obj._quad_sums(w, m, Xs.T.dot(np.ones(m)),
+                                            np.add.reduce(obj._row_data[idx]))
+            else:
+                terms, coeff = obj._row_terms(Xs.dot(w), obj._row_data[idx])
+                G[k], L[k] = Xs.T.dot(coeff), np.add.reduce(terms)
+    if not (np.isfinite(G).all() and np.isfinite(L).all()):
+        return None
+    return G, L
+
+
+def _bits(x):
+    """A float64 with the bits of the unsigned 64-bit integer ``x``."""
+    return np.array([x], dtype=np.uint64).view(np.float64)[0]
+
+
+class _OneTermObjective(Objective):
+    """A logistic objective whose every row has the loss term ``term``."""
+
+    term = 0.0
+
+    def _row_terms(self, z, row_data):
+        return np.full(z.size, self.term), np.zeros(z.size)
+
+
+class TestOneBuffer:
+    """A call's G and L are views of one buffer, a one-row part's loss sum
+    is its term plus 0.0, and an average over one example does not divide;
+    each gives the bytes of the arithmetic it replaces."""
+
+    @given(bits=st.integers(0, 2**64 - 1))
+    @example(bits=0x8000000000000000)  # -0.0, whose sum is +0.0
+    @example(bits=0x0000000000000001)  # the least subnormal
+    @example(bits=0xfff0000000000000)  # -inf
+    @example(bits=0x7ff0000000000001)  # a signalling NaN
+    @example(bits=0xfff8000000000123)  # a negative quiet NaN with a payload
+    @settings(max_examples=300, deadline=None)
+    def test_one_row_loss_sum_is_the_reduction_of_its_term(self, small_dataset, bits):
+        obj = _OneTermObjective("logistic_l2", small_dataset, 0.0)
+        obj.term = _bits(bits)
+        G, L = np.zeros((1, obj.d)), np.empty(1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj._part_sums(np.zeros(obj.d), obj._csr, obj._row_data, [(4, 5)], 1, G, L)
+            expected = np.add.reduce(np.array([obj.term]))
+        assert L.tobytes() == np.float64(expected).tobytes()
+
+    @given(grad=st.lists(st.floats(allow_nan=False), min_size=1, max_size=6),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_average_over_one_example_is_divide_then_add(self, small_logistic, grad,
+                                                         data):
+        # x / 1 is x for every x but NaN
+        size = len(grad)
+        finite = st.floats(allow_nan=False)
+        reg_grad = np.array(data.draw(st.lists(finite, min_size=size, max_size=size),
+                                      label="reg_grad"))
+        loss, reg_loss = np.float64(data.draw(finite, label="loss")), data.draw(finite)
+        grad = np.array(grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = grad / 1 + reg_grad, float(loss / 1 + reg_loss)
+        w = np.zeros(small_logistic.d)
+        if np.isfinite(expected[0]).all() and math.isfinite(expected[1]):
+            got = small_logistic.average(w, grad, loss, 1, (reg_grad, reg_loss))
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert np.float64(got[1]).tobytes() == np.float64(expected[1]).tobytes()
+        else:
+            with pytest.raises(NumericError, match="non-finite average"):
+                small_logistic.average(w, grad, loss, 1, (reg_grad, reg_loss))
+
+    @given(kind=st.sampled_from(KINDS), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sums_equal_separate_arrays_bytewise(self, kind, data):
+        # 1-16 parts of 1-3 rows each, with gaps, from read-only or
+        # writable rows; then a full evaluation at the same w, which may
+        # reuse the call's memo
+        obj, w = _random_problem(kind, data)
+        lengths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=16),
+                            label="lengths")
+        spans, at = [], 0
+        for m in lengths:
+            at += data.draw(st.integers(0, 2), label="gap")
+            spans.append((at, at + m))
+            at += m
+        rows = np.array(data.draw(st.lists(st.integers(0, obj.n - 1), min_size=at,
+                                           max_size=at), label="rows"), dtype=np.int64)
+        rows.flags.writeable = data.draw(st.booleans(), label="writable")
+        expected = _separate_sums(obj, w, rows, spans)
+        got = _sums_or_error(obj, w, rows, spans)
+        if expected is None:
+            assert got.startswith("non-finite evaluation at example")
+        else:
+            assert got == (expected[0].tobytes(), expected[1].tobytes())
+        full = _separate_sums(obj, w, np.arange(obj.n), [(0, obj.n)])
+        if full is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                grad = full[0][0] / obj.n + obj.sigma * w
+                loss = float(full[1][0] / obj.n + 0.5 * obj.sigma * float(w.dot(w)))
+            if not (np.isfinite(grad).all() and math.isfinite(loss)):
+                full = None
+        got = _full_or_error(obj, w)
+        if full is None:
+            assert got.startswith("non-finite ")
+        else:
+            assert got[:2] == (grad.tobytes(), loss)
+
+    def test_views_of_one_buffer_name_their_parts(self, small_logistic):
+        G, L = small_logistic.eval_sums(np.ones(small_logistic.d), np.arange(9),
+                                        [(0, 2), (2, 3), (5, 9)])
+        assert G.shape == (3, small_logistic.d) and L.shape == (3,)
+        assert G.base is L.base and G.base.shape == (3, small_logistic.d + 1)
+        for k, (a, b) in enumerate([(0, 2), (2, 3), (5, 9)]):
+            g, loss = small_logistic.eval_sums(np.ones(small_logistic.d), np.arange(a, b))
+            assert G[k].tobytes() == g[0].tobytes() and L[k] == loss[0]
+
+    # rows of d = 2: at w = (1.5e308, 1), a row (1, 0) of label -1 has the
+    # finite margin 1.5e308, and so the loss term 1.5e308, and (2, 0) the
+    # margin inf; every coefficient stays within [-1, 1], so only loss sums
+    # overflow
+    LOSS_ROWS = ([[0, 1], [1, 0], [0, 1], [1, 0], [0, 1], [1, 0], [2, 0]],
+                 [1, -1, -1, -1, 1, -1, -1], [1.5e308, 1.0])
+    # at w = (1e-308, 0.5), a row (1.7e308, 0) of label -1 has the margin
+    # 1.7 and the gradient term 1.4e308: two of them overflow a gradient
+    # sum while every loss term stays small
+    GRADIENT_ROWS = ([[0, 1], [1.7e308, 0], [0, 1], [1.7e308, 0], [1.7e308, 0]],
+                     [1, -1, -1, -1, -1], [1e-308, 0.5])
+
+    @pytest.mark.parametrize("problem,rows,spans,named", [
+        ("LOSS_ROWS", [0, 2, 1, 4, 3, 5], [(0, 2), (2, 4), (4, 6)], 3),
+        ("LOSS_ROWS", [0, 6, 1], [(0, 1), (1, 2), (2, 3)], 6),
+        ("LOSS_ROWS", [6], None, 6),
+        ("LOSS_ROWS", [0, 1, 6], [(2, 3)], 6),
+        ("LOSS_ROWS", None, None, 6),
+        ("GRADIENT_ROWS", [0, 1, 2, 3, 4], [(0, 2), (2, 3), (3, 5)], 3),
+        ("GRADIENT_ROWS", [1, 3], [(0, 1), (1, 2)], None),
+        ("GRADIENT_ROWS", None, None, 0),
+    ])
+    def test_an_overflow_names_the_first_row_of_its_part(self, problem, rows, spans,
+                                                         named):
+        # rows None is a full evaluation; named None is a call that
+        # returns, since no one-row gradient sum can overflow here
+        X, labels, w = getattr(self, problem)
+        obj = logistic_l2(dataset_from_rows(X, labels, 2), sigma=0.0)
+        w = np.array(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if named is None:
+                obj.eval_sums(w, rows, spans)
+                return
+            with pytest.raises(NumericError, match=f"^non-finite evaluation at "
+                                                   f"example {named}$"):
+                obj.eval_full(w) if rows is None else obj.eval_sums(w, rows, spans)
+
+    @pytest.mark.parametrize("m", [0, -2, 2.5, "3", None, np.float64(2.0)])
+    def test_a_count_that_is_not_an_integer_of_one_or_more_is_a_usage_error(
+            self, small_logistic, m):
+        # a zero count printed numpy's divide warning and raised
+        # ZeroDivisionError; a negative one gave a negative "average"
+        w = np.zeros(small_logistic.d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="example count"):
+                small_logistic.average(w, np.ones(w.size), 1.0, m)
+
+    def test_an_integer_count_of_any_type_divides(self, small_logistic):
+        w, g = np.zeros(small_logistic.d), np.arange(small_logistic.d, dtype=float)
+        for m in (3, np.int64(3), np.int32(3)):
+            grad, loss = small_logistic.average(w, g, 6.0, m)
+            assert grad.tobytes() == (g / 3).tobytes() and loss == 2.0

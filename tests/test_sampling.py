@@ -503,3 +503,28 @@ class TestPlanRecord:
             digest.update(plan.O_prev.astype("<i8").tobytes())
             digest.update(b"|%d;" % plan.overlap_size)
         assert digest.hexdigest() == self.DIGESTS[source]
+
+    # (redraws, sha256 of the reprs of spans, link, responders and redraws)
+    # of 300 chained plan_fault draws on 64 rows, as the draws that tested
+    # a mask with any() and then listed its nonzero positions gave them
+    FAULT_DRAWS = {
+        (16, 0.1, 0): (0, "9839ab12a195f48a78f1ec6d8593ff5cb78357391ef9f2a8f08642695c3230fd"),
+        (16, 0.5, 3): (0, "93d13be8192f4ddbe70598ec15b3ac08cae007970c5505093f8b82ad65c2981e"),
+        (4, 0.9, 7): (612, "328f9bdbdf7d64e543d4dd0bb8b84257e3322eae969abf34e9b417bcb8b1dbbd"),
+        (1, 0.7, 11): (679, "5a6c4461d708569da962630494d6c661f3779812d2e95836cc1ee49ba7bbd5ec"),
+        (7, 0.0, 5): (0, "fa0d9595a8eb980ec299f7721e5ccc53d07bd0b6483a9dc97e305c1fc3bdc354"),
+    }
+
+    @pytest.mark.parametrize("nodes,p,seed", sorted(FAULT_DRAWS))
+    def test_fault_draws_keep_their_responders_and_redraws(self, nodes, p, seed):
+        rng = SeededRng(seed)
+        layout = make_layout(64, nodes, p)
+        prev, digest, redraws = None, hashlib.sha256(), 0
+        for _ in range(300):
+            plan = plan_fault(layout, rng, prev)
+            prev = plan.responders
+            assert type(prev) is tuple and all(type(j) is int for j in prev)
+            digest.update(repr((plan.spans, plan.link, plan.responders,
+                                plan.redraws)).encode())
+            redraws += plan.redraws
+        assert (redraws, digest.hexdigest()) == self.FAULT_DRAWS[nodes, p, seed]
