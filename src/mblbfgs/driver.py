@@ -27,19 +27,18 @@ carries the layout. One ``Objective.eval_sums(w, plan.rows, spans)`` call
 per iterate returns the gradient and loss sums of every part (one row of
 ``G``/``L`` each): the batch parts, and strategy 2's trailing extra part O_k
 when it forms a ``robust_lbfgs`` pair. A strategy-1 epoch's order, a
-fault-mode layout and serial SGD's identity order are read-only, and the
-objective keeps each order once and reads every batch's parts in place from
-that entry (a copy of the shuffled orders' rows, X itself for the identity
-order); strategy-2 rows are writable, so each call's rows are copied into a
-new entry. A metrology ``eval_full`` reuses the margins the entry's last
-call kept, when it was at the same iterate over half the rows or more. The
-batch gradient adds the batch parts' rows, and an overlap gradient adds the
-rows that ``plan.link`` names, so both gradients of a curvature pair are
-sums over the same index set O_k. Serial SGD is the source of one-example
-plans with empty overlaps, each a one-row span of the identity order
-(``sampling.SerialSource``), so it gets the same stopping rules, divergence
-check and abort strings as the batch methods. The methods without memory
-(``multibatch_gd``, ``serial_sgd``) step along -g.
+fault-mode layout and a serial SGD block of draws are read-only, and the
+objective copies each order's rows once and reads every batch's parts in
+place from that entry; strategy-2 rows are writable, so each call's rows are
+copied into a new entry. A metrology ``eval_full`` reuses the margins the
+entry's last call kept, when it was at the same iterate over half the rows
+or more. The batch gradient adds the batch parts' rows, and an overlap
+gradient adds the rows that ``plan.link`` names, so both gradients of a
+curvature pair are sums over the same index set O_k. Serial SGD is the
+source of one-example plans with empty overlaps, each a one-row span of its
+block of draws (``sampling.SerialSource``), so it gets the same stopping
+rules, divergence check and abort strings as the batch methods. The methods
+without memory (``multibatch_gd``, ``serial_sgd``) step along -g.
 
 Epoch accounting charges |S_k|/n per batch-gradient evaluation, plus
 |O_k|/n when O_k is the plan's extra part (strategy 2), where the overlap
@@ -138,11 +137,12 @@ class RunConfig:
     grad_tol: float | None = None
     w0: object = None
 
-    def validate(self, n: int):
+    def validate(self, n: int, d: int):
         """Raise ``ConfigurationError`` unless this run can start on ``n``
-        rows; the seed, the memory parameters and the sizes are checked with
-        the rules of ``SeededRng``, the memory and the plan sources, before
-        anything is drawn."""
+        rows of ``d`` features; the seed, the memory parameters and the
+        sizes are checked with the rules of ``SeededRng``, the memory and
+        the plan sources, before anything is drawn, and ``w0`` is None or a
+        real vector of length d (whether it is finite is the run's to find)."""
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.mode not in MODES:
@@ -170,6 +170,13 @@ class RunConfig:
         tol = self.grad_tol
         if tol is not None and not (isinstance(tol, numbers.Real) and tol >= 0):
             raise ConfigurationError(f"grad_tol {tol!r} is not a number >= 0")
+        if self.w0 is not None:
+            try:
+                w0 = np.asarray(self.w0)
+            except ValueError:  # a ragged list
+                w0 = None
+            if w0 is None or w0.dtype.kind not in "biuf" or w0.shape != (d,):
+                raise ConfigurationError(f"w0 is not a real vector of length d={d}")
         memory_settings(self.memory, self.scaling, self.cautious_eps)
         if self.method == "serial_sgd":
             return
@@ -261,7 +268,7 @@ def run(config: RunConfig, objective: Objective, pair_log=None) -> RunTrace:
     admitted pair from this log.
     """
     n, d = objective.n, objective.d
-    config.validate(n)
+    config.validate(n, d)
     stride = config.effective_stride(n)
     source = make_plan_source(config, n, SeededRng(config.seed))
     memory = LbfgsMemory(config.memory, config.scaling, config.cautious_eps)

@@ -61,6 +61,7 @@ class LbfgsMemory:
         self.capacity, self.scaling, self.cautious_eps = memory_settings(
             capacity, scaling, cautious_eps)
         self.pairs: list[CurvaturePair] = []  # oldest first
+        self._shape = None  # every stored s's and y's shape, once one is stored
 
     def __len__(self):
         return len(self.pairs)
@@ -70,7 +71,13 @@ class LbfgsMemory:
         """Store (s, y) if it passes the cautious test, the rho guard, s's > 0
         and y'y > 0; evict the oldest pair when full. Returns whether the pair
         was accepted. Overflowing or underflowing inner products reject the
-        pair."""
+        pair; an ``s`` and ``y`` of different shapes, or of another length
+        than the stored pairs, are a ``UsageError``."""
+        shape = s.shape
+        # O(1) on the hot path; only the first stored pair fixes the shape
+        if (shape != self._shape or y.shape != shape) and (
+                self._shape is not None or y.shape != shape or len(shape) != 1):
+            raise UsageError(f"pair shapes {shape}, {y.shape} do not match the memory's")
         ys, ss, yy = float(y.dot(s)), float(s.dot(s)), float(y.dot(y))
         # a nonzero step whose s's underflows to 0 passes no curvature test
         if not (ss > 0.0 and ys >= self.cautious_eps * ss):
@@ -80,6 +87,7 @@ class LbfgsMemory:
             return False
         pair = CurvaturePair(s=s.copy(), y=y.copy(), rho=1.0 / ys)
         self.pairs.append(pair)
+        self._shape = shape
         if len(self.pairs) > self.capacity:
             self.pairs.pop(0)
         return True
@@ -102,7 +110,10 @@ class LbfgsMemory:
         gamma*I with the pairs in storage order. The recursion never
         divides, so a non-finite entry of ``g``, or a value that overflows,
         stays non-finite to the end: one check on the result catches it.
+        A ``g`` of another shape than the stored pairs is a ``UsageError``.
         """
+        if g.shape != self._shape and self.pairs:
+            raise UsageError(f"gradient shape {g.shape} does not match the memory's")
         q, tmp = g.copy(), np.empty_like(g)
         alphas = []
         for pair in reversed(self.pairs):

@@ -147,7 +147,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     cells = list(spec.cells())
     objective = spec.load_objective()  # a data error leaves no directory behind
     for config in cells:  # nor does a bad grid value
-        config.validate(objective.n)
+        config.validate(objective.n, objective.d)
     names = [cell_filename(config) for config in cells]
     # nor do two cells that would write one file
     shared = next((name for i, name in enumerate(names) if name in names[:i]), None)

@@ -26,11 +26,11 @@ NaN, and a NaN raises either way.
 
 Every call checks its spans in one pass over its parts (each bound an
 integer, each start at or after the previous stop, the last stop inside
-``rows``) and the length of ``w``. A call first asks whether ``rows`` is
-the kept entry's own read-only array (by identity), which passed every
-check on rows when it was kept; only a ``rows`` that is not is converted,
-checked for shape and type and range-checked before it is kept. So no
-input makes a compiled kernel read outside ``X``.
+``rows``) and the length and type of ``w``. A call first asks whether
+``rows`` is the kept entry's own read-only array (by identity), which
+passed every check on rows when it was kept; only a ``rows`` that is not is
+converted, checked for shape and type and range-checked before it is kept.
+So no input makes a compiled kernel read outside ``X``.
 
 Every call reads its parts as row ranges of the CSR arrays of one kept
 entry. The margins of each run of adjacent parts come from one compiled
@@ -50,19 +50,16 @@ label is exactly +-1, so (-y) z has the bits of -(y z) for every z but
 NaN, and a NaN margin raises ``NumericError``.
 
 The objective keeps one entry, for the last ``rows`` it was given:
-``Xb = X[rows]``, the rows' row data, the inverse of ``rows`` when it is a
-permutation of all rows (built at the first call over at least half the
-rows, the only calls that read it), and the memo of the last call on it.
+``Xb = X[rows]``, gathered once by scipy's compiled ``csr_row_index`` into
+the arrays ``X[idx]`` has, the rows' row data, the inverse of ``rows`` when
+it is a permutation of all rows (built at the first call over at least half
+the rows, the only calls that read it), and the memo of the last call on it.
 A call's ``rows`` becomes the entry unless it is the entry's own object:
 
 * A read-only ``rows`` (a strategy-1 epoch's order, a fault layout's shard
-  order or serial SGD's identity order) promises that it will not change
-  and that it serves many calls. It is kept as it is and recognized by
-  identity, so rows outside the parts (failed nodes, the rest of the
-  epoch, every example serial SGD did not draw) cost nothing.
-* The identity order 0..n-1 is X itself: ``Xb`` is X's own arrays and
-  nothing is copied. Every other ``Xb`` is built through scipy's compiled
-  ``csr_row_index``, into the arrays ``X[idx]`` has.
+  order or a serial SGD block of draws) promises that it will not change
+  and that it serves many calls. It is kept as it is and found again by
+  identity, so later calls on it gather nothing.
 * A writable ``rows`` (a strategy-2 batch, an ``eval_subset`` subset) may
   change after the call, so it is copied up to its last part's stop and the
   read-only copy is kept. Strategy-2 and ``eval_subset`` spans run back to
@@ -245,10 +242,10 @@ class Objective:
         consecutive rows, and consecutive entries of ``L``, lie d + 1
         entries apart.
 
-        The parts are read from the objective's one kept entry: ``rows``
-        itself when it is read-only (found again by identity; X itself when
-        ``rows`` is 0..n-1), else a read-only copy of ``rows`` up to the
-        last stop (see the module docstring).
+        The parts are read from the objective's one kept entry, ``X[rows]``
+        for ``rows`` itself when it is read-only (found again by identity),
+        else for a read-only copy of ``rows`` up to the last stop (see the
+        module docstring).
         """
         kept = self._kept
         # the kept entry passed every check on rows when it was kept
@@ -256,7 +253,7 @@ class Objective:
             parts, covered = _checked_spans(spans, rows.size)
             self._check_length(w)
         else:
-            del kept  # no local reference to the old entry, so that _keep frees it
+            del kept  # no local reference to the old entry, so that _enter frees it
             parts, covered = self._enter(w, rows, spans)
             kept = self._kept
         # one zeroed row per part: its gradient sum, then its loss sum
@@ -274,8 +271,8 @@ class Objective:
 
     def _enter(self, w: Vector, rows, spans) -> tuple:
         """Check ``rows``, ``spans`` and ``w`` and make ``rows`` (a read-only
-        copy up to the last stop when it is writable) the kept entry;
-        returns ``_checked_spans``' parts and covered row count."""
+        copy up to the last stop when it is writable) the kept entry, with
+        no memo; returns ``_checked_spans``' parts and covered row count."""
         idx = np.asarray(rows)
         parts, covered = _checked_spans(spans, idx.size)
         if idx.ndim != 1 or idx.dtype.kind not in "iu":
@@ -289,7 +286,10 @@ class Objective:
         if idx.flags.writeable:  # the caller may change it
             idx = idx[:parts[-1][1]].copy()
             idx.flags.writeable = False
-        self._keep(idx)
+        # drop the old entry first, so that two gathers never coexist
+        self._kept = None
+        self._kept = _KeptOrder(idx, self._gather(idx), self._row_data.take(idx),
+                                None if idx.size == self.n else False)
         return parts, covered
 
     def _part_sums(self, w: Vector, csr, row_data, parts, size: int, G, L) -> tuple:
@@ -344,24 +344,6 @@ class Objective:
             at += b - a
         return z
 
-    def _keep(self, rows) -> _KeptOrder:
-        """Make the read-only ``rows`` the kept entry, with no memo; for the
-        identity order 0..n-1 that is X itself, with no copy."""
-        # drop the old entry first, so that two copies of X never coexist
-        self._kept = None
-        n = self.n
-        # a shuffled order fails at its first row, before any O(n) test; an
-        # involution (its own inverse) is not the identity, so compare with
-        # 0..n-1, not with the inverse
-        if rows.size == n and rows[0] == 0 and np.array_equal(rows, np.arange(n)):
-            self._kept = _KeptOrder(rows, self._csr, self._row_data, rows)
-            return self._kept
-        # n rows may be a permutation: _inverse tells at the first call
-        # that needs it
-        inv = None if rows.size == n else False
-        self._kept = _KeptOrder(rows, self._gather(rows), self._row_data.take(rows), inv)
-        return self._kept
-
     def _inverse(self, kept: _KeptOrder):
         """The inverse permutation of ``kept.rows``, or False when the rows
         are not a permutation of all rows; built once, at the first call."""
@@ -384,9 +366,10 @@ class Objective:
         return indptr, indices, data
 
     def _check_length(self, w: Vector):
-        # O(1): eval_sums runs it on every one-row step of serial SGD
-        if not isinstance(w, np.ndarray) or w.shape != (self.d,):
-            raise UsageError(f"w must be a 1-D array of length {self.d}")
+        # O(1), run on every step; the kernels take bool, integer and <= 64-bit float w
+        if (not isinstance(w, np.ndarray) or w.shape != (self.d,)
+                or w.dtype.char not in "?bBhHiIlLqQefd"):
+            raise UsageError(f"w must be a real 1-D array of length {self.d}")
 
     def _row_terms(self, z, row_data) -> tuple:
         """Per-row loss terms and gradient coefficients at margins ``z`` of
@@ -421,10 +404,8 @@ class Objective:
         ``idx[a:b]`` for ``(a, b) = parts[k]``, and ``idx`` None stands for
         all rows."""
         k = int(np.argmin(np.isfinite(L) & np.isfinite(G).all(axis=1)))
-        if idx is None:
-            idx = np.arange(self.n)
         a, b = parts[k]
-        rows = idx[a:b]
+        rows = np.arange(a, b) if idx is None else idx[a:b]
         z = self.X[rows].dot(w)
         bad = np.nonzero(~np.isfinite(_softplus(np.abs(z))) | ~np.isfinite(z))[0]
         first = rows[bad[0]] if bad.size else rows[0]

@@ -30,14 +30,13 @@ strategy 2 ``rows`` is S, cut into O_next and the rest, then O_prev: drawn
 apart from S, it is a trailing ``extra`` part outside the batch. In fault
 mode ``rows`` is the layout's permutation, one object until a reshard;
 each responding node's shard is one span and failed nodes leave gaps. In
-serial mode ``rows`` is the identity order 0..n-1, one object per source,
-and the drawn example i is the span (i, i + 1). Strategy-1 orders
-(the full batch's included), fault layouts (resharded or not) and the
-serial identity order serve several evaluations and are read-only, so the
-objective keeps their rows once (the identity order as X itself, the others
-as a copy) and reads the parts in place (``Objective.eval_sums``);
-strategy-2 orders are fresh writable arrays, copied into a new entry by the
-one call that reads them.
+serial mode ``rows`` is the block of ``SERIAL_BLOCK`` draws the example
+came from, one object per block, and the example at position j is the span
+(j, j + 1). Strategy-1 orders (the full batch's included), fault layouts
+(resharded or not) and serial blocks serve several evaluations and are
+read-only, so the objective copies their rows once and reads the parts in
+place (``Objective.eval_sums``); strategy-2 orders are fresh writable
+arrays, copied into a new entry by the one call that reads them.
 
 All draws come from a single named counter-based generator so a fixed seed
 replays the exact plan stream.
@@ -108,7 +107,7 @@ class SamplePlan(namedtuple("SamplePlan", ("rows", "spans", "sample_size", "O_ne
     plan, else none) lie outside the batch; S is the concatenation of the
     others and ``sample_size`` its size, which every source knows when it
     draws. ``rows`` is read-only in strategy 1, fault mode and serial mode
-    (the identity order, S a one-row view of it), so the objective keeps it
+    (a block of draws, S a one-row view of it), so the objective keeps it
     and reads every plan's parts in place, and writable (drawn afresh) in
     strategy 2, so the objective keeps a copy of it for the one call.
     ``link`` is None when O_prev is empty, and otherwise a pair of position
@@ -403,27 +402,27 @@ class FaultSource:
 
 class SerialSource:
     """Streams one uniformly drawn example per plan, for serial SGD; the
-    plans have no overlaps, so no curvature pair is ever formed. Every plan
-    names the source's one read-only identity order 0..n-1 as ``rows``, and
-    example i as its span (i, i + 1).
+    plans have no overlaps, so no curvature pair is ever formed.
 
     The examples are drawn ``SERIAL_BLOCK`` at a time: numpy's
     ``integers(0, n, size=B)`` gives the values of B single draws, in order,
     so the stream is the one single draws give, at a fraction of the cost
-    per example."""
+    per example. Each block is one read-only array, which every plan drawn
+    from it names as ``rows``, the example at position j as its span
+    (j, j + 1); so a source holds one block, whatever n is."""
 
     def __init__(self, n: int, rng: SeededRng):
         self.n, self.rng = n, rng
-        self._rows = np.arange(n, dtype=np.int64)
-        self._rows.flags.writeable = False
-        self._draws = iter(())
+        self._block, self._next = None, SERIAL_BLOCK
 
     def next_plan(self) -> SamplePlan:
-        i = next(self._draws, None)
-        if i is None:
-            self._draws = iter(self.rng.integers(self.n, size=SERIAL_BLOCK).tolist())
-            i = next(self._draws)
-        return SamplePlan(self._rows, ((i, i + 1),), 1, _EMPTY)
+        j = self._next
+        if j == SERIAL_BLOCK:
+            self._block = self.rng.integers(self.n, size=SERIAL_BLOCK)
+            self._block.flags.writeable = False
+            j = 0
+        self._next = j + 1
+        return SamplePlan(self._block, ((j, j + 1),), 1, _EMPTY)
 
 
 def make_plan_source(config, n: int, rng: SeededRng):

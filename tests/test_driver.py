@@ -1,3 +1,4 @@
+import math
 import threading
 import warnings
 from dataclasses import replace
@@ -28,6 +29,7 @@ from mblbfgs import (
 from mblbfgs import driver
 from mblbfgs.driver import _average
 from mblbfgs.objectives import Objective
+from mblbfgs.sampling import SERIAL_BLOCK
 
 from conftest import random_admitted_memory, record_evaluations
 from test_objectives import dataset_from_rows
@@ -132,11 +134,19 @@ class TestRunLoop:
         (dict(mode="fault", reshard_each_epoch="yes"), "reshard_each_epoch"),
         (dict(mode="fault", reshard_each_epoch="no"), "reshard_each_epoch"),
         (dict(reshard_each_epoch=None), "reshard_each_epoch"),
+        # w0 raised a bare ValueError from the run, or a UsageError from its
+        # first evaluation; d is 5 here
+        (dict(w0="abc"), "w0"),
+        (dict(w0=np.zeros(4)), "w0"),
+        (dict(w0=np.zeros((5, 1))), "w0"),
+        (dict(w0=np.zeros(5, dtype=complex)), "w0"),
+        (dict(w0=[0.0, [1.0]]), "w0"),
+        (dict(w0=1.0), "w0"),
     ])
     def test_bad_typed_run_fields_raise_a_configuration_error(self, fields, match):
         # these raised a bare TypeError, or passed and misbehaved in the run
         with pytest.raises(ConfigurationError, match=match):
-            RunConfig(**fields).validate(100)
+            RunConfig(**fields).validate(100, 5)
 
     @pytest.mark.parametrize("method", ["robust_lbfgs", "serial_sgd"])
     @pytest.mark.parametrize("stride", [0, -5])
@@ -245,6 +255,30 @@ class TestRunLoop:
         assert trace.aborted is None
         assert isinstance(trace.final_memory, LbfgsMemory)
         assert len(trace.final_memory) == 0
+
+    def test_serial_sgd_gathers_each_block_of_draws_once(self, small_logistic, monkeypatch):
+        # 3000 one-row steps read three blocks of SERIAL_BLOCK draws; each
+        # is gathered once, at its first step, and no more rows than that
+        gathered, gather = [], Objective._gather
+        monkeypatch.setattr(Objective, "_gather",
+                            lambda self, rows: gathered.append(rows) or gather(self, rows))
+        cfg = RunConfig(method="serial_sgd", schedule=constant(0.5), epochs=math.inf,
+                        max_iterations=2999, seed=0)
+        trace = run(cfg, logistic_l2(small_logistic.dataset))
+        assert trace.aborted is None and len(trace.records) == 3000
+        assert [rows.size for rows in gathered] == [SERIAL_BLOCK] * 3
+
+    @pytest.mark.parametrize("w0", ["abc", [0.0, 1.0]])
+    def test_bad_w0_is_refused_before_the_run(self, small_logistic, w0):
+        with pytest.raises(ConfigurationError, match="w0"):
+            run(RunConfig(w0=w0), small_logistic)
+
+    def test_w0_of_integers_starts_at_their_values(self, small_logistic):
+        d = small_logistic.d
+        cfg = RunConfig(max_iterations=0, w0=list(range(d)))
+        trace = run(cfg, small_logistic)
+        assert trace.aborted is None
+        assert np.array_equal(trace.final_w, np.arange(d, dtype=np.float64))
 
     def test_serial_sgd_non_finite_step_aborts(self):
         # the first step overflows: w = 0 - 1e308 * (0 - 10)
@@ -550,7 +584,7 @@ class TestFaultModeRuns:
                 return real(self, *args)
             return wrapper
 
-        for name in ("eval_sums", "_keep", "_row_terms", "eval_full"):
+        for name in ("eval_sums", "_gather", "_row_terms", "eval_full"):
             monkeypatch.setattr(Objective, name, spy(name))
         cfg = RunConfig(method="robust_lbfgs", schedule=constant(0.1), seed=3, **config)
         objective = logistic_l2(small_logistic.dataset)
@@ -558,14 +592,14 @@ class TestFaultModeRuns:
         assert trace.aborted is None
         names = [name for name, *_ in events]
         assert names.count("eval_sums") == len(trace.records)
-        # each row order (a layout, or a strategy-1 epoch's order) is copied
-        # once, right after the first call on it
+        # each row order (a layout, or a strategy-1 epoch's order) is
+        # gathered once, right after the first call on it
         orders, first_calls = [], []
         for i, (name, _, rows) in enumerate(events):
             if name == "eval_sums" and not any(rows is order for order in orders):
                 orders.append(rows)
                 first_calls.append(i)
-        assert [i for i, name in enumerate(names) if name == "_keep"] == [
+        assert [i for i, name in enumerate(names) if name == "_gather"] == [
             i + 1 for i in first_calls]
         one_order = not (config.get("reshard_each_epoch") or config["mode"] == "strategy1")
         assert (len(orders) == 1) == one_order
@@ -597,7 +631,7 @@ class TestCurvaturePairs:
                         nodes=nodes, fail_prob=p, reshard_each_epoch=reshard,
                         schedule=constant(0.5), epochs=3.0, seed=seed)
         try:
-            cfg.validate(small_logistic.n)
+            cfg.validate(small_logistic.n, small_logistic.d)
         except ConfigurationError:
             assume(False)
         # the loop's own plans and evaluated parts, iterates and admitted y's
@@ -715,8 +749,8 @@ class TestCurvatureDiagnostics:
                        lambda self, w, subset: eval_subset(self, w, np.array(subset)))
             expected = diagnostics()
         kept = []
-        real = Objective._keep
-        monkeypatch.setattr(Objective, "_keep",
+        real = Objective._gather
+        monkeypatch.setattr(Objective, "_gather",
                             lambda self, rows: kept.append(rows) or real(self, rows))
         got = diagnostics()
         assert len(kept) == len(sizes) * trials

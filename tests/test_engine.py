@@ -53,7 +53,7 @@ class TestMemorySettings:
     ], ids=repr)
     def test_non_numbers_and_fractional_capacity_are_configuration_errors(self, changes):
         with pytest.raises(ConfigurationError):
-            RunConfig(**changes).validate(100)
+            RunConfig(**changes).validate(100, 5)
         settings = dict(capacity=changes.get("memory", 10),
                         scaling=changes.get("scaling", "bb"),
                         cautious_eps=changes.get("cautious_eps", 1e-4))
@@ -123,6 +123,24 @@ class TestAdmission:
             assert np.array_equal(p.s, s)
             assert np.array_equal(p.y, y)
             assert p.rho == rho
+
+    @pytest.mark.parametrize("s,y", [
+        (np.ones(5), np.ones(5)),            # another length: was admitted
+        (np.ones(3), np.ones(3)),
+        (np.ones(4), np.ones(3)),            # s and y apart: numpy's ValueError
+        (np.ones((4, 1)), np.ones((4, 1))),  # not vectors
+    ], ids=["longer", "shorter", "apart", "columns"])
+    def test_a_pair_of_another_shape_is_a_usage_error(self, s, y):
+        mem = LbfgsMemory(3, cautious_eps=0.0)
+        assert mem.admit(vec(1, 0, 0, 0), vec(2, 0, 0, 0))
+        with pytest.raises(UsageError, match="shapes"):
+            mem.admit(s, y)
+        # the memory is as it was, and its directions still work
+        assert len(mem) == 1
+        assert np.array_equal(mem.direction(vec(1, 1, 1, 1)), -vec(0.5, 0.5, 0.5, 0.5))
+        if s.shape != y.shape:  # an empty memory refuses them too
+            with pytest.raises(UsageError, match="shapes"):
+                LbfgsMemory(3).admit(s, y)
 
     def test_zero_curvature_vector_rejected(self):
         # with eps = 0 the cautious test passes y = 0; the rho guard must not
@@ -210,6 +228,15 @@ class TestTwoLoop:
     def test_empty_memory_fixed_scaling(self):
         mem = LbfgsMemory(5, scaling=0.5)
         assert np.array_equal(mem.direction(vec(2, 4)), vec(-1, -2))
+
+    @pytest.mark.parametrize("g", [np.ones(3), np.ones(5), np.ones((4, 1))],
+                             ids=["short", "long", "column"])
+    def test_a_gradient_of_another_shape_is_a_usage_error(self, g):
+        # these raised numpy's ValueError, or gave a wrong-shaped direction
+        mem = LbfgsMemory(3)
+        assert mem.admit(vec(1, 0, 0, 0), vec(2, 0, 0, 0))
+        with pytest.raises(UsageError, match="gradient shape"):
+            mem.direction(g)
 
     def test_hand_traced_single_pair(self):
         mem = LbfgsMemory(5)

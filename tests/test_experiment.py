@@ -55,6 +55,14 @@ class TestGrid:
             run_experiment(spec)
         assert not (tmp_path / "out").exists()
 
+    def test_a_w0_of_the_wrong_length_is_refused_before_any_output(self, tmp_path):
+        # it made the directory and the manifest header, and then raised
+        # from the first cell's first evaluation
+        spec = small_spec(tmp_path / "out", w0=np.zeros(7))
+        with pytest.raises(ConfigurationError, match="w0"):
+            run_experiment(spec)
+        assert not (tmp_path / "out").exists()
+
     def test_two_seeds_two_csvs_plus_manifest(self, tmp_path):
         result = run_experiment(small_spec(tmp_path / "out"))
         assert len(result.csv_paths) == 2

@@ -17,6 +17,7 @@ from mblbfgs import (RunConfig, constant, logistic_l2, make_synthetic, quadratic
                      serialize_libsvm, sigmoid_lsq)
 from mblbfgs import objectives
 from mblbfgs.experiment import trace_csv_lines
+from mblbfgs.sampling import SERIAL_BLOCK
 
 DATA_SHA256 = "388d376e38140f1f47cbd99163a4395136256b86907fd6284284cb95290b38ab"
 LIBSVM_SHA256 = "015dbe5e3eda24068bf86e9eb9a7dc5338d7aeba1f8295d052ef94492114fb37"
@@ -196,7 +197,7 @@ def _gathered(eval_sums):
 
 # eval_sums as it is, or wrapped, for every batch of a run outside strategy
 # 2 (whose rows are drawn afresh and writable): all their row orders (a
-# strategy-1 epoch's, a fault layout's, serial SGD's identity order) are
+# strategy-1 epoch's, a fault layout's, a serial SGD block of draws) are
 # read-only, so a plain run keeps each order once and reads every batch in
 # place from it, and the wrapper makes every call's rows writable, so each
 # call keeps its own copy instead
@@ -210,27 +211,25 @@ def test_trace_digest_on_each_kernel_branch(name, branch, monkeypatch):
     Objective = objectives.Objective
     monkeypatch.setattr(Objective, "eval_sums",
                         KERNEL_BRANCHES[branch](Objective.eval_sums))
-    # for each kept entry: whether it reads X's own arrays, whether its rows
-    # are 0..n-1, and whether they are a read-only array of their own
-    kept, keep = [], Objective._keep
+    # for each kept entry: its rows, whether it reads X's own arrays, and
+    # whether its rows are a read-only array of their own
+    kept, gather = [], Objective._gather
 
     def spy(self, rows):
-        entry = keep(self, rows)
-        kept.append((np.shares_memory(entry.csr[2], self.X.data),
-                     np.array_equal(rows, np.arange(self.n)),
+        csr = gather(self, rows)
+        kept.append((rows, any(np.shares_memory(a, b) for a in csr
+                               for b in (self.X.indptr, self.X.indices, self.X.data)),
                      rows.flags.owndata and not rows.flags.writeable))
-        return entry
-    monkeypatch.setattr(Objective, "_keep", spy)
+        return csr
+    monkeypatch.setattr(Objective, "_gather", spy)
     assert trace_digest(name) == recorded_digest(name)
-    in_x = [entry[0] for entry in kept]
+    # every entry, on either branch, is a copy of X's rows
+    assert kept and not any(in_x for _, in_x, _ in kept)
     if branch == "gather":
         # every entry is a read-only copy the objective made of the
-        # wrapper's writable rows, never that array itself; only the rows
-        # 0..n-1 (serial SGD's prefix up to the last row) read X itself
-        assert kept and all(copied and own == identity for own, identity, copied in kept)
+        # wrapper's writable rows, never that array itself
+        assert all(copied for *_, copied in kept)
     elif name == "serial_sgd":
-        # one entry for the whole run, X itself under the identity order
-        assert in_x == [True]
-    else:
-        # shuffled orders: each entry is a copy of X's rows
-        assert in_x and not any(in_x)
+        # one entry per block of draws: the run's 300 one-row steps all
+        # come from its first block
+        assert [rows.size for rows, *_ in kept] == [SERIAL_BLOCK]

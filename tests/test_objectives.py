@@ -210,6 +210,22 @@ class TestSubsetSemantics:
         with pytest.raises(UsageError, match="1-D array of length"):
             getattr(small_logistic, method)(w, *args)
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.longdouble, object])
+    @pytest.mark.parametrize("method", ["eval_sums", "eval_subset", "eval_full"])
+    def test_w_that_is_not_real_rejected(self, small_logistic, dtype, method):
+        # these raised scipy's ValueError from the compiled kernels
+        w = np.zeros(small_logistic.d, dtype=dtype)
+        args = () if method == "eval_full" else ([0, 1],)
+        with pytest.raises(UsageError, match="real 1-D array"):
+            getattr(small_logistic, method)(w, *args)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_w_of_a_narrower_real_type_is_read(self, small_logistic, dtype):
+        w = np.linspace(-2, 2, small_logistic.d).astype(dtype)
+        got = small_logistic.eval_subset(w, [0, 1, 2])
+        wide = small_logistic.eval_subset(w.astype(np.float64), [0, 1, 2])
+        assert np.allclose(got.gradient, wide.gradient) and np.isclose(got.loss, wide.loss)
+
     @pytest.mark.parametrize("spans", BAD_SPANS)
     def test_eval_sums_rejects_bad_part_spans(self, small_logistic, spans):
         with pytest.raises(UsageError, match="part spans"):
@@ -455,10 +471,10 @@ class TestKeptOrder:
         assert [a.tobytes() for a in result] == [a.tobytes() for a in expected]
 
     @pytest.mark.parametrize("order", ["identity", "reversed", "one_swap"])
-    def test_only_the_identity_order_is_read_from_x_itself(self, small_logistic, order):
-        # serial SGD's order 0..n-1 is X's own arrays; a reversed order and a
-        # single swap are their own inverses but not the identity, so each
-        # is a copy of X's rows
+    def test_every_read_only_order_is_a_copy_of_x(self, small_logistic, order):
+        # the order 0..n-1 is gathered like any other: no entry reads X's
+        # own arrays, whether the order is the identity or, like a reversed
+        # order and a single swap, its own inverse
         obj = logistic_l2(small_logistic.dataset)
         w = np.linspace(-1, 1, obj.d)
         rows = np.arange(obj.n)  # not the object any source hands out
@@ -472,8 +488,8 @@ class TestKeptOrder:
         result = obj.eval_sums(w, rows, spans)
         kept = obj._kept
         assert kept.rows is rows and np.array_equal(kept.inv, np.argsort(rows))
-        in_place = [np.shares_memory(a, b) for a, b in zip(kept.csr, obj._csr)]
-        assert in_place == [order == "identity"] * 3
+        assert not any(np.shares_memory(a, b) for a in kept.csr
+                       for b in (*obj._csr, obj.X.indptr, obj.X.indices, obj.X.data))
         assert [a.tobytes() for a in result] == [a.tobytes() for a in gathered]
         # metrology reuses the call's margins over most rows
         assert kept.memo is not None
@@ -547,7 +563,7 @@ class TestSourceSpans:
         config = RunConfig(**_SOURCE_CONFIGS[source], batch_frac=r, overlap_frac=o,
                            nodes=nodes, fail_prob=p)
         try:
-            config.validate(obj.n)
+            config.validate(obj.n, obj.d)
         except ConfigurationError:
             assume(False)
         src = make_plan_source(config, obj.n, SeededRng(seed))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from mblbfgs import ConfigurationError, RunConfig, SeededRng, make_layout, plan_fault, reshard
 from mblbfgs.sampling import (
+    SERIAL_BLOCK,
     FaultSource,
     NodeLayout,
     SerialSource,
@@ -340,21 +342,22 @@ class TestPlanInvariants:
                 assert np.shares_memory(plan.S, plan.rows)
                 assert np.array_equal(plan.S, plan.rows[flat[0]:flat[-1]])
             elif mode == "serial":
-                # rows is the identity order and S a one-row view of it
-                assert np.array_equal(plan.rows, np.arange(n))
+                # rows is a block of draws in 0..n-1 and S a one-row view of it
+                assert plan.rows.shape == (SERIAL_BLOCK,) and plan.rows.dtype == np.int64
+                assert 0 <= plan.rows.min() and plan.rows.max() < n
                 assert np.shares_memory(plan.S, plan.rows)
             else:  # the parts cover rows: S, then the extra part O_prev
                 assert np.shares_memory(plan.S, plan.rows)
                 assert np.array_equal(plan.rows, np.concatenate([plan.S, plan.O_prev]))
             # the objective keeps the rows of a read-only order: strategy-1
-            # orders, fault layouts and serial SGD's identity order serve
+            # orders, fault layouts and serial SGD's blocks of draws serve
             # several evaluations, while strategy-2 rows are drawn afresh,
             # to be gathered
             assert plan.rows.flags.writeable == (mode == "strategy2")
             if mode == "strategy2":
                 assert np.array_equal(plan.S[:plan.O_next.size], plan.O_next)
         plans = stream[1]
-        if mode == "serial":
+        if mode == "serial":  # the 40 plans come from the first block
             assert all(plan.rows is plans[0].rows for plan in plans)
         elif mode == "strategy1" and plans[0].sample_size == n:
             # the full batch is reordered every epoch, so each plan has its own
@@ -443,19 +446,23 @@ class TestPlanInvariants:
     @settings(max_examples=60, deadline=None)
     def test_serial_plans_hold_one_index_and_no_overlap(self, n, seed):
         src, draws = SerialSource(n, SeededRng(seed)), SeededRng(seed)
-        rows = src.next_plan().rows
-        draws.integers(n)
-        # one read-only identity order per source, which the objective keeps
-        assert not rows.flags.writeable and np.array_equal(rows, np.arange(n))
-        for _ in range(40):
+        blocks = []
+        # two block ends and then some: the plans of a block share its one
+        # read-only array of draws, which the objective keeps, and the
+        # example at position j is the span (j, j + 1)
+        for t in range(2 * SERIAL_BLOCK + 40):
             plan = src.next_plan()
-            assert plan.rows is rows
+            if t % SERIAL_BLOCK == 0:
+                assert not blocks or plan.rows is not blocks[-1]
+                blocks.append(plan.rows)
+            assert plan.rows is blocks[-1] and not plan.rows.flags.writeable
             assert plan.S.shape == (1,) and 0 <= plan.S[0] < n
-            (i, stop), = plan.spans
-            assert i == draws.integers(n) and stop == i + 1
-            assert plan.S[0] == i and np.shares_memory(plan.S, rows)
+            (j, stop), = plan.spans
+            assert j == t % SERIAL_BLOCK and stop == j + 1
+            assert plan.S[0] == draws.integers(n) and np.shares_memory(plan.S, plan.rows)
             assert plan.O_prev.size == 0 and plan.O_next.size == 0
             assert plan.overlap_size == 0 and plan.link is None
+        assert all(block.size == SERIAL_BLOCK for block in blocks)
 
     @pytest.mark.parametrize("n", [1, 7, 20000, 2**32 + 1])
     def test_serial_block_draws_are_the_single_draws(self, n):
@@ -463,14 +470,26 @@ class TestPlanInvariants:
         # must be the values, in order, of one integers(0, n) call each, the
         # stream the golden serial_sgd trace was recorded with
         key = 12345
-        src = SerialSource(min(n, 20000), SeededRng(key))
-        # an identity order of 2**32 + 1 rows would take 32 GiB; the draws
-        # read only n
-        src.n = n
+        src = SerialSource(n, SeededRng(key))
         single = np.random.Generator(np.random.Philox(key=key))
         for _ in range(3000):
             i = int(single.integers(0, n))
-            assert src.next_plan().spans == ((i, i + 1),)
+            plan = src.next_plan()
+            (j, stop), = plan.spans
+            assert stop == j + 1 and int(plan.rows[j]) == i
+
+    def test_a_serial_source_holds_one_block_whatever_n(self):
+        # a source holds its current block of draws, not an array of n
+        # rows: 10**7 int64 rows would be 80 MB
+        tracemalloc.start()
+        try:
+            src = SerialSource(10**7, SeededRng(3))
+            for _ in range(3000):
+                src.next_plan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestPlanRecord:
